@@ -25,7 +25,13 @@ from .corpus import (
 )
 from .defaults import default_config
 from .labeler import EmptyDefinitionError, LabelerConfig, label
-from .lexicon import LOCATION, TIME, load_gazetteer, load_wordlist
+from .lexicon import (
+    LOCATION,
+    TIME,
+    _NOUN_DETACHMENTS,
+    load_gazetteer,
+    load_wordlist,
+)
 from .patterns import render
 from .rolemodel import ERROR, validate
 from .syntree import parse_bracketed
@@ -33,9 +39,6 @@ from .syntree import parse_bracketed
 OK = 0
 FATAL = 1
 PARTIAL = 2
-
-_LEMMA_DETACH = (("ches", "ch"), ("shes", "sh"), ("ses", "s"), ("xes", "x"),
-                 ("zes", "z"), ("ies", "y"), ("men", "man"), ("s", ""))
 
 
 def _fail(message: str) -> int:
@@ -221,13 +224,15 @@ def run_eval(args: argparse.Namespace) -> int:
             json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8",
         )
-    if args.strict and report.supertype_accuracy < _config_threshold(args):
-        print(
-            f"supertype accuracy {report.supertype_accuracy:.6f} below threshold "
-            f"{_config_threshold(args):.6f}",
-            file=sys.stderr,
-        )
-        return FATAL
+    if args.strict:
+        threshold = _config_threshold(args)
+        if report.supertype_accuracy < threshold:
+            print(
+                f"supertype accuracy {report.supertype_accuracy:.6f} below threshold "
+                f"{threshold:.6f}",
+                file=sys.stderr,
+            )
+            return FATAL
     return OK
 
 
@@ -239,7 +244,7 @@ def _word_matches(lemma: str, token: str) -> bool:
     token = token.lower()
     if token == lemma:
         return True
-    for suffix, replacement in _LEMMA_DETACH:
+    for suffix, replacement in _NOUN_DETACHMENTS:
         if token.endswith(suffix) and len(token) > len(suffix):
             if token[: -len(suffix)] + replacement == lemma:
                 return True

@@ -52,7 +52,12 @@ from .rolemodel import (
     RoleSpan,
     validate,
 )
-from .syntree import SynTree, constituents_after, dominated_by
+from .syntree import (
+    SynTree,
+    _ancestor_labels,
+    _constituents_after_walk,
+    _innermost_leftmost_np_from,
+)
 
 __all__ = [
     "LabelerConfig",
@@ -214,22 +219,26 @@ def _split_on_cc(node: SynTree) -> list[list[SynTree]]:
     return groups
 
 
-def _detect_noun_supertypes(
-    tree: SynTree, config: LabelerConfig, min_start: int = 0
-) -> _NounDetection | None:
-    from .syntree import _innermost_leftmost_np_from
+# The private helpers below take ``leaves``, the root's leaves in surface
+# order, so any node's leaves are ``leaves[node.start:node.end]``.
 
+
+def _detect_noun_supertypes(
+    tree: SynTree, leaves: list[SynTree], config: LabelerConfig, min_start: int = 0
+) -> _NounDetection | None:
     np = _innermost_leftmost_np_from(tree, min_start)
     if np is None:
         return None
     detection = _NounDetection(np, [])
     for group in _split_on_cc(np):
-        leaves = [leaf for node in group for leaf in node.leaves()]
+        group_leaves = leaves[group[0].start : group[-1].end]
         k = 0
-        while k < len(leaves) and leaves[k].label == "DT":
-            detection.dropped_determiners.append((leaves[k].start, leaves[k].end))
+        while k < len(group_leaves) and group_leaves[k].label == "DT":
+            detection.dropped_determiners.append(
+                (group_leaves[k].start, group_leaves[k].end)
+            )
             k += 1
-        core = leaves[k:]
+        core = group_leaves[k:]
         if not core:
             continue
         hit = longest_rightmost_entry(config.noun_lexicon, [l.token for l in core])
@@ -253,7 +262,7 @@ def detect_supertype_noun(
     NP; it is labeled differentia quality downstream. None when no NP
     qualifies or no lexicon entry matches inside it.
     """
-    detection = _detect_noun_supertypes(tree, config)
+    detection = _detect_noun_supertypes(tree, tree.leaves(), config)
     return detection.hits if detection else None
 
 
@@ -293,7 +302,12 @@ def detect_supertype_verb(
     an "or"/"and" CC and the VB sits in the same VP chain as the first.
     None when the tree has no VB leaf at all.
     """
-    leaves = tree.leaves()
+    return _detect_supertype_verb(tree, tree.leaves())
+
+
+def _detect_supertype_verb(
+    tree: SynTree, leaves: list[SynTree]
+) -> list[tuple[int, int]] | None:
     verb_indices = [i for i, leaf in enumerate(leaves) if leaf.label.startswith("VB")]
     if not verb_indices:
         return None
@@ -325,12 +339,11 @@ class _DeterminerHit:
 
 
 def _detect_determiner(
-    tree: SynTree,
+    leaves: list[SynTree],
     supertype_start: int,
     np: SynTree,
     config: LabelerConfig,
 ) -> _DeterminerHit | None:
-    leaves = tree.leaves()
     if supertype_start == 0:
         return None
     prefix = leaves[:supertype_start]
@@ -372,10 +385,11 @@ def detect_accessory_determiner(
     tree: SynTree, supertype_start: int, config: LabelerConfig
 ) -> tuple[int, int] | None:
     """The accessory-determiner span preceding the supertype, if any."""
-    detection = _detect_noun_supertypes(tree, config)
+    leaves = tree.leaves()
+    detection = _detect_noun_supertypes(tree, leaves, config)
     if detection is None:
         return None
-    hit = _detect_determiner(tree, supertype_start, detection.np, config)
+    hit = _detect_determiner(leaves, supertype_start, detection.np, config)
     return hit.span if hit else None
 
 
@@ -388,9 +402,14 @@ def detect_instance_origin(
     NP (or NP prefix) with a location-gazetteer hit. Takes precedence over
     the pre-supertype differentia-quality leftover.
     """
+    return _detect_instance_origin(tree, tree.leaves(), supertype_start, config)
+
+
+def _detect_instance_origin(
+    tree: SynTree, leaves: list[SynTree], supertype_start: int, config: LabelerConfig
+) -> tuple[int, int] | None:
     if not config.instance_mode or supertype_start <= 0:
         return None
-    leaves = tree.leaves()
     prefix = leaves[:supertype_start]
     covers_prefix = any(
         node.label == "NP" and node.start == 0 and node.end >= supertype_start
@@ -411,11 +430,16 @@ def detect_quality_modifier(
     Returns (modifier span, shrunk quality span), or None when the
     constituent is not an ADJP/ADVP or no premodifier precedes the head.
     """
-    if constituent.label not in ("ADJP", "ADVP"):
-        return None
     start, end = quality
-    leaves = [l for l in constituent.leaves() if start <= l.start and l.end <= end]
-    if len(leaves) < 2:
+    inside = [l for l in constituent.leaves() if start <= l.start and l.end <= end]
+    return _detect_quality_modifier(constituent, inside, end)
+
+
+def _detect_quality_modifier(
+    constituent: SynTree, leaves: list[SynTree], end: int
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    # ``leaves``: the constituent's leaves inside the quality span [_, end).
+    if constituent.label not in ("ADJP", "ADVP") or len(leaves) < 2:
         return None
     head, following = leaves[0], leaves[1]
     if head.label in ("RB", "JJ") and following.label in ("RB", "JJ"):
@@ -462,31 +486,28 @@ def _pp_inner_phrase(pp: SynTree) -> SynTree | None:
     return None
 
 
-def _pp_head_token(pp: SynTree) -> str:
-    for leaf in pp.leaves():
-        return (leaf.token or "").lower()
-    return ""
-
-
 def _leading_cue_match(tokens: Sequence[str]) -> bool:
     lowered = [t.lower() for t in tokens]
     return any(tuple(lowered[: len(cue)]) == cue for cue in _FACT_CUES)
 
 
 def _carve_event_subroles(
-    event_node: SynTree, config: LabelerConfig
+    event_node: SynTree, tokens: Sequence[str], config: LabelerConfig
 ) -> list[tuple[SynTree, Role]]:
-    """Maximal PPs inside an event matched by the location/time gazetteers."""
+    """Maximal PPs inside an event matched by the location/time gazetteers.
+
+    ``tokens`` are the root's tokens in surface order.
+    """
     matches: list[tuple[SynTree, Role]] = []
 
     def scan(node: SynTree) -> None:
         whole = node.start == event_node.start and node.end == event_node.end
         if node is not event_node and node.label == "PP" and not whole:
-            tokens = node.tokens()
-            if gazetteer_match(config.location_gazetteer, tokens):
+            pp_tokens = tokens[node.start : node.end]
+            if gazetteer_match(config.location_gazetteer, pp_tokens):
                 matches.append((node, Role.EVENT_LOCATION))
                 return
-            if gazetteer_match(config.time_gazetteer, tokens):
+            if gazetteer_match(config.time_gazetteer, pp_tokens):
                 matches.append((node, Role.EVENT_TIME))
                 return
         for child in node.children:
@@ -534,7 +555,7 @@ class _Engine:
         noun_info: _NounDetection | None = None
         effective_pos = self.pos
         if self.pos == VERB:
-            verb_spans = detect_supertype_verb(self.tree, self.config)
+            verb_spans = _detect_supertype_verb(self.tree, self.leaves)
             if verb_spans:
                 for start, end in verb_spans:
                     supertypes.append(
@@ -547,7 +568,7 @@ class _Engine:
             self._note("fallback", 0, 0, "no VB leaf; retrying with noun rules")
             effective_pos = NOUN
         if effective_pos == NOUN:
-            noun_info = _detect_noun_supertypes(self.tree, self.config)
+            noun_info = _detect_noun_supertypes(self.tree, self.leaves, self.config)
             if noun_info:
                 supertypes = self._apply_noun_hits(noun_info)
         return supertypes, noun_info
@@ -571,11 +592,11 @@ class _Engine:
         """Accessory determiner, instance origin, and leftover qualities."""
         consumed: list[tuple[int, int]] = []
         hit = _detect_determiner(
-            self.tree, supertypes[0].start, noun_info.np, self.config
+            self.leaves, supertypes[0].start, noun_info.np, self.config
         )
         if hit and hit.redetect_from is not None:
             redo = _detect_noun_supertypes(
-                self.tree, self.config, min_start=hit.redetect_from
+                self.tree, self.leaves, self.config, min_start=hit.redetect_from
             )
             if redo:
                 for span in supertypes:
@@ -602,8 +623,8 @@ class _Engine:
             )
             consumed.append(hit.span)
         else:
-            origin = detect_instance_origin(
-                self.tree, supertypes[0].start, self.config
+            origin = _detect_instance_origin(
+                self.tree, self.leaves, supertypes[0].start, self.config
             )
             if origin:
                 start, end = origin
@@ -626,9 +647,12 @@ class _Engine:
 
     # -- post-supertype classification --------------------------------------
 
-    def classify(self, constituent: SynTree, supertypes: list[_Span]) -> None:
+    def classify(
+        self, constituent: SynTree, ancestors: Sequence[str], supertypes: list[_Span]
+    ) -> None:
+        """Label one post-supertype constituent; ``ancestors`` are the labels
+        of its proper ancestors in the tree."""
         node = _unwrap_clause(constituent)
-        tokens = node.tokens()
         start, end = node.start, node.end
 
         if node.label == "PRT":
@@ -638,7 +662,7 @@ class _Engine:
             )
             return
 
-        if node.label == "VP" and node.leaves()[0].label == "TO":
+        if node.label == "VP" and self.leaves[start].label == "TO":
             self._add(
                 Role.PURPOSE, start, end, "purpose", "VP opened by TO",
             )
@@ -646,7 +670,7 @@ class _Engine:
 
         inner = _pp_inner_phrase(node) if node.label == "PP" else None
         if node.label == "PP" and inner is not None and inner.label == "VP":
-            if _pp_head_token(node) == "for":
+            if self.tokens[start].lower() == "for":
                 self._add(
                     Role.PURPOSE, start, end, "purpose",
                     f"'for' PP with a VP inside; {DIVERGENCE_PURPOSE_EVENT}",
@@ -671,9 +695,9 @@ class _Engine:
 
         if (
             node.label == "PP"
-            and not dominated_by(constituent, "SBAR", self.tree)
-            and not dominated_by(constituent, "VP", self.tree)
-            and gazetteer_match(self.config.location_gazetteer, tokens)
+            and "SBAR" not in ancestors
+            and "VP" not in ancestors
+            and gazetteer_match(self.config.location_gazetteer, self.tokens[start:end])
         ):
             self._add(
                 Role.ORIGIN_LOCATION, start, end, "origin-location",
@@ -691,7 +715,7 @@ class _Engine:
         )
 
     def _fact_or_event(self, node: SynTree, start: int, end: int, shape: str) -> None:
-        if self._has_differentia() and _leading_cue_match(node.tokens()):
+        if self._has_differentia() and _leading_cue_match(self.tokens[start:end]):
             self._add(
                 Role.ASSOCIATED_FACT, start, end, "associated-fact",
                 f"{shape}; non-restrictive cue with a differentia already present",
@@ -700,7 +724,7 @@ class _Engine:
         self._event(node, start, end, shape)
 
     def _event(self, node: SynTree, start: int, end: int, shape: str) -> None:
-        carved = _carve_event_subroles(node, self.config)
+        carved = _carve_event_subroles(node, self.tokens, self.config)
         if not carved:
             self._add(Role.DIFFERENTIA_EVENT, start, end, "differentia-event", shape)
             return
@@ -740,7 +764,7 @@ class _Engine:
         split = len(groups) > 1
         for group in groups:
             start, end = group[0].start, group[-1].end
-            carve = detect_quality_modifier(node, (start, end))
+            carve = _detect_quality_modifier(node, self.leaves[start:end], end)
             if carve:
                 (mod_start, mod_end), (rest_start, rest_end) = carve
                 quality = _Span(Role.DIFFERENTIA_QUALITY, rest_start, rest_end)
@@ -876,7 +900,8 @@ def classify_post_supertype(
 
     Returned spans extend ``context.spans`` in order; parent indices point
     into that extended list. Unmatchable constituents yield no spans (the
-    full pipeline records them in the rule trace instead).
+    full pipeline records them in the rule trace instead). ``constituent``
+    must be a node of ``tree``; ValueError otherwise.
     """
     engine = _Engine(tree, pos, config)
     placeholders = [_Span(s.role, s.start, s.end) for s in context.spans]
@@ -885,7 +910,7 @@ def classify_post_supertype(
         (p for p in placeholders if p.role is Role.SUPERTYPE),
         _Span(Role.SUPERTYPE, 0, 0),
     )
-    engine.classify(constituent, [anchor])
+    engine.classify(constituent, _ancestor_labels(constituent, tree), [anchor])
     placeholder_ids = {id(p) for p in placeholders}
     new_spans = sorted(
         (s for s in engine.work if id(s) not in placeholder_ids),
@@ -936,8 +961,8 @@ def label(
         supertypes, noun_info = engine.handle_prefix(supertypes, noun_info)
 
     last_end = max(span.end for span in supertypes)
-    for constituent in constituents_after(tree, last_end):
-        engine.classify(constituent, supertypes)
+    for constituent, ancestors in _constituents_after_walk(tree, last_end):
+        engine.classify(constituent, ancestors, supertypes)
 
     engine.reclassify_accessory_qualities()
     annotation = engine.build(definition_id, False)

@@ -179,7 +179,6 @@ class Gazetteer:
     kind: str
     entries: frozenset[str]
     max_words: int
-    single_words: frozenset[str]
 
     @classmethod
     def from_entries(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
@@ -187,8 +186,7 @@ class Gazetteer:
             raise ValueError(f"kind must be {LOCATION!r} or {TIME!r}, got {kind!r}")
         normalized = frozenset(_normalize_entry(e, " ") for e in entries)
         max_words = max((e.count(" ") + 1 for e in normalized), default=0)
-        single = frozenset(e for e in normalized if " " not in e)
-        return cls(kind, normalized, max_words, single)
+        return cls(kind, normalized, max_words)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -229,10 +227,9 @@ def longest_rightmost_entry(
 def gazetteer_match(gazetteer: Gazetteer, tokens: Sequence[str]) -> bool:
     """True when the tokens mention a gazetteer entry.
 
-    Checks every contiguous subsequence against the entry set; time
-    gazetteers additionally apply the built-in year / Nth-century / month
-    patterns, and location gazetteers accept a capitalized non-initial token
-    matching a single-word entry.
+    Checks every contiguous subsequence, case-insensitively, against the
+    entry set; time gazetteers additionally apply the built-in year /
+    Nth-century / month patterns.
     """
     if not tokens:
         raise ValueError("tokens must be non-empty")
@@ -251,9 +248,5 @@ def gazetteer_match(gazetteer: Gazetteer, tokens: Sequence[str]) -> bool:
             if _ORDINAL.match(word) and i + 1 < n and lowered[i + 1] == "century":
                 return True
             if word in MONTHS:
-                return True
-    else:
-        for i in range(1, n):
-            if tokens[i][:1].isupper() and lowered[i] in gazetteer.single_words:
                 return True
     return False

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 __all__ = [
@@ -62,12 +63,19 @@ class SynTree:
         return self.token is not None
 
     def leaves(self) -> list["SynTree"]:
-        """All leaf nodes in surface order."""
-        if self.is_leaf():
-            return [self]
+        """All leaf nodes in surface order.
+
+        A node's span indexes its root's leaves:
+        ``root.leaves()[node.start:node.end] == node.leaves()``.
+        """
         out: list[SynTree] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.token is not None:
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
     def tokens(self) -> list[str]:
@@ -75,9 +83,11 @@ class SynTree:
 
     def subtrees(self) -> Iterator["SynTree"]:
         """Preorder iterator over this node and all descendants."""
-        yield self
-        for child in self.children:
-            yield from child.subtrees()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def __str__(self) -> str:
         return serialize(self)
@@ -93,24 +103,9 @@ def _strip_functional(label: str) -> str:
     return label
 
 
-def _build(raw: tuple, counter: list[int]) -> SynTree | None:
-    label, children, word = raw
-    if word is not None:
-        if label == "-NONE-":
-            return None
-        index = counter[0]
-        counter[0] += 1
-        return SynTree(_strip_functional(label), (), word, index, index + 1)
-    built = []
-    for child in children:
-        node = _build(child, counter)
-        if node is not None:
-            built.append(node)
-    if not built:
-        return None
-    return SynTree(
-        _strip_functional(label), tuple(built), None, built[0].start, built[-1].end
-    )
+def _offset(text: str, index: int) -> int:
+    """Character offset of the ``index``-th lexeme of ``text``."""
+    return next(islice(_LEXEME.finditer(text), index, None)).start()
 
 
 def parse_bracketed(text: str) -> SynTree:
@@ -120,50 +115,62 @@ def parse_bracketed(text: str) -> SynTree:
     parentheses, missing labels, mixed token/subtree constituents, trailing
     content, or a tree with no surface tokens.
     """
-    lexemes = [(m.group(), m.start()) for m in _LEXEME.finditer(text)]
+    lexemes = _LEXEME.findall(text)
     if not lexemes:
         raise TreeParseError("empty tree", 0)
-    pos = 0
-
-    def parse_node() -> tuple:
-        nonlocal pos
-        lexeme, offset = lexemes[pos]
-        if lexeme != "(":
-            raise TreeParseError("expected '('", offset)
-        pos += 1
-        if pos >= len(lexemes):
-            raise TreeParseError("unbalanced parentheses", len(text))
-        lexeme, offset = lexemes[pos]
-        if lexeme in "()":
-            raise TreeParseError("missing label", offset)
-        label = lexeme
-        pos += 1
-        children: list[tuple] = []
-        word: str | None = None
-        while True:
-            if pos >= len(lexemes):
-                raise TreeParseError("unbalanced parentheses", len(text))
-            lexeme, offset = lexemes[pos]
-            if lexeme == ")":
-                pos += 1
-                break
-            if lexeme == "(":
-                if word is not None:
-                    raise TreeParseError("token and subtree in one constituent", offset)
-                children.append(parse_node())
+    if lexemes[0] != "(":
+        raise TreeParseError("expected '('", _offset(text, 0))
+    labels: dict[str, str] = {}
+    # Open constituents, outermost first: [raw label, kept children, token,
+    # has a child]. Trace leaves and constituents left empty by dropping
+    # them are not kept, so spans count surface tokens only.
+    frames: list[list] = []
+    expect_label = True
+    leaf_count = 0
+    root: SynTree | None = None
+    for pos in range(1, len(lexemes)):
+        lexeme = lexemes[pos]
+        if expect_label:
+            if lexeme == "(" or lexeme == ")":
+                raise TreeParseError("missing label", _offset(text, pos))
+            frames.append([lexeme, [], None, False])
+            expect_label = False
+        elif not frames:
+            raise TreeParseError("trailing content after tree", _offset(text, pos))
+        elif lexeme == "(":
+            frame = frames[-1]
+            if frame[2] is not None:
+                raise TreeParseError(
+                    "token and subtree in one constituent", _offset(text, pos)
+                )
+            frame[3] = True
+            expect_label = True
+        elif lexeme == ")":
+            raw, kept, token, has_child = frames.pop()
+            if token is None and not has_child:
+                raise TreeParseError("empty constituent", _offset(text, pos))
+            label = labels.get(raw)
+            if label is None:
+                label = labels[raw] = _strip_functional(raw)
+            node: SynTree | None = None
+            if token is not None:
+                if raw != "-NONE-":
+                    node = SynTree(label, (), token, leaf_count, leaf_count + 1)
+                    leaf_count += 1
+            elif kept:
+                node = SynTree(label, tuple(kept), None, kept[0].start, kept[-1].end)
+            if frames:
+                if node is not None:
+                    frames[-1][1].append(node)
             else:
-                if children or word is not None:
-                    raise TreeParseError("unexpected token", offset)
-                word = lexeme
-                pos += 1
-        if word is None and not children:
-            raise TreeParseError("empty constituent", offset)
-        return (label, children, word)
-
-    raw = parse_node()
-    if pos != len(lexemes):
-        raise TreeParseError("trailing content after tree", lexemes[pos][1])
-    root = _build(raw, [0])
+                root = node
+        else:
+            frame = frames[-1]
+            if frame[3] or frame[2] is not None:
+                raise TreeParseError("unexpected token", _offset(text, pos))
+            frame[2] = lexeme
+    if expect_label or frames:
+        raise TreeParseError("unbalanced parentheses", len(text))
     if root is None:
         raise TreeParseError("tree has no surface tokens", 0)
     return root
@@ -224,20 +231,25 @@ def constituents_after(tree: SynTree, start: int) -> list[SynTree]:
     The returned nodes are in surface order, pairwise non-nested, and their
     spans exactly cover [start, N) where N is the tree's end.
     """
+    return [node for node, _ in _constituents_after_walk(tree, start)]
+
+
+def _constituents_after_walk(
+    tree: SynTree, start: int
+) -> list[tuple[SynTree, tuple[str, ...]]]:
+    """``constituents_after``, each node paired with the labels of its
+    proper ancestors (the nodes the walk descended through), root first."""
     if not 0 <= start <= tree.end:
         raise ValueError(f"start {start} outside token range [0, {tree.end}]")
-    out: list[SynTree] = []
-
-    def walk(node: SynTree) -> None:
+    out: list[tuple[SynTree, tuple[str, ...]]] = []
+    stack: list[tuple[SynTree, tuple[str, ...]]] = [(tree, ())]
+    while stack:
+        node, above = stack.pop()
         if node.start >= start:
-            out.append(node)
-            return
-        if node.end <= start:
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(tree)
+            out.append((node, above))
+        elif node.end > start:
+            inner = above + (node.label,)
+            stack.extend((child, inner) for child in reversed(node.children))
     return out
 
 
@@ -247,12 +259,17 @@ def dominated_by(node: SynTree, ancestor_label: str, within: SynTree) -> bool:
     Nodes are located by identity, so ``node`` must be the actual object
     taken from ``within``. Raises ValueError when it is not in the tree.
     """
-    stack: list[tuple[SynTree, bool]] = [(within, False)]
+    return ancestor_label in _ancestor_labels(node, within)
+
+
+def _ancestor_labels(node: SynTree, within: SynTree) -> tuple[str, ...]:
+    """Labels of the proper ancestors of ``node`` inside ``within``, root
+    first. Raises ValueError when ``node`` is not in the tree."""
+    stack: list[tuple[SynTree, tuple[str, ...]]] = [(within, ())]
     while stack:
-        current, under = stack.pop()
+        current, above = stack.pop()
         if current is node:
-            return under
-        flag = under or current.label == ancestor_label
-        for child in current.children:
-            stack.append((child, flag))
+            return above
+        inner = above + (current.label,)
+        stack.extend((child, inner) for child in current.children)
     raise ValueError("node is not a descendant of the given tree")

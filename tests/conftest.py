@@ -15,7 +15,7 @@ from defsrl.rolemodel import (
     Role,
     RoleSpan,
 )
-from defsrl.syntree import SynTree
+from defsrl.syntree import SynTree, TreeParseError, _LEXEME, _strip_functional
 
 INTERNAL_LABELS = ["NP", "VP", "PP", "S", "SBAR", "ADJP", "ADVP", "X", "PRT"]
 LEAF_TAGS = ["NN", "NNS", "NNP", "DT", "JJ", "VB", "VBZ", "IN", "RB", "CC", "TO"]
@@ -108,6 +108,74 @@ def _is_descendant(node: SynTree, ancestor: SynTree) -> bool:
         node is candidate or _is_descendant(node, candidate)
         for candidate in ancestor.children
     )
+
+
+def oracle_parse_bracketed(text: str) -> SynTree:
+    """Recursive-descent reference parser: a raw (label, children, word)
+    tree first, then a second recursive pass that drops trace leaves and
+    assigns spans. Same trees, messages and offsets as ``parse_bracketed``."""
+    lexemes = [(m.group(), m.start()) for m in _LEXEME.finditer(text)]
+    if not lexemes:
+        raise TreeParseError("empty tree", 0)
+    pos = 0
+
+    def parse_node() -> tuple:
+        nonlocal pos
+        lexeme, offset = lexemes[pos]
+        if lexeme != "(":
+            raise TreeParseError("expected '('", offset)
+        pos += 1
+        if pos >= len(lexemes):
+            raise TreeParseError("unbalanced parentheses", len(text))
+        lexeme, offset = lexemes[pos]
+        if lexeme in "()":
+            raise TreeParseError("missing label", offset)
+        label = lexeme
+        pos += 1
+        children: list[tuple] = []
+        word: str | None = None
+        while True:
+            if pos >= len(lexemes):
+                raise TreeParseError("unbalanced parentheses", len(text))
+            lexeme, offset = lexemes[pos]
+            if lexeme == ")":
+                pos += 1
+                break
+            if lexeme == "(":
+                if word is not None:
+                    raise TreeParseError("token and subtree in one constituent", offset)
+                children.append(parse_node())
+            else:
+                if children or word is not None:
+                    raise TreeParseError("unexpected token", offset)
+                word = lexeme
+                pos += 1
+        if word is None and not children:
+            raise TreeParseError("empty constituent", offset)
+        return (label, children, word)
+
+    def build(raw: tuple, counter: list[int]) -> SynTree | None:
+        label, children, word = raw
+        if word is not None:
+            if label == "-NONE-":
+                return None
+            index = counter[0]
+            counter[0] += 1
+            return SynTree(_strip_functional(label), (), word, index, index + 1)
+        built = [n for n in (build(c, counter) for c in children) if n is not None]
+        if not built:
+            return None
+        return SynTree(
+            _strip_functional(label), tuple(built), None, built[0].start, built[-1].end
+        )
+
+    raw = parse_node()
+    if pos != len(lexemes):
+        raise TreeParseError("trailing content after tree", lexemes[pos][1])
+    root = build(raw, [0])
+    if root is None:
+        raise TreeParseError("tree has no surface tokens", 0)
+    return root
 
 
 def oracle_longest_rightmost(lexicon, tokens) -> tuple[int, str] | None:

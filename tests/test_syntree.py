@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    INTERNAL_LABELS,
+    LEAF_TAGS,
+    WORDS,
     messy_render,
     oracle_ancestor_path,
     oracle_innermost_leftmost_np,
+    oracle_parse_bracketed,
     random_tree,
 )
+from defsrl.cli import main
+from defsrl.corpus import read_corpus
 from defsrl.syntree import (
+    SynTree,
     TreeParseError,
     constituents_after,
     dominated_by,
@@ -194,3 +203,122 @@ def test_dominated_by_matches_path_oracle():
             path = oracle_ancestor_path(tree, node)
             expected = any(ancestor.label == label for ancestor in path)
             assert dominated_by(node, label, tree) == expected
+
+
+# --- properties against the recursive reference parser -------------------------
+
+
+def _shapes(labels, tags, words):
+    """Nested (label, children) / (tag, word) tuples: bracketed-tree shapes."""
+    leaf = st.tuples(st.sampled_from(tags), st.sampled_from(words))
+    return st.recursive(
+        leaf,
+        lambda kids: st.tuples(st.sampled_from(labels), st.lists(kids, min_size=1, max_size=4)),
+        max_leaves=25,
+    )
+
+
+def _render(shape) -> str:
+    label, rest = shape
+    if isinstance(rest, str):
+        return f"({label} {rest})"
+    return f"({label} {' '.join(_render(child) for child in rest)})"
+
+
+def _build(shape, counter: list[int]) -> SynTree:
+    label, rest = shape
+    if isinstance(rest, str):
+        counter[0] += 1
+        return SynTree(label, (), rest, counter[0] - 1, counter[0])
+    children = tuple(_build(child, counter) for child in rest)
+    return SynTree(label, children, None, children[0].start, children[-1].end)
+
+
+_CANONICAL = _shapes(INTERNAL_LABELS, LEAF_TAGS, WORDS)
+# Raw treebank text: functional annotations and trace leaves that parsing
+# strips or drops.
+_RAW = _shapes(
+    INTERNAL_LABELS + ["NP-SBJ-1", "PP=2", "-LRB-"],
+    LEAF_TAGS + ["-NONE-", "NN-HL", "-NONE-"],
+    WORDS + ["*T*-1", "0"],
+)
+
+
+@st.composite
+def _mutated(draw) -> str:
+    """Bracket text with a few characters deleted, inserted or swapped."""
+    chars = list(_render(draw(_RAW)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["delete", "insert", "swap"]))
+        if op == "insert":
+            chars[at:at] = draw(st.sampled_from(["(", ")", " ", "\n", "x", "(-NONE- *)", "(NN"]))
+        elif chars and at < len(chars):
+            if op == "delete":
+                del chars[at]
+            else:
+                other = draw(st.integers(0, len(chars) - 1))
+                chars[at], chars[other] = chars[other], chars[at]
+    return "".join(chars)
+
+
+def _outcome(parse, text: str):
+    try:
+        return ("tree", parse(text))
+    except TreeParseError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANONICAL)
+def test_parse_inverts_serialize_on_random_trees(shape):
+    tree = _build(shape, [0])
+    assert parse_bracketed(serialize(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW)
+def test_node_leaves_are_a_slice_of_the_root_leaves(shape):
+    text = _render(shape)
+    try:
+        root = parse_bracketed(text)
+    except TreeParseError:  # every leaf was a trace
+        return
+    leaves = root.leaves()
+    assert [leaf.start for leaf in leaves] == list(range(root.end))
+    for node in root.subtrees():
+        assert leaves[node.start : node.end] == node.leaves()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_mutated(), st.text(alphabet="() \nNP-ONE=x*", max_size=30)))
+def test_parse_matches_reference_parser_on_any_text(text):
+    assert _outcome(parse_bracketed, text) == _outcome(oracle_parse_bracketed, text)
+
+
+# --- deep trees -------------------------------------------------------------------
+
+_DEPTH = 1200
+_DEEP = "(NP " * (_DEPTH - 1) + "(NN dog)" + ")" * (_DEPTH - 1)
+
+
+def test_deep_tree_parses_and_yields_its_leaves():
+    tree = parse_bracketed(_DEEP)
+    assert tree.span == (0, 1)
+    assert [leaf.token for leaf in tree.leaves()] == ["dog"]
+    assert sum(1 for _ in tree.subtrees()) == _DEPTH
+
+
+def test_deep_tree_corpus_reads_and_stats(tmp_path, capsys):
+    lines = [
+        {"id": "deep", "pos": "noun", "gloss": "dog", "tree": _DEEP, "gold": "{supertype|dog}"},
+        {"id": "cat", "pos": "noun", "gloss": "cat", "tree": "(NP (NN cat))",
+         "gold": "{supertype|cat}"},
+    ]
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    records, diagnostics = read_corpus(text)
+    assert diagnostics == [] and [r.id for r in records] == ["deep", "cat"]
+    path = tmp_path / "deep.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stats", "--input", str(path)]) == 0
+    assert "Total" in capsys.readouterr().out
