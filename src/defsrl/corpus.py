@@ -74,7 +74,16 @@ def _parse_record(payload: dict) -> DefinitionRecord:
     if tree is not None:
         if not isinstance(tree, str):
             raise ValueError("'tree' must be a string")
-        parse_bracketed(tree)
+        parsed = parse_bracketed(tree)
+        # The inline annotation format cannot hold these characters, so a
+        # labeled record could not be written back; reject it here.
+        if "{" in tree or "}" in tree or "|" in tree:
+            for token in parsed.tokens():
+                if "{" in token or "}" in token or "|" in token:
+                    raise ValueError(
+                        f"{record_id}: tree token {token!r} contains '{{', '}}' "
+                        "or '|', which the annotation format reserves"
+                    )
     instance = payload.get("instance", False)
     if not isinstance(instance, bool):
         raise ValueError("'instance' must be a boolean")
@@ -219,6 +228,18 @@ class EvalReport:
         }
 
 
+def _spans_by_role(annotation: Annotation) -> dict[Role, list[tuple[int, int]]]:
+    """The (start, end) spans of each role present in ``annotation``."""
+    groups: dict[Role, list[tuple[int, int]]] = {}
+    for span in annotation.spans:
+        groups.setdefault(span.role, []).append((span.start, span.end))
+    return groups
+
+
+def _token_positions(spans: list[tuple[int, int]]) -> set[int]:
+    return {i for start, end in spans for i in range(start, end)}
+
+
 def evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
     """Exact-span and token-level P/R/F1 per role over aligned annotations.
 
@@ -248,23 +269,24 @@ def evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
     flag_hits = 0
 
     for g, p in zip(gold, predicted):
-        for role in Role:
-            g_spans = {(s.start, s.end) for s in g.spans_of(role)}
-            p_spans = {(s.start, s.end) for s in p.spans_of(role)}
+        g_groups = _spans_by_role(g)
+        p_groups = _spans_by_role(p)
+        # A role absent from both sides adds nothing to any count.
+        for role in g_groups.keys() | p_groups.keys():
+            g_list = g_groups.get(role, [])
+            p_list = p_groups.get(role, [])
+            g_spans = set(g_list)
+            p_spans = set(p_list)
             exact_tp[role] += len(g_spans & p_spans)
             exact_gold[role] += len(g_spans)
             exact_pred[role] += len(p_spans)
-            g_tokens = {i for s in g.spans_of(role) for i in range(s.start, s.end)}
-            p_tokens = {i for s in p.spans_of(role) for i in range(s.start, s.end)}
+            g_tokens = _token_positions(g_list)
+            p_tokens = _token_positions(p_list)
             token_tp[role] += len(g_tokens & p_tokens)
             token_gold[role] += len(g_tokens)
             token_pred[role] += len(p_tokens)
-        g_supertype = {
-            i for s in g.spans_of(Role.SUPERTYPE) for i in range(s.start, s.end)
-        }
-        p_supertype = {
-            i for s in p.spans_of(Role.SUPERTYPE) for i in range(s.start, s.end)
-        }
+        g_supertype = _token_positions(g_groups.get(Role.SUPERTYPE, []))
+        p_supertype = _token_positions(p_groups.get(Role.SUPERTYPE, []))
         supertype_hits += g_supertype == p_supertype
         flag_hits += g.ill_formed == p.ill_formed
 

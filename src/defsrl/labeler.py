@@ -267,13 +267,19 @@ def detect_supertype_noun(
 
 
 def _leaf_path(root: SynTree, leaf: SynTree) -> list[SynTree] | None:
-    if root is leaf:
-        return [root]
-    for child in root.children:
-        path = _leaf_path(child, leaf)
-        if path is not None:
-            return [root] + path
-    return None
+    """Root-to-leaf path, descending through the child whose span holds the
+    leaf's position; None when ``leaf`` is not reached."""
+    path = [root]
+    node = root
+    while node is not leaf:
+        for child in node.children:
+            if child.start <= leaf.start < child.end:
+                node = child
+                break
+        else:
+            return None
+        path.append(node)
+    return path
 
 
 def _conjoined_in_vp(tree: SynTree, first: SynTree, candidate: SynTree) -> bool:
@@ -281,16 +287,14 @@ def _conjoined_in_vp(tree: SynTree, first: SynTree, candidate: SynTree) -> bool:
     path_b = _leaf_path(tree, candidate)
     if path_a is None or path_b is None:
         return False
-    lca = None
+    shared = 0
     for a, b in zip(path_a, path_b):
-        if a is b:
-            lca = a
-        else:
+        if a is not b:
             break
-    if lca is None or lca.label != "VP":
+        shared += 1
+    if shared == 0 or path_b[shared - 1].label != "VP":
         return False
-    below = path_b[path_b.index(lca) + 1 : -1]
-    return all(node.label == "VP" for node in below)
+    return all(node.label == "VP" for node in path_b[shared:-1])
 
 
 def detect_supertype_verb(
@@ -499,21 +503,19 @@ def _carve_event_subroles(
     ``tokens`` are the root's tokens in surface order.
     """
     matches: list[tuple[SynTree, Role]] = []
-
-    def scan(node: SynTree) -> None:
+    stack = [event_node]
+    while stack:
+        node = stack.pop()
         whole = node.start == event_node.start and node.end == event_node.end
         if node is not event_node and node.label == "PP" and not whole:
             pp_tokens = tokens[node.start : node.end]
             if gazetteer_match(config.location_gazetteer, pp_tokens):
                 matches.append((node, Role.EVENT_LOCATION))
-                return
+                continue
             if gazetteer_match(config.time_gazetteer, pp_tokens):
                 matches.append((node, Role.EVENT_TIME))
-                return
-        for child in node.children:
-            scan(child)
-
-    scan(event_node)
+                continue
+        stack.extend(reversed(node.children))
     return matches
 
 
@@ -651,11 +653,12 @@ class _Engine:
         self, constituent: SynTree, ancestors: Sequence[str], supertypes: list[_Span]
     ) -> None:
         """Label one post-supertype constituent; ``ancestors`` are the labels
-        of its proper ancestors in the tree."""
+        of its proper ancestors in the tree. A PRT matches no rule when there
+        is no supertype for it to complete."""
         node = _unwrap_clause(constituent)
         start, end = node.start, node.end
 
-        if node.label == "PRT":
+        if node.label == "PRT" and supertypes:
             self._add(
                 Role.PARTICLE, start, end, "particle",
                 "PRT completes the supertype", parent=supertypes[0],
@@ -906,11 +909,8 @@ def classify_post_supertype(
     engine = _Engine(tree, pos, config)
     placeholders = [_Span(s.role, s.start, s.end) for s in context.spans]
     engine.work.extend(placeholders)
-    anchor = next(
-        (p for p in placeholders if p.role is Role.SUPERTYPE),
-        _Span(Role.SUPERTYPE, 0, 0),
-    )
-    engine.classify(constituent, _ancestor_labels(constituent, tree), [anchor])
+    supertypes = [p for p in placeholders if p.role is Role.SUPERTYPE][:1]
+    engine.classify(constituent, _ancestor_labels(constituent, tree), supertypes)
     placeholder_ids = {id(p) for p in placeholders}
     new_spans = sorted(
         (s for s in engine.work if id(s) not in placeholder_ids),

@@ -115,73 +115,99 @@ def parse_bracketed(text: str) -> SynTree:
     parentheses, missing labels, mixed token/subtree constituents, trailing
     content, or a tree with no surface tokens.
     """
-    lexemes = _LEXEME.findall(text)
-    if not lexemes:
+    # The same lexemes as ``_LEXEME.findall(text)``: both split on exactly
+    # the ``str.isspace()`` characters.
+    lexemes = text.replace("(", " ( ").replace(")", " ) ").split()
+    count = len(lexemes)
+    if not count:
         raise TreeParseError("empty tree", 0)
     if lexemes[0] != "(":
         raise TreeParseError("expected '('", _offset(text, 0))
     labels: dict[str, str] = {}
-    # Open constituents, outermost first: [raw label, kept children, token,
-    # has a child]. Trace leaves and constituents left empty by dropping
-    # them are not kept, so spans count surface tokens only.
-    frames: list[list] = []
-    expect_label = True
+    # Open internal constituents, outermost first: (raw label, kept
+    # children). Preterminals never get a frame. Trace leaves and
+    # constituents left empty by dropping them are not kept, so spans count
+    # surface tokens only.
+    frames: list[tuple[str, list[SynTree]]] = []
     leaf_count = 0
-    root: SynTree | None = None
-    for pos in range(1, len(lexemes)):
-        lexeme = lexemes[pos]
-        if expect_label:
-            if lexeme == "(" or lexeme == ")":
+    pos = 1  # just past a "(": a label comes next
+    try:
+        while True:
+            raw = lexemes[pos]
+            if raw == "(" or raw == ")":
                 raise TreeParseError("missing label", _offset(text, pos))
-            frames.append([lexeme, [], None, False])
-            expect_label = False
-        elif not frames:
-            raise TreeParseError("trailing content after tree", _offset(text, pos))
-        elif lexeme == "(":
-            frame = frames[-1]
-            if frame[2] is not None:
-                raise TreeParseError(
-                    "token and subtree in one constituent", _offset(text, pos)
-                )
-            frame[3] = True
-            expect_label = True
-        elif lexeme == ")":
-            raw, kept, token, has_child = frames.pop()
-            if token is None and not has_child:
-                raise TreeParseError("empty constituent", _offset(text, pos))
-            label = labels.get(raw)
-            if label is None:
-                label = labels[raw] = _strip_functional(raw)
+            lexeme = lexemes[pos + 1]
+            pos += 2
+            if lexeme == "(":
+                frames.append((raw, []))
+                continue
+            if lexeme == ")":
+                raise TreeParseError("empty constituent", _offset(text, pos - 1))
+            # A preterminal, (TAG token): one step, no frame.
+            closing = lexemes[pos]
+            if closing != ")":
+                if closing == "(":
+                    raise TreeParseError(
+                        "token and subtree in one constituent", _offset(text, pos)
+                    )
+                raise TreeParseError("unexpected token", _offset(text, pos))
+            pos += 1
             node: SynTree | None = None
-            if token is not None:
-                if raw != "-NONE-":
-                    node = SynTree(label, (), token, leaf_count, leaf_count + 1)
-                    leaf_count += 1
-            elif kept:
-                node = SynTree(label, tuple(kept), None, kept[0].start, kept[-1].end)
-            if frames:
+            if raw != "-NONE-":
+                label = labels.get(raw)
+                if label is None:
+                    label = labels[raw] = _strip_functional(raw)
+                node = SynTree(label, (), lexeme, leaf_count, leaf_count + 1)
+                leaf_count += 1
+            # Close constituents up to the next "(" or the end of the tree.
+            while frames:
                 if node is not None:
                     frames[-1][1].append(node)
-            else:
-                root = node
-        else:
-            frame = frames[-1]
-            if frame[3] or frame[2] is not None:
-                raise TreeParseError("unexpected token", _offset(text, pos))
-            frame[2] = lexeme
-    if expect_label or frames:
-        raise TreeParseError("unbalanced parentheses", len(text))
-    if root is None:
+                lexeme = lexemes[pos]
+                pos += 1
+                if lexeme == "(":
+                    break
+                if lexeme != ")":
+                    raise TreeParseError("unexpected token", _offset(text, pos - 1))
+                raw, kept = frames.pop()
+                if kept:
+                    label = labels.get(raw)
+                    if label is None:
+                        label = labels[raw] = _strip_functional(raw)
+                    node = SynTree(label, tuple(kept), None, kept[0].start, kept[-1].end)
+                else:
+                    node = None
+            if not frames:
+                break
+    except IndexError:  # the lexemes ran out inside the tree
+        raise TreeParseError("unbalanced parentheses", len(text)) from None
+    if pos < count:
+        raise TreeParseError("trailing content after tree", _offset(text, pos))
+    if node is None:
         raise TreeParseError("tree has no surface tokens", 0)
-    return root
+    return node
 
 
 def serialize(tree: SynTree) -> str:
     """Canonical single-line form: ``(LABEL child ...)``, leaves ``(TAG token)``."""
-    if tree.is_leaf():
-        return f"({tree.label} {tree.token})"
-    inner = " ".join(serialize(child) for child in tree.children)
-    return f"({tree.label} {inner})"
+    parts: list[str] = []
+    # Nodes still to write, and the separators and closing brackets between
+    # them, last first.
+    stack: list[SynTree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.token is not None:
+            parts.append(f"({item.label} {item.token})")
+        else:
+            parts.append(f"({item.label} ")
+            stack.append(")")
+            for index in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[index])
+                if index:
+                    stack.append(" ")
+    return "".join(parts)
 
 
 def innermost_leftmost_np(tree: SynTree) -> SynTree | None:
@@ -195,33 +221,48 @@ def innermost_leftmost_np(tree: SynTree) -> SynTree | None:
 
 
 def _innermost_leftmost_np_from(tree: SynTree, min_start: int) -> SynTree | None:
+    # Internal nodes in preorder, each with its depth and its parent's
+    # index, so the reversed pass below meets every child before its parent.
+    # Leaves never enter the list: a noun leaf only marks its parent.
+    nodes: list[tuple[SynTree, int, int]] = []
+    noun: list[bool] = []  # per node: a noun leaf below it
+    stack = [(tree, 0, -1)] if tree.token is None else []
+    while stack:
+        entry = stack.pop()
+        node, depth, _ = entry
+        index = len(nodes)
+        nodes.append(entry)
+        has_noun = False
+        for child in reversed(node.children):
+            if child.token is None:
+                stack.append((child, depth + 1, index))
+            elif not has_noun and child.label.startswith(NOUN_TAG_PREFIX):
+                has_noun = True
+        noun.append(has_noun)
+    qualifying = [False] * len(nodes)  # per node: a qualifying NP below it
     best: SynTree | None = None
     best_key: tuple[int, int, int] | None = None
-
-    def visit(node: SynTree, depth: int) -> tuple[bool, bool]:
-        # Returns (subtree has a qualifying NP, subtree has a noun leaf).
-        nonlocal best, best_key
-        if node.is_leaf():
-            return (False, node.label.startswith(NOUN_TAG_PREFIX))
-        sub_qualifying = False
-        sub_noun = False
-        for child in node.children:
-            qualifying, noun = visit(child, depth + 1)
-            sub_qualifying = sub_qualifying or qualifying
-            sub_noun = sub_noun or noun
-        qualifies = (
-            node.label == "NP"
-            and sub_noun
-            and not sub_qualifying
+    for index in range(len(nodes) - 1, -1, -1):
+        node, depth, parent = nodes[index]
+        has_qualifying = qualifying[index]
+        has_noun = noun[index]
+        if (
+            not has_qualifying
+            and has_noun
+            and node.label == "NP"
             and node.start >= min_start
-        )
-        if qualifies:
+        ):
+            has_qualifying = True
             key = (node.start, node.end - node.start, -depth)
-            if best_key is None or key < best_key:
+            # Ties come from disjoint subtrees, met here right to left; the
+            # leftmost of them wins.
+            if best_key is None or key <= best_key:
                 best, best_key = node, key
-        return (sub_qualifying or qualifies, sub_noun)
-
-    visit(tree, 0)
+        if parent >= 0:
+            if has_qualifying:
+                qualifying[parent] = True
+            if has_noun:
+                noun[parent] = True
     return best
 
 

@@ -8,7 +8,9 @@ agreement between the two is meaningful.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+from defsrl.corpus import EvalReport, _metrics
 from defsrl.rolemodel import (
     Annotation,
     PARENT_REQUIRED_ROLES,
@@ -196,6 +198,57 @@ def oracle_ancestor_path(tree: SynTree, node: SynTree) -> list[SynTree] | None:
         if path is not None:
             return [tree] + path
     return None
+
+
+def oracle_evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
+    """Per-pair, per-role scoring with ``spans_of`` for every role, the
+    reference for ``corpus.evaluate`` on aligned lists."""
+    exact_tp: Counter[Role] = Counter()
+    exact_gold: Counter[Role] = Counter()
+    exact_pred: Counter[Role] = Counter()
+    token_tp: Counter[Role] = Counter()
+    token_gold: Counter[Role] = Counter()
+    token_pred: Counter[Role] = Counter()
+    supertype_hits = 0
+    flag_hits = 0
+
+    for g, p in zip(gold, predicted):
+        for role in Role:
+            g_spans = {(s.start, s.end) for s in g.spans_of(role)}
+            p_spans = {(s.start, s.end) for s in p.spans_of(role)}
+            exact_tp[role] += len(g_spans & p_spans)
+            exact_gold[role] += len(g_spans)
+            exact_pred[role] += len(p_spans)
+            g_tokens = {i for s in g.spans_of(role) for i in range(s.start, s.end)}
+            p_tokens = {i for s in p.spans_of(role) for i in range(s.start, s.end)}
+            token_tp[role] += len(g_tokens & p_tokens)
+            token_gold[role] += len(g_tokens)
+            token_pred[role] += len(p_tokens)
+        g_supertype = {
+            i for s in g.spans_of(Role.SUPERTYPE) for i in range(s.start, s.end)
+        }
+        p_supertype = {
+            i for s in p.spans_of(Role.SUPERTYPE) for i in range(s.start, s.end)
+        }
+        supertype_hits += g_supertype == p_supertype
+        flag_hits += g.ill_formed == p.ill_formed
+
+    pairs = len(gold)
+    return EvalReport(
+        exact={
+            role: _metrics(exact_tp[role], exact_pred[role], exact_gold[role])
+            for role in Role
+        },
+        token={
+            role: _metrics(token_tp[role], token_pred[role], token_gold[role])
+            for role in Role
+        },
+        supertype_accuracy=supertype_hits / pairs if pairs else 1.0,
+        ill_formed_agreement=flag_hits / pairs if pairs else 1.0,
+        gold_support={role: exact_gold[role] for role in Role},
+        predicted_support={role: exact_pred[role] for role in Role},
+        pairs=pairs,
+    )
 
 
 # --- random annotations -------------------------------------------------------

@@ -108,6 +108,25 @@ def test_label_custom_lexicon_flag(tmp_path):
     assert not records[0].predicted.ill_formed
 
 
+@pytest.mark.parametrize("token", ["a|b", "{x", "y}"])
+def test_label_rejects_reserved_characters_in_tree_tokens(tmp_path, capsys, token):
+    path = tmp_path / "corpus.jsonl"
+    lines = [
+        {"id": "bad", "pos": "noun", "gloss": f"a {token}",
+         "tree": f"(NP (DT a) (NN {token}))"},
+        {"id": "good", "pos": "noun", "gloss": "a coach",
+         "tree": "(NP (DT a) (NN coach))"},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 2
+    assert f"bad: tree token {token!r}" in capsys.readouterr().err
+    records, diagnostics = read_corpus(out.read_text(encoding="utf-8"))
+    assert diagnostics == []
+    assert [r.id for r in records] == ["good"]
+    assert records[0].predicted is not None
+
+
 # --- stats -------------------------------------------------------------------------
 
 

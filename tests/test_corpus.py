@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_annotation, random_tree
+from conftest import oracle_evaluate, random_annotation, random_tree
 from defsrl.corpus import (
     AlignmentError,
     CorpusError,
@@ -245,6 +245,29 @@ def test_evaluate_alignment_errors_name_the_id():
 
     with pytest.raises(AlignmentError):
         evaluate(gold, predicted[:1])
+
+
+def _edited(rng: random.Random, annotation: Annotation) -> Annotation:
+    """The same tokens with some spans dropped and some re-roled."""
+    spans = []
+    for span in annotation.spans:
+        roll = rng.random()
+        if roll < 0.2:
+            continue
+        if roll < 0.4:
+            span = RoleSpan(rng.choice(list(Role)), span.start, span.end, span.parent)
+        spans.append(span)
+    return Annotation(annotation.definition_id, annotation.tokens, tuple(spans), rng.random() < 0.2)
+
+
+def test_evaluate_matches_per_role_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        gold = [random_annotation(rng, f"d{i}") for i in range(rng.randint(0, 6))]
+        predicted = [_edited(rng, annotation) for annotation in gold]
+        if rng.random() < 0.5:
+            gold, predicted = predicted, gold
+        assert evaluate(gold, predicted).to_dict() == oracle_evaluate(gold, predicted).to_dict()
 
 
 def test_format_eval_report_has_six_decimal_metrics():

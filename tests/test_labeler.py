@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import random_tree
 from defsrl.defaults import default_config
 from defsrl.labeler import (
     DIVERGENCE_ACCESSORY_QUALITY,
@@ -184,6 +187,22 @@ def test_classify_sbar_is_event(config):
     assert [(s.role, s.start, s.end) for s in result] == [
         (Role.DIFFERENTIA_EVENT, 2, 5)
     ]
+
+
+def test_classify_particle_without_a_supertype_yields_no_spans(config):
+    tree = parse_bracketed("(VP (VB set) (PRT (RP up)))")
+    prt = tree.children[1]
+    assert classify_post_supertype(tree, prt, context(tree.tokens()), config) == []
+
+
+def test_classify_never_raises_with_an_empty_context(config):
+    rng = random.Random(19)
+    for _ in range(300):
+        tree = random_tree(rng)
+        ctx = context(tree.tokens())
+        for node in tree.subtrees():
+            for pos in ("noun", "verb"):
+                classify_post_supertype(tree, node, ctx, config, pos)
 
 
 def test_classify_of_pp_is_quality(config):

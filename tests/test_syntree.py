@@ -18,6 +18,9 @@ from conftest import (
 )
 from defsrl.cli import main
 from defsrl.corpus import read_corpus
+from defsrl.defaults import default_config
+from defsrl.labeler import label
+from defsrl.rolemodel import Role, validate
 from defsrl.syntree import (
     SynTree,
     TreeParseError,
@@ -138,6 +141,18 @@ def test_innermost_leftmost_np_matches_oracle():
         assert actual is expected
 
 
+def test_innermost_leftmost_np_ties_match_oracle():
+    # Without spans every node starts at 0 with length 0, so NPs at one
+    # depth tie on the key and the leftmost must win.
+    def spanless(node: SynTree) -> SynTree:
+        return SynTree(node.label, tuple(spanless(c) for c in node.children), node.token)
+
+    rng = random.Random(18)
+    for _ in range(1000):
+        tree = spanless(random_tree(rng))
+        assert innermost_leftmost_np(tree) is oracle_innermost_leftmost_np(tree)
+
+
 def test_constituents_after_end_is_empty():
     tree = parse_bracketed(COACH)
     assert constituents_after(tree, tree.end) == []
@@ -244,6 +259,11 @@ _RAW = _shapes(
 )
 
 
+# Whitespace beyond ASCII space and newline: tab, vertical tab, the
+# information separator \x1c, NEL, no-break space and ideographic space.
+_SPACES = "\t\x0b\x1c\x85\xa0\u3000"
+
+
 @st.composite
 def _mutated(draw) -> str:
     """Bracket text with a few characters deleted, inserted or swapped."""
@@ -252,7 +272,7 @@ def _mutated(draw) -> str:
         at = draw(st.integers(0, len(chars)))
         op = draw(st.sampled_from(["delete", "insert", "swap"]))
         if op == "insert":
-            chars[at:at] = draw(st.sampled_from(["(", ")", " ", "\n", "x", "(-NONE- *)", "(NN"]))
+            chars[at:at] = draw(st.sampled_from(["(", ")", " ", "\n", "x", "(-NONE- *)", "(NN", *_SPACES]))
         elif chars and at < len(chars):
             if op == "delete":
                 del chars[at]
@@ -291,7 +311,7 @@ def test_node_leaves_are_a_slice_of_the_root_leaves(shape):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_mutated(), st.text(alphabet="() \nNP-ONE=x*", max_size=30)))
+@given(st.one_of(_mutated(), st.text(alphabet="() \nNP-ONE=x*" + _SPACES, max_size=30)))
 def test_parse_matches_reference_parser_on_any_text(text):
     assert _outcome(parse_bracketed, text) == _outcome(oracle_parse_bracketed, text)
 
@@ -322,3 +342,60 @@ def test_deep_tree_corpus_reads_and_stats(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["stats", "--input", str(path)]) == 0
     assert "Total" in capsys.readouterr().out
+
+
+def _preorder(tree: SynTree) -> list[tuple]:
+    # Node fields in preorder with child counts determine a tree, so equal
+    # lists mean equal trees; ``==`` itself recurses once per level.
+    return [(n.label, n.token, n.start, n.end, len(n.children)) for n in tree.subtrees()]
+
+
+def test_deep_tree_serializes_and_parses_back():
+    tree = parse_bracketed(_DEEP)
+    assert serialize(tree) == _DEEP
+    assert _preorder(parse_bracketed(serialize(tree))) == _preorder(tree)
+
+
+_DEEP_EVENT = (
+    "(NP (NP (DT a) (NN man)) (SBAR (WHNP (WP who)) "
+    + "(VP " * (_DEPTH - 1)
+    + "(VBZ lives) (PP (IN on) (NP (DT the) (NN frontier)))"
+    + ")" * (_DEPTH - 1)
+    + "))"
+)
+_DEEP_VERBS = "(VP " * (_DEPTH - 1) + "(VB run) (CC or) (VP (VB move))" + ")" * (_DEPTH - 1)
+
+
+@pytest.mark.parametrize(
+    "text, pos, roles",
+    [
+        (_DEEP, "noun", []),
+        (_DEEP.replace("dog", "man"), "noun", [(Role.SUPERTYPE, 0, 1)]),
+        (
+            _DEEP_EVENT,
+            "noun",
+            [(Role.SUPERTYPE, 1, 2), (Role.DIFFERENTIA_EVENT, 2, 4), (Role.EVENT_LOCATION, 4, 7)],
+        ),
+        (_DEEP_VERBS, "verb", [(Role.SUPERTYPE, 0, 1), (Role.SUPERTYPE, 2, 3)]),
+    ],
+    ids=["no-lexicon-entry", "supertype", "event-location", "conjoined-verbs"],
+)
+def test_deep_tree_labels_validate_clean(text, pos, roles):
+    annotation = label(parse_bracketed(text), pos, default_config()).annotation
+    assert validate(annotation) == []
+    assert [(s.role, s.start, s.end) for s in annotation.spans] == roles
+
+
+def test_deep_tree_corpus_labels(tmp_path):
+    lines = [
+        {"id": "deep", "pos": "noun", "gloss": "dog", "tree": _DEEP},
+        {"id": "cat", "pos": "noun", "gloss": "a coach", "tree": "(NP (DT a) (NN coach))"},
+    ]
+    path = tmp_path / "deep.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 0
+    records, diagnostics = read_corpus(out.read_text(encoding="utf-8"))
+    assert diagnostics == []
+    assert [r.id for r in records] == ["deep", "cat"]
+    assert all(r.predicted is not None for r in records)
