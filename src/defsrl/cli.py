@@ -81,6 +81,12 @@ def _config_threshold(args: argparse.Namespace) -> float:
     return 1.0
 
 
+def _configs_by_mode(config: LabelerConfig) -> dict[bool, LabelerConfig]:
+    """``config`` per ``instance_mode``, each built once for a whole run."""
+    other = replace(config, instance_mode=not config.instance_mode)
+    return {config.instance_mode: config, other.instance_mode: other}
+
+
 def _read_records(path: str) -> tuple[list[DefinitionRecord], list]:
     return read_corpus(_read_text(path))
 
@@ -100,6 +106,7 @@ def run_label(args: argparse.Namespace) -> int:
     for diagnostic in diagnostics:
         print(f"{args.input}:{diagnostic.line_no}: {diagnostic.message}", file=sys.stderr)
 
+    configs = _configs_by_mode(config)
     out_records = []
     traces = []
     failures = len(diagnostics)
@@ -109,14 +116,9 @@ def run_label(args: argparse.Namespace) -> int:
             failures += 1
             out_records.append(record)
             continue
-        record_config = (
-            replace(config, instance_mode=record.instance)
-            if record.instance != config.instance_mode
-            else config
-        )
         try:
             outcome = label(
-                parse_bracketed(record.tree), record.pos, record_config, record.id
+                parse_bracketed(record.tree), record.pos, configs[record.instance], record.id
             )
         except EmptyDefinitionError as exc:
             print(f"{record.id}: {exc}", file=sys.stderr)
@@ -277,6 +279,7 @@ def run_lint(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as exc:
         return _fail(f"cannot load knowledge files: {exc}")
 
+    configs = _configs_by_mode(config)
     findings = 0
 
     def report(record_id: str, message: str) -> None:
@@ -291,9 +294,8 @@ def run_lint(args: argparse.Namespace) -> int:
         annotation = record.gold or record.predicted
         residue = []
         if annotation is None and record.tree is not None:
-            record_config = replace(config, instance_mode=record.instance)
             outcome = label(
-                parse_bracketed(record.tree), record.pos, record_config, record.id
+                parse_bracketed(record.tree), record.pos, configs[record.instance], record.id
             )
             annotation = outcome.annotation
             residue = [t for t in outcome.rule_trace if t.rule == "unlabeled"]

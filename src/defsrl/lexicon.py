@@ -105,9 +105,13 @@ class Lexicon:
 
     @classmethod
     def from_entries(cls, pos: str, entries: Iterable[str]) -> "Lexicon":
+        return cls._from_normalized(pos, (_normalize_entry(e, "_") for e in entries))
+
+    @classmethod
+    def _from_normalized(cls, pos: str, entries: Iterable[str]) -> "Lexicon":
         if pos not in (NOUN, VERB):
             raise ValueError(f"pos must be {NOUN!r} or {VERB!r}, got {pos!r}")
-        normalized = frozenset(_normalize_entry(e, "_") for e in entries)
+        normalized = frozenset(entries)
         max_words = max((e.count("_") + 1 for e in normalized), default=0)
         return cls(pos, normalized, max_words)
 
@@ -149,7 +153,7 @@ def load_wordlist(text: str, pos: str = NOUN) -> Lexicon:
             entries.append(_normalize_entry(stripped, "_"))
         except ValueError as exc:
             raise LexiconFormatError(str(exc), line_no) from exc
-    return Lexicon.from_entries(pos, entries)
+    return Lexicon._from_normalized(pos, entries)
 
 
 def load_wndb_index(text: str, pos: str) -> Lexicon:
@@ -169,7 +173,7 @@ def load_wndb_index(text: str, pos: str) -> Lexicon:
             entries.append(_normalize_entry(fields[0], "_"))
         except ValueError as exc:
             raise LexiconFormatError(str(exc), line_no) from exc
-    return Lexicon.from_entries(pos, entries)
+    return Lexicon._from_normalized(pos, entries)
 
 
 @dataclass(frozen=True)
@@ -182,9 +186,13 @@ class Gazetteer:
 
     @classmethod
     def from_entries(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
+        return cls._from_normalized(kind, (_normalize_entry(e, " ") for e in entries))
+
+    @classmethod
+    def _from_normalized(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
         if kind not in (LOCATION, TIME):
             raise ValueError(f"kind must be {LOCATION!r} or {TIME!r}, got {kind!r}")
-        normalized = frozenset(_normalize_entry(e, " ") for e in entries)
+        normalized = frozenset(entries)
         max_words = max((e.count(" ") + 1 for e in normalized), default=0)
         return cls(kind, normalized, max_words)
 
@@ -202,7 +210,7 @@ def load_gazetteer(text: str, kind: str) -> Gazetteer:
             entries.append(_normalize_entry(stripped, " "))
         except ValueError as exc:
             raise LexiconFormatError(str(exc), line_no) from exc
-    return Gazetteer.from_entries(kind, entries)
+    return Gazetteer._from_normalized(kind, entries)
 
 
 def longest_rightmost_entry(

@@ -40,7 +40,7 @@ class TreeParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class SynTree:
     """A constituency-tree node over the half-open token span [start, end).
 
@@ -54,6 +54,51 @@ class SynTree:
     token: str | None = None
     start: int = 0
     end: int = 0
+
+    def __init__(
+        self,
+        label: str,
+        children: tuple["SynTree", ...] = (),
+        token: str | None = None,
+        start: int = 0,
+        end: int = 0,
+    ) -> None:
+        # The slots' own setters: the frozen ``__setattr__`` refuses every
+        # assignment, and ``object.__setattr__`` would look each slot up by
+        # name.
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_token(self, token)
+        _set_start(self, start)
+        _set_end(self, end)
+
+    def __eq__(self, other: object) -> bool:
+        # The generated ``__eq__`` compares the field tuples, children
+        # pairwise; this walks the node pairs with a stack instead of one
+        # nested call per tree level.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or a.label != b.label
+                or a.token != b.token
+                or a.start != b.start
+                or a.end != b.end
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # Equal trees serialize alike; trees that differ only in their spans
+        # just share a hash. ``serialize`` walks without recursing.
+        return hash(serialize(self))
 
     @property
     def span(self) -> tuple[int, int]:
@@ -93,6 +138,19 @@ class SynTree:
         return serialize(self)
 
 
+_set_label = SynTree.label.__set__
+_set_children = SynTree.children.__set__
+_set_token = SynTree.token.__set__
+_set_start = SynTree.start.__set__
+_set_end = SynTree.end.__set__
+
+
+# ``_strip_functional`` of the raw labels met so far. A corpus can carry any
+# number of distinct labels, so the memo starts over when it is full.
+_STRIPPED: dict[str, str] = {}
+_STRIPPED_MAX = 1024
+
+
 def _strip_functional(label: str) -> str:
     # Leading-dash labels (-NONE-, -LRB-, ...) are atoms, not annotated tags.
     if label.startswith("-"):
@@ -100,6 +158,14 @@ def _strip_functional(label: str) -> str:
     match = _FUNC_SPLIT.search(label)
     if match and match.start() > 0:
         return label[: match.start()]
+    return label
+
+
+def _stripped(raw: str) -> str:
+    """``_strip_functional(raw)``, remembered in ``_STRIPPED``."""
+    if len(_STRIPPED) >= _STRIPPED_MAX:
+        _STRIPPED.clear()
+    label = _STRIPPED[raw] = _strip_functional(raw)
     return label
 
 
@@ -123,7 +189,7 @@ def parse_bracketed(text: str) -> SynTree:
         raise TreeParseError("empty tree", 0)
     if lexemes[0] != "(":
         raise TreeParseError("expected '('", _offset(text, 0))
-    labels: dict[str, str] = {}
+    labels = _STRIPPED  # a local name for the per-node lookups
     # Open internal constituents, outermost first: (raw label, kept
     # children). Preterminals never get a frame. Trace leaves and
     # constituents left empty by dropping them are not kept, so spans count
@@ -156,7 +222,7 @@ def parse_bracketed(text: str) -> SynTree:
             if raw != "-NONE-":
                 label = labels.get(raw)
                 if label is None:
-                    label = labels[raw] = _strip_functional(raw)
+                    label = _stripped(raw)
                 node = SynTree(label, (), lexeme, leaf_count, leaf_count + 1)
                 leaf_count += 1
             # Close constituents up to the next "(" or the end of the tree.
@@ -173,7 +239,7 @@ def parse_bracketed(text: str) -> SynTree:
                 if kept:
                     label = labels.get(raw)
                     if label is None:
-                        label = labels[raw] = _strip_functional(raw)
+                        label = _stripped(raw)
                     node = SynTree(label, tuple(kept), None, kept[0].start, kept[-1].end)
                 else:
                     node = None

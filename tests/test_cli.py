@@ -8,6 +8,7 @@ import pytest
 from defsrl.cli import main
 from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
 from defsrl.defaults import BUNDLED_CORPUS, packaged_data_text
+from defsrl.labeler import LabelerConfig
 from defsrl.rolemodel import parse_gold
 
 
@@ -307,3 +308,32 @@ def test_lint_strict_reports_warnings(tmp_path, capsys):
     assert main(["lint", "--input", str(path)]) == 0
     assert main(["lint", "--input", str(path), "--strict"]) == 2
     assert "floating_complement" in capsys.readouterr().out
+
+
+def test_label_and_lint_build_each_instance_mode_config_once(tmp_path, monkeypatch):
+    lines = [
+        {"id": f"feminist_{i}", "pos": "noun", "gloss": "United States feminist",
+         "tree": "(NP (NNP United) (NNPS States) (NN feminist))", "instance": i % 2 == 0}
+        for i in range(6)
+    ]
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    built = []
+    post_init = LabelerConfig.__post_init__
+
+    def counting_post_init(self: LabelerConfig) -> None:
+        built.append(self.instance_mode)
+        post_init(self)
+
+    monkeypatch.setattr(LabelerConfig, "__post_init__", counting_post_init)
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 0
+    assert sorted(built) == [False, True]  # the default config and its instance variant
+    records, _ = read_corpus(out.read_text(encoding="utf-8"))
+    origins = [
+        [s.role.value for s in r.predicted.spans].count("origin_location") for r in records
+    ]
+    assert origins == [1, 0, 1, 0, 1, 0]
+    built.clear()
+    main(["lint", "--input", str(path)])
+    assert sorted(built) == [False, True]

@@ -172,3 +172,21 @@ def test_gazetteer_capitalized_non_initial_location():
 def test_load_gazetteer_preserves_spaces():
     gazetteer = load_gazetteer("Lake  District\n", LOCATION)
     assert "lake district" in gazetteer.entries
+
+
+@pytest.mark.parametrize("pos", [NOUN, VERB])
+def test_loaders_equal_from_entries_on_the_same_lines(pos):
+    lines = ["Water  Faucet", "COACH", "sea\tlion", "  Lake   District  ", "x"]
+    assert load_wordlist("\n".join(lines) + "\n", pos) == Lexicon.from_entries(pos, lines)
+    wndb = ["Water_Faucet", "coach", "SEA_LION", "new_york_city"]
+    index = "  1 header line\n" + "".join(f"{lemma} n 1 1 @ 1 0 0\n" for lemma in wndb)
+    assert load_wndb_index(index, pos) == Lexicon.from_entries(pos, wndb)
+    for kind in (LOCATION, TIME):
+        assert load_gazetteer("\n".join(lines), kind) == Gazetteer.from_entries(kind, lines)
+
+
+def test_from_entries_checks_pos_and_kind_before_entries():
+    with pytest.raises(ValueError, match="pos must be"):
+        Lexicon.from_entries("adjective", [""])
+    with pytest.raises(ValueError, match="kind must be"):
+        Gazetteer.from_entries("place", [""])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -20,6 +23,7 @@ from defsrl.cli import main
 from defsrl.corpus import read_corpus
 from defsrl.defaults import default_config
 from defsrl.labeler import label
+from defsrl import syntree
 from defsrl.rolemodel import Role, validate
 from defsrl.syntree import (
     SynTree,
@@ -61,6 +65,13 @@ def test_functional_tags_stripped():
     assert tree.label == "NP"
     tree = parse_bracketed("(NP=2 (NN dog))")
     assert tree.label == "NP"
+
+
+def test_functional_tag_memo_stays_bounded():
+    for i in range(3 * syntree._STRIPPED_MAX):
+        tree = parse_bracketed(f"(NP-{i} (NN=SBJ-{i} dog))")
+        assert (tree.label, tree.children[0].label) == ("NP", "NN")
+        assert len(syntree._STRIPPED) <= syntree._STRIPPED_MAX
 
 
 def test_none_traces_dropped_and_spans_recomputed():
@@ -346,7 +357,7 @@ def test_deep_tree_corpus_reads_and_stats(tmp_path, capsys):
 
 def _preorder(tree: SynTree) -> list[tuple]:
     # Node fields in preorder with child counts determine a tree, so equal
-    # lists mean equal trees; ``==`` itself recurses once per level.
+    # lists mean equal trees.
     return [(n.label, n.token, n.start, n.end, len(n.children)) for n in tree.subtrees()]
 
 
@@ -354,6 +365,16 @@ def test_deep_tree_serializes_and_parses_back():
     tree = parse_bracketed(_DEEP)
     assert serialize(tree) == _DEEP
     assert _preorder(parse_bracketed(serialize(tree))) == _preorder(tree)
+
+
+def test_deep_trees_compare_and_hash():
+    first, second = parse_bracketed(_DEEP), parse_bracketed(_DEEP)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    other = parse_bracketed(_DEEP.replace("(NN dog)", "(NNS dog)"))
+    assert first != other and other != first
 
 
 _DEEP_EVENT = (
@@ -399,3 +420,90 @@ def test_deep_tree_corpus_labels(tmp_path):
     assert diagnostics == []
     assert [r.id for r in records] == ["deep", "cat"]
     assert all(r.predicted is not None for r in records)
+
+
+# --- the node contract ----------------------------------------------------------
+
+
+def _changed(tree: SynTree, target: int, field: str) -> SynTree:
+    """``tree`` with one field of its ``target``-th preorder node changed."""
+    counter = [-1]
+
+    def rebuild(node: SynTree) -> SynTree:
+        counter[0] += 1
+        if counter[0] == target:
+            if field == "children":
+                return dataclasses.replace(node, children=node.children[:-1])
+            value = getattr(node, field)
+            return dataclasses.replace(
+                node, **{field: value + 1 if isinstance(value, int) else f"{value}x"}
+            )
+        return dataclasses.replace(node, children=tuple(rebuild(c) for c in node.children))
+
+    return rebuild(tree)
+
+
+def test_equality_and_hash_follow_the_node_fields():
+    rng = random.Random(23)
+    for _ in range(400):
+        tree = random_tree(rng)
+        nodes = list(tree.subtrees())
+        target = rng.randrange(len(nodes))
+        fields = ["label", "start", "end"]
+        fields.append("token" if nodes[target].is_leaf() else "children")
+        other = _changed(tree, target, rng.choice(fields))
+        same = _changed(tree, -1, "label")  # an equal copy, no node shared
+        assert (tree == other) == (_preorder(tree) == _preorder(other))
+        assert tree == same and hash(tree) == hash(same)
+        assert (tree != other) != (tree == other)
+
+
+def test_equality_with_other_types_is_not_implemented():
+    tree = parse_bracketed(COACH)
+    assert tree.__eq__(serialize(tree)) is NotImplemented
+    assert tree != serialize(tree) and tree != None  # noqa: E711
+
+    class Node(SynTree):
+        pass
+
+    leaf = SynTree("NN", (), "dog", 0, 1)
+    other = Node("NN", (), "dog", 0, 1)
+    assert leaf != other and other != leaf
+    assert SynTree("NP", (leaf,), None, 0, 1) != SynTree("NP", (other,), None, 0, 1)
+
+
+def test_nodes_are_immutable():
+    tree = parse_bracketed(COACH)
+    for field in ("label", "children", "token", "start", "end"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tree, field, getattr(tree, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(tree, field)
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+        tree.extra = 1
+
+
+def test_nodes_round_trip_through_replace_pickle_and_deepcopy():
+    tree = parse_bracketed(COACH)
+    assert dataclasses.replace(tree) == tree
+    relabeled = dataclasses.replace(tree, label="NX")
+    assert relabeled.label == "NX" and relabeled.children is tree.children
+    assert [f.name for f in dataclasses.fields(SynTree)] == [
+        "label", "children", "token", "start", "end"
+    ]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(tree, protocol)) == tree
+    assert copy.deepcopy(tree) == tree
+    assert copy.copy(tree) == tree
+
+
+def test_node_repr_is_the_dataclass_repr():
+    tree = parse_bracketed("(NP (DT a) (NN dog))")
+    assert repr(tree) == (
+        "SynTree(label='NP', children=("
+        "SynTree(label='DT', children=(), token='a', start=0, end=1), "
+        "SynTree(label='NN', children=(), token='dog', start=1, end=2)"
+        "), token=None, start=0, end=2)"
+    )
+    assert SynTree("X") == SynTree("X", (), None, 0, 0)
+    assert repr(SynTree("X")) == "SynTree(label='X', children=(), token=None, start=0, end=0)"
