@@ -294,9 +294,13 @@ def run_lint(args: argparse.Namespace) -> int:
         annotation = record.gold or record.predicted
         residue = []
         if annotation is None and record.tree is not None:
-            outcome = label(
-                parse_bracketed(record.tree), record.pos, configs[record.instance], record.id
-            )
+            try:
+                outcome = label(
+                    parse_bracketed(record.tree), record.pos, configs[record.instance], record.id
+                )
+            except EmptyDefinitionError as exc:
+                report(record.id, str(exc))
+                continue
             annotation = outcome.annotation
             residue = [t for t in outcome.rule_trace if t.rule == "unlabeled"]
         if annotation is None:
@@ -351,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--input", required=True)
     p_stats.set_defaults(func=run_stats)
 
-    p_eval = sub.add_parser("eval", parents=[knowledge], help="score predictions")
+    p_eval = sub.add_parser("eval", help="score predictions")
+    p_eval.add_argument("--config", help="JSON config (supertype_accuracy_threshold)")
     p_eval.add_argument(
         "--input", required=True, nargs="+",
         help="one corpus with gold+predicted, or gold file then predictions file",

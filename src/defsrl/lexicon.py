@@ -9,7 +9,7 @@ closed-class time patterns (years, Nth century, month names).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -178,11 +178,23 @@ def load_wndb_index(text: str, pos: str) -> Lexicon:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Normalized surface phrases naming locations or time expressions."""
+    """Normalized surface phrases naming locations or time expressions.
+
+    ``first_words`` is derived from ``entries``: the text of each entry up
+    to its first space, the index ``gazetteer_match`` prunes windows by.
+    It is built on construction, so it is left out of equality, hashing
+    and ``repr``.
+    """
 
     kind: str
     entries: frozenset[str]
     max_words: int
+    first_words: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "first_words", frozenset(e.partition(" ")[0] for e in self.entries)
+        )
 
     @classmethod
     def from_entries(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
@@ -235,16 +247,21 @@ def longest_rightmost_entry(
 def gazetteer_match(gazetteer: Gazetteer, tokens: Sequence[str]) -> bool:
     """True when the tokens mention a gazetteer entry.
 
-    Checks every contiguous subsequence, case-insensitively, against the
-    entry set; time gazetteers additionally apply the built-in year /
-    Nth-century / month patterns.
+    Checks every contiguous subsequence of up to ``max_words`` tokens,
+    case-insensitively, against the entry set; time gazetteers additionally
+    apply the built-in year / Nth-century / month patterns. A window is
+    tried only from a token that is the first word of some entry, or that
+    holds a space itself (its joined window then starts mid-token).
     """
     if not tokens:
         raise ValueError("tokens must be non-empty")
     lowered = [t.lower() for t in tokens]
     n = len(lowered)
     if gazetteer.max_words > 0:
+        first_words = gazetteer.first_words
         for i in range(n):
+            if lowered[i] not in first_words and " " not in lowered[i]:
+                continue
             limit = min(n, i + gazetteer.max_words)
             for j in range(i + 1, limit + 1):
                 if " ".join(lowered[i:j]) in gazetteer.entries:

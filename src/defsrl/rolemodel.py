@@ -151,13 +151,18 @@ def validate(annotation: Annotation) -> list[Violation]:
                     f"span [{span.start}, {span.end}) outside tokens [0, {n})",
                 )
             )
+    in_order = True
     for idx in range(1, len(spans)):
         if spans[idx].start < spans[idx - 1].start:
+            in_order = False
             violations.append(
                 Violation(KIND_SPANS_UNSORTED, ERROR, idx, "spans not sorted by start")
             )
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
+            if in_order and spans[j].start >= spans[i].end:
+                # Sorted by start: no later span can overlap span i.
+                break
             if spans[i].start < spans[j].end and spans[j].start < spans[i].end:
                 violations.append(
                     Violation(

@@ -11,11 +11,18 @@ import random
 from collections import Counter
 
 from defsrl.corpus import EvalReport, _metrics
+from defsrl.lexicon import MONTHS, TIME, _ORDINAL, _YEAR
 from defsrl.rolemodel import (
     Annotation,
+    ERROR,
+    KIND_OVERLAPPING_SPANS,
+    KIND_SPAN_OUT_OF_RANGE,
+    KIND_SPANS_UNSORTED,
     PARENT_REQUIRED_ROLES,
     Role,
     RoleSpan,
+    Violation,
+    validate,
 )
 from defsrl.syntree import SynTree, TreeParseError, _LEXEME, _strip_functional
 
@@ -187,6 +194,47 @@ def oracle_longest_rightmost(lexicon, tokens) -> tuple[int, str] | None:
         if entry is not None:
             return (i, entry)
     return None
+
+
+def oracle_gazetteer_match(gazetteer, tokens) -> bool:
+    """Every window of up to ``max_words`` tokens from every start, joined
+    and looked up, with no first-word shortcut; then the time patterns."""
+    if not tokens:
+        raise ValueError("tokens must be non-empty")
+    lowered = [t.lower() for t in tokens]
+    n = len(lowered)
+    if gazetteer.max_words > 0:
+        for i in range(n):
+            limit = min(n, i + gazetteer.max_words)
+            for j in range(i + 1, limit + 1):
+                if " ".join(lowered[i:j]) in gazetteer.entries:
+                    return True
+    if gazetteer.kind == TIME:
+        for i, word in enumerate(lowered):
+            if _YEAR.match(word):
+                return True
+            if _ORDINAL.match(word) and i + 1 < n and lowered[i + 1] == "century":
+                return True
+            if word in MONTHS:
+                return True
+    return False
+
+
+def oracle_validate(annotation: Annotation) -> list[Violation]:
+    """``validate`` with its overlap block replaced by a scan of every pair
+    of spans, whatever their order; the other checks are taken from
+    ``validate`` itself, in the same place in the list."""
+    spans = annotation.spans
+    overlaps = [
+        Violation(KIND_OVERLAPPING_SPANS, ERROR, j, f"span {j} overlaps span {i}")
+        for i in range(len(spans))
+        for j in range(i + 1, len(spans))
+        if spans[i].start < spans[j].end and spans[j].start < spans[i].end
+    ]
+    rest = [v for v in validate(annotation) if v.kind != KIND_OVERLAPPING_SPANS]
+    # Range and order checks come before the overlap block.
+    head = [v for v in rest if v.kind in (KIND_SPAN_OUT_OF_RANGE, KIND_SPANS_UNSORTED)]
+    return head + overlaps + rest[len(head) :]
 
 
 def oracle_ancestor_path(tree: SynTree, node: SynTree) -> list[SynTree] | None:

@@ -221,6 +221,28 @@ def test_eval_strict_threshold(tmp_path, capsys):
     assert "below threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag", ["--noun-lexicon", "--verb-lexicon", "--loc-gazetteer", "--time-gazetteer"]
+)
+def test_eval_rejects_knowledge_flags_it_would_ignore(corpus_path, capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--input", str(corpus_path), flag, "x"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
+def test_eval_reads_the_threshold_from_config(corpus_path, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"supertype_accuracy_threshold": 1.5}', encoding="utf-8")
+    assert main(["eval", "--input", str(corpus_path), str(corpus_path), "--strict"]) == 0
+    assert (
+        main(["eval", "--input", str(corpus_path), str(corpus_path), "--strict",
+              "--config", str(config)])
+        == 1
+    )
+    assert "below threshold 1.500000" in capsys.readouterr().err
+
+
 def test_eval_report_json_output(corpus_path, tmp_path):
     report_path = tmp_path / "report.json"
     assert (
@@ -337,3 +359,30 @@ def test_label_and_lint_build_each_instance_mode_config_once(tmp_path, monkeypat
     built.clear()
     main(["lint", "--input", str(path)])
     assert sorted(built) == [False, True]
+
+
+def test_lint_reports_a_label_failure_and_lints_the_other_records(tmp_path, monkeypatch, capsys):
+    from defsrl import cli
+    from defsrl.labeler import EmptyDefinitionError, label
+
+    lines = [
+        {"id": name, "pos": "noun", "gloss": "from then on",
+         "tree": "(ADVP (IN from) (RB then) (RB on))"}
+        for name in ("first", "broken", "last")
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+    def failing_label(tree, pos, config, definition_id=""):
+        if definition_id == "broken":
+            raise EmptyDefinitionError("tree has no tokens")
+        return label(tree, pos, config, definition_id)
+
+    monkeypatch.setattr(cli, "label", failing_label)
+    assert main(["lint", "--input", str(path)]) == 2
+    output = capsys.readouterr().out.splitlines()
+    assert "broken: tree has no tokens" in output
+    assert not any(line.startswith("broken: ill-formed") for line in output)
+    for name in ("first", "last"):
+        assert f"{name}: ill-formed definition: no supertype" in output
+    assert output[-1] == "3 finding(s)"

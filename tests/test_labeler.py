@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
+from defsrl.cli import main
+from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
 from defsrl.defaults import default_config
 from defsrl.labeler import (
     DIVERGENCE_ACCESSORY_QUALITY,
@@ -20,7 +25,16 @@ from defsrl.labeler import (
     label,
     preprocess_gloss,
 )
-from defsrl.rolemodel import Annotation, ERROR, Role, RoleSpan, validate
+from defsrl.lexicon import LOCATION, NOUN, TIME, Gazetteer, Lexicon
+from defsrl.rolemodel import (
+    Annotation,
+    ERROR,
+    Role,
+    RoleSpan,
+    parse_gold,
+    serialize_gold,
+    validate,
+)
 from defsrl.syntree import parse_bracketed
 
 from dataclasses import replace
@@ -523,3 +537,117 @@ def test_custom_accessory_word_list(config):
 
 def test_preprocess_typographic_quote_segment():
     assert preprocess_gloss("move fast; “he darted away”") == "move fast"
+
+
+# --- label-level properties ---------------------------------------------------------
+
+
+def _check_label_contract(outcome, definition_id: str) -> None:
+    annotation = outcome.annotation
+    assert [v for v in validate(annotation) if v.severity == ERROR] == []
+    accounted = annotation.covered()
+    for entry in outcome.rule_trace:
+        accounted.update(range(entry.start, entry.end))
+    assert accounted >= set(range(len(annotation.tokens)))
+    assert parse_gold(serialize_gold(annotation), definition_id) == annotation
+
+
+@pytest.fixture(scope="module")
+def word_config(config):
+    """Lexicons and gazetteers over ``conftest.WORDS``: the random trees find
+    supertypes, and their PPs hit multiword gazetteer entries."""
+    return replace(
+        config,
+        noun_lexicon=Lexicon.from_entries(NOUN, ["coach", "dog", "player", "stone", "frontier"]),
+        location_gazetteer=Gazetteer.from_entries(
+            LOCATION, ["the frontier", "blue stone", "fine dog of the", "coach"]
+        ),
+        time_gazetteer=Gazetteer.from_entries(TIME, ["very quickly", "the large player"]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["noun", "verb"]),
+    st.booleans(),
+)
+def test_label_contract_holds_on_random_trees(word_config, rng, pos, instance_mode):
+    tree = random_tree(rng, max_depth=5)
+    outcome = label(tree, pos, replace(word_config, instance_mode=instance_mode), "r")
+    _check_label_contract(outcome, "r")
+
+
+def test_label_contract_holds_on_seeded_trees_with_gazetteer_hits(word_config):
+    located = Counter()
+    for pos in ("noun", "verb"):
+        for instance_mode in (False, True):
+            cfg = replace(word_config, instance_mode=instance_mode)
+            rng = random.Random(f"{pos}-{instance_mode}")
+            for _ in range(250):
+                outcome = label(random_tree(rng, max_depth=5), pos, cfg, "s")
+                _check_label_contract(outcome, "s")
+                for span in outcome.annotation.spans:
+                    located[span.role] += 1
+    # The first-word-pruned gazetteer scan fires on multiword entries.
+    assert located[Role.ORIGIN_LOCATION] > 0
+    assert located[Role.EVENT_LOCATION] > 0
+    assert located[Role.EVENT_TIME] > 0
+
+
+# --- a 10k-token gloss ----------------------------------------------------------------
+
+_ANCHOR = "(NP (DT a) (NN coach))"
+WIDE_GLOSS = (
+    f"(NP {_ANCHOR} "
+    + " ".join(["(PP (IN of) (NP (DT the) (JJ blue) (NN stone)))"] * 2500)
+    + ")"
+)
+WIDE_EVENT_GLOSS = (
+    f"(NP {_ANCHOR} (SBAR (WHNP (WDT that)) (S (VP (VBZ works) "
+    + " ".join(
+        ["(PP (IN in) (NP (NNP France))) (PP (IN on) (NP (JJ formal) (NNS occasions)))"] * 2000
+    )
+    + " (PP (IN in) (NP (CD 1984)))))))"
+)
+
+
+@pytest.mark.parametrize("text", [WIDE_GLOSS, WIDE_EVENT_GLOSS], ids=["of-pps", "event-pps"])
+def test_wide_gloss_labels_clean_and_round_trips(config, text):
+    tree = parse_bracketed(text)
+    assert len(tree.leaves()) >= 10_000
+    outcome = label(tree, "noun", config, "wide")
+    _check_label_contract(outcome, "wide")
+    record = DefinitionRecord(
+        "wide", "noun", " ".join(tree.tokens()), text, predicted=outcome.annotation
+    )
+    records, diagnostics = read_corpus(write_corpus([record]))
+    assert diagnostics == [] and records == [record]
+
+
+def test_wide_gloss_event_subroles_are_carved(config):
+    outcome = label(parse_bracketed(WIDE_EVENT_GLOSS), "noun", config, "wide")
+    roles = Counter(span.role for span in outcome.annotation.spans)
+    assert roles[Role.EVENT_LOCATION] == 2000
+    assert roles[Role.EVENT_TIME] == 2001
+
+
+def test_wide_glosses_label_through_the_cli(tmp_path):
+    corpus = tmp_path / "wide.jsonl"
+    lines = [
+        {"id": name, "pos": "noun", "gloss": name, "tree": text}
+        for name, text in (("of_pps", WIDE_GLOSS), ("event_pps", WIDE_EVENT_GLOSS))
+    ]
+    corpus.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(corpus), "--output", str(out), "--trace"]) == 0
+    records, diagnostics = read_corpus(out.read_text(encoding="utf-8"))
+    assert diagnostics == [] and [r.id for r in records] == ["of_pps", "event_pps"]
+    traces = [json.loads(line) for line in (tmp_path / "out.jsonl.trace").read_text().splitlines()]
+    for record, trace in zip(records, traces):
+        annotation = record.predicted
+        assert [v for v in validate(annotation) if v.severity == ERROR] == []
+        accounted = annotation.covered()
+        for entry in trace["trace"]:
+            accounted.update(range(entry["start"], entry["end"]))
+        assert accounted >= set(range(len(annotation.tokens)))

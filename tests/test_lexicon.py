@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_longest_rightmost
+from conftest import oracle_gazetteer_match, oracle_longest_rightmost
 from defsrl.defaults import default_noun_lexicon
 from defsrl.lexicon import (
     Gazetteer,
@@ -190,3 +193,74 @@ def test_from_entries_checks_pos_and_kind_before_entries():
         Lexicon.from_entries("adjective", [""])
     with pytest.raises(ValueError, match="kind must be"):
         Gazetteer.from_entries("place", [""])
+
+
+# --- first-word pruning ---------------------------------------------------------
+
+# Words, time-pattern triggers, and the pieces of non-normalized entries:
+# empty, mixed-case, space- and tab-holding.
+_GAZ_WORDS = [
+    "new", "york", "lake", "district", "of", "the", "19th", "century", "1984",
+    "may", "March", "New", "YORK", "", " ", "new york", " york", "a\tb", "a",
+    "b", "Lake  District",
+]
+
+
+@st.composite
+def _gazetteers(draw):
+    joiners = st.sampled_from([" ", "  ", "\t", ""])
+    entries = set()
+    phrases = st.lists(st.sampled_from(_GAZ_WORDS), min_size=1, max_size=3)
+    for words in draw(st.lists(phrases, max_size=6)):
+        entries.add(draw(joiners).join(words) if draw(st.booleans()) else " ".join(words))
+    kind = draw(st.sampled_from([LOCATION, TIME]))
+    if draw(st.booleans()):
+        return Gazetteer.from_entries(kind, [e for e in entries if e.split()])
+    # Built directly: entries as given, max_words unrelated to them.
+    return Gazetteer(kind, frozenset(entries), draw(st.integers(-1, 5)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_gazetteers(), st.lists(st.sampled_from(_GAZ_WORDS), min_size=1, max_size=8))
+def test_gazetteer_match_equals_the_all_windows_scan(gazetteer, tokens):
+    assert gazetteer_match(gazetteer, tokens) == oracle_gazetteer_match(gazetteer, tokens)
+
+
+def test_gazetteer_match_starts_at_tokens_holding_a_space():
+    gazetteer = Gazetteer(LOCATION, frozenset({"new york city"}), 2)
+    assert "new" in gazetteer.first_words
+    # The window ["new york", "city"] joins to the entry; "new york" itself
+    # is no first word.
+    assert gazetteer_match(gazetteer, ["in", "New York", "city"])
+    assert not gazetteer_match(gazetteer, ["in", "York", "city"])
+
+
+def test_gazetteer_first_words_are_derived_from_the_entries():
+    gazetteer = Gazetteer.from_entries(LOCATION, ["Lake District", "France", "the far north"])
+    assert gazetteer.first_words == {"lake", "france", "the"}
+    odd = Gazetteer(LOCATION, frozenset({" x", "a  b", "c\td"}), 3)
+    assert odd.first_words == {"", "a", "c\td"}
+
+
+def test_gazetteer_equality_hash_and_repr_ignore_first_words():
+    gazetteer = Gazetteer.from_entries(LOCATION, ["lake district"])
+    tampered = Gazetteer.from_entries(LOCATION, ["lake district"])
+    object.__setattr__(tampered, "first_words", frozenset({"other"}))
+    assert gazetteer == tampered
+    assert hash(gazetteer) == hash(tampered)
+    assert repr(gazetteer) == repr(tampered)
+    assert "first_words" not in repr(gazetteer)
+    assert gazetteer != Gazetteer.from_entries(LOCATION, ["lake"])
+
+
+def test_gazetteer_replace_and_pickle_rebuild_first_words():
+    gazetteer = Gazetteer.from_entries(LOCATION, ["lake district"])
+    moved = dataclasses.replace(gazetteer, entries=frozenset({"north america"}))
+    assert moved.first_words == {"north"}
+    assert gazetteer_match(moved, ["in", "North", "America"])
+    with pytest.raises(ValueError):
+        dataclasses.replace(gazetteer, first_words=frozenset())
+    loaded = pickle.loads(pickle.dumps(gazetteer))
+    assert loaded == gazetteer
+    assert loaded.first_words == {"lake"}
+    assert gazetteer_match(loaded, ["the", "Lake", "District"])

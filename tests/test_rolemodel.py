@@ -3,8 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_annotation
+from conftest import oracle_validate, random_annotation
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
@@ -244,3 +245,46 @@ def test_validate_soundness_by_independent_reassertion():
         if not annotation.ill_formed:
             assert any(s.role is Role.SUPERTYPE for s in annotation.spans)
     assert checked > 300
+
+
+# --- early-exit overlap scan ------------------------------------------------------
+
+
+@st.composite
+def _annotations(draw):
+    """Sorted, unsorted, overlapping, empty, negative and out-of-range spans,
+    with parents that may be missing, wrong or out of range."""
+    n_tokens = draw(st.integers(0, 8))
+    bound = st.integers(-2, 10)
+    spans = []
+    for _ in range(draw(st.integers(0, 9))):
+        start = draw(bound)
+        end = draw(st.one_of(bound, st.integers(start, start + 3)))
+        parent = draw(st.one_of(st.none(), st.integers(-1, 9)))
+        spans.append(RoleSpan(draw(st.sampled_from(list(Role))), start, end, parent))
+    if draw(st.booleans()):
+        spans.sort(key=lambda span: span.start)
+    tokens = tuple(f"w{i}" for i in range(n_tokens))
+    return Annotation("h", tokens, tuple(spans), draw(st.booleans()))
+
+
+@settings(max_examples=800, deadline=None)
+@given(_annotations())
+def test_validate_equals_the_pairwise_overlap_scan(annotation):
+    assert validate(annotation) == oracle_validate(annotation)
+
+
+def test_validate_reports_overlaps_past_an_empty_span_when_sorted():
+    # Span 0 reaches past the empty span 1 to overlap span 2; the scan from
+    # span 1 stops at once, the scan from span 0 only at span 3.
+    annotation = ann(
+        list("abcdef"),
+        [
+            RoleSpan(Role.SUPERTYPE, 0, 4),
+            RoleSpan(Role.PURPOSE, 1, 1),
+            RoleSpan(Role.DIFFERENTIA_QUALITY, 3, 5),
+            RoleSpan(Role.PURPOSE, 5, 6),
+        ],
+    )
+    overlaps = [v.message for v in validate(annotation) if v.kind == "overlapping_spans"]
+    assert overlaps == ["span 1 overlaps span 0", "span 2 overlaps span 0"]
