@@ -14,8 +14,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .corpus import (
-    AlignmentError,
-    CorpusError,
     DefinitionRecord,
     distribution,
     evaluate,
@@ -24,7 +22,7 @@ from .corpus import (
     write_corpus,
 )
 from .defaults import default_config
-from .labeler import EmptyDefinitionError, LabelerConfig, label
+from .labeler import EmptyDefinitionError, LabelerConfig, LabelOutcome, label
 from .lexicon import (
     LOCATION,
     TIME,
@@ -47,7 +45,27 @@ def _fail(message: str) -> int:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _config_payload(path: str) -> dict:
+    """The JSON object in a ``--config`` file, its list-valued keys checked."""
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"config {path}: not a JSON object")
+    for key in ("accessory_determiner_phrases", "accessory_quality_words"):
+        value = payload.get(key)
+        if value is not None and not (
+            isinstance(value, list) and all(isinstance(item, str) for item in value)
+        ):
+            raise ValueError(f"config {path}: {key} is not a list of strings")
+    return payload
 
 
 def _load_config(args: argparse.Namespace) -> LabelerConfig:
@@ -61,7 +79,7 @@ def _load_config(args: argparse.Namespace) -> LabelerConfig:
     if args.time_gazetteer:
         config = replace(config, time_gazetteer=load_gazetteer(_read_text(args.time_gazetteer), TIME))
     if args.config:
-        payload = json.loads(_read_text(args.config))
+        payload = _config_payload(args.config)
         phrases = payload.get("accessory_determiner_phrases")
         words = payload.get("accessory_quality_words")
         if phrases is not None:
@@ -75,9 +93,14 @@ def _config_threshold(args: argparse.Namespace) -> float:
     if args.threshold is not None:
         return args.threshold
     if args.config:
-        payload = json.loads(_read_text(args.config))
+        payload = _config_payload(args.config)
         if "supertype_accuracy_threshold" in payload:
-            return float(payload["supertype_accuracy_threshold"])
+            try:
+                return float(payload["supertype_accuracy_threshold"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"config {args.config}: supertype_accuracy_threshold is not a number"
+                ) from None
     return 1.0
 
 
@@ -91,18 +114,24 @@ def _read_records(path: str) -> tuple[list[DefinitionRecord], list]:
     return read_corpus(_read_text(path))
 
 
-def run_label(args: argparse.Namespace) -> int:
-    try:
-        records, diagnostics = _read_records(args.input)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
-    except CorpusError as exc:
-        return _fail(str(exc))
-    try:
-        config = _load_config(args)
-    except (FileNotFoundError, ValueError) as exc:
-        return _fail(f"cannot load knowledge files: {exc}")
+def _label_record(
+    record: DefinitionRecord, configs: dict[bool, LabelerConfig]
+) -> LabelOutcome | str:
+    """Label a record that has a tree; a failure becomes its diagnostic.
 
+    Any exception is caught so that one bad record never aborts a batch.
+    """
+    try:
+        return label(parse_bracketed(record.tree), record.pos, configs[record.instance], record.id)
+    except EmptyDefinitionError as exc:
+        return str(exc)
+    except Exception as exc:
+        return f"internal error: {type(exc).__name__}: {exc}"
+
+
+def run_label(args: argparse.Namespace) -> int:
+    records, diagnostics = _read_records(args.input)
+    config = _load_config(args)
     for diagnostic in diagnostics:
         print(f"{args.input}:{diagnostic.line_no}: {diagnostic.message}", file=sys.stderr)
 
@@ -112,16 +141,11 @@ def run_label(args: argparse.Namespace) -> int:
     failures = len(diagnostics)
     for record in records:
         if record.tree is None:
-            print(f"{record.id}: no parse tree; record passed through", file=sys.stderr)
-            failures += 1
-            out_records.append(record)
-            continue
-        try:
-            outcome = label(
-                parse_bracketed(record.tree), record.pos, configs[record.instance], record.id
-            )
-        except EmptyDefinitionError as exc:
-            print(f"{record.id}: {exc}", file=sys.stderr)
+            outcome = "no parse tree; record passed through"
+        else:
+            outcome = _label_record(record, configs)
+        if isinstance(outcome, str):
+            print(f"{record.id}: {outcome}", file=sys.stderr)
             failures += 1
             out_records.append(record)
             continue
@@ -148,10 +172,7 @@ def run_label(args: argparse.Namespace) -> int:
 
 
 def run_stats(args: argparse.Namespace) -> int:
-    try:
-        records, diagnostics = _read_records(args.input)
-    except (FileNotFoundError, CorpusError) as exc:
-        return _fail(str(exc))
+    records, diagnostics = _read_records(args.input)
     for diagnostic in diagnostics:
         print(f"{args.input}:{diagnostic.line_no}: {diagnostic.message}", file=sys.stderr)
     annotations = [r.gold or r.predicted for r in records if r.gold or r.predicted]
@@ -175,51 +196,45 @@ def run_stats(args: argparse.Namespace) -> int:
 
 def run_eval(args: argparse.Namespace) -> int:
     paths = args.input
-    try:
-        if len(paths) == 1:
-            records, _ = _read_records(paths[0])
-            pairs = [
-                (r.gold, r.predicted) for r in records
-            ]
-            missing = [
-                r.id for r, (g, p) in zip(records, pairs) if g is None or p is None
-            ]
-            if missing:
-                return _fail(
-                    "records missing gold or predicted annotations: "
-                    + ", ".join(missing)
-                )
-            gold = [g for g, _ in pairs]
-            predicted = [p for _, p in pairs]
-        elif len(paths) == 2:
-            gold_records, _ = _read_records(paths[0])
-            predicted_records, _ = _read_records(paths[1])
-            gold_by_id = {r.id: r for r in gold_records}
-            predicted_by_id = {r.id: r for r in predicted_records}
-            if set(gold_by_id) != set(predicted_by_id):
-                odd = sorted(set(gold_by_id) ^ set(predicted_by_id))
-                return _fail("ids not aligned across files: " + ", ".join(odd))
-            gold, predicted, missing = [], [], []
-            for record in gold_records:
-                g = record.gold or record.predicted
-                other = predicted_by_id[record.id]
-                p = other.predicted or other.gold
-                if g is None or p is None:
-                    missing.append(record.id)
-                else:
-                    gold.append(g)
-                    predicted.append(p)
-            if missing:
-                return _fail("records missing annotations: " + ", ".join(missing))
-        else:
-            return _fail("eval takes one annotated corpus or two corpora")
-    except (FileNotFoundError, CorpusError) as exc:
-        return _fail(str(exc))
+    if len(paths) == 1:
+        records, _ = _read_records(paths[0])
+        pairs = [
+            (r.gold, r.predicted) for r in records
+        ]
+        missing = [
+            r.id for r, (g, p) in zip(records, pairs) if g is None or p is None
+        ]
+        if missing:
+            return _fail(
+                "records missing gold or predicted annotations: "
+                + ", ".join(missing)
+            )
+        gold = [g for g, _ in pairs]
+        predicted = [p for _, p in pairs]
+    elif len(paths) == 2:
+        gold_records, _ = _read_records(paths[0])
+        predicted_records, _ = _read_records(paths[1])
+        gold_by_id = {r.id: r for r in gold_records}
+        predicted_by_id = {r.id: r for r in predicted_records}
+        if set(gold_by_id) != set(predicted_by_id):
+            odd = sorted(set(gold_by_id) ^ set(predicted_by_id))
+            return _fail("ids not aligned across files: " + ", ".join(odd))
+        gold, predicted, missing = [], [], []
+        for record in gold_records:
+            g = record.gold or record.predicted
+            other = predicted_by_id[record.id]
+            p = other.predicted or other.gold
+            if g is None or p is None:
+                missing.append(record.id)
+            else:
+                gold.append(g)
+                predicted.append(p)
+        if missing:
+            return _fail("records missing annotations: " + ", ".join(missing))
+    else:
+        return _fail("eval takes one annotated corpus or two corpora")
 
-    try:
-        report = evaluate(gold, predicted)
-    except AlignmentError as exc:
-        return _fail(str(exc))
+    report = evaluate(gold, predicted)
     print(format_eval_report(report))
     if args.output:
         Path(args.output).write_text(
@@ -270,16 +285,8 @@ def _is_circular(definition_id: str, tokens: list[str]) -> bool:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    try:
-        records, diagnostics = _read_records(args.input)
-    except (FileNotFoundError, CorpusError) as exc:
-        return _fail(str(exc))
-    try:
-        config = _load_config(args)
-    except (FileNotFoundError, ValueError) as exc:
-        return _fail(f"cannot load knowledge files: {exc}")
-
-    configs = _configs_by_mode(config)
+    records, diagnostics = _read_records(args.input)
+    configs = _configs_by_mode(_load_config(args))
     findings = 0
 
     def report(record_id: str, message: str) -> None:
@@ -294,12 +301,9 @@ def run_lint(args: argparse.Namespace) -> int:
         annotation = record.gold or record.predicted
         residue = []
         if annotation is None and record.tree is not None:
-            try:
-                outcome = label(
-                    parse_bracketed(record.tree), record.pos, configs[record.instance], record.id
-                )
-            except EmptyDefinitionError as exc:
-                report(record.id, str(exc))
+            outcome = _label_record(record, configs)
+            if isinstance(outcome, str):
+                report(record.id, outcome)
                 continue
             annotation = outcome.annotation
             residue = [t for t in outcome.rule_trace if t.rule == "unlabeled"]
@@ -376,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from .lexicon import (
 )
 from .rolemodel import (
     Annotation,
+    DIFFERENTIA_ROLES,
     ERROR,
     Role,
     RoleSpan,
@@ -192,6 +193,44 @@ class _Span:
     start: int
     end: int
     parent: "_Span | None" = None
+
+
+def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
+    """``ordered`` as RoleSpans, each parent resolved to its index in ``ordered``."""
+    index = {id(span): i for i, span in enumerate(ordered)}
+    return tuple(
+        RoleSpan(
+            span.role,
+            span.start,
+            span.end,
+            index[id(span.parent)] if span.parent is not None else None,
+        )
+        for span in ordered
+    )
+
+
+def _has_differentia(spans: Sequence[_Span | RoleSpan], excluding: object = None) -> bool:
+    return any(s is not excluding and s.role in DIFFERENTIA_ROLES for s in spans)
+
+
+def _accessory_quality(
+    span: _Span | RoleSpan,
+    spans: Sequence[_Span | RoleSpan],
+    leaves: Sequence[SynTree],
+    config: LabelerConfig,
+) -> bool | None:
+    """The accessory-quality rule for ``span``, one of ``spans``.
+
+    None when ``span`` is not a single-token JJ differentia quality holding
+    a configured accessory-quality word; otherwise whether another
+    differentia quality or event is present, which makes the word accessory.
+    """
+    if span.role is not Role.DIFFERENTIA_QUALITY or span.end - span.start != 1:
+        return None
+    leaf = leaves[span.start]
+    if leaf.label != "JJ" or leaf.token.lower() not in config.accessory_quality_words:
+        return None
+    return _has_differentia(spans, excluding=span)
 
 
 @dataclass
@@ -460,18 +499,7 @@ def detect_accessory_quality(
     annotation keeps at least one other differentia quality or event.
     """
     span = annotation.spans[span_index]
-    if span.role is not Role.DIFFERENTIA_QUALITY or span.end - span.start != 1:
-        return False
-    leaf = tree.leaves()[span.start]
-    if leaf.label != "JJ" or leaf.token is None:
-        return False
-    if leaf.token.lower() not in config.accessory_quality_words:
-        return False
-    return any(
-        other is not span
-        and other.role in (Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT)
-        for other in annotation.spans
-    )
+    return bool(_accessory_quality(span, annotation.spans, tree.leaves(), config))
 
 
 def _unwrap_clause(node: SynTree) -> SynTree:
@@ -543,12 +571,6 @@ class _Engine:
         self.work.append(span)
         self._note(rule, start, end, reason)
         return span
-
-    def _has_differentia(self) -> bool:
-        return any(
-            s.role in (Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT)
-            for s in self.work
-        )
 
     # -- supertype anchoring ----------------------------------------------
 
@@ -718,7 +740,7 @@ class _Engine:
         )
 
     def _fact_or_event(self, node: SynTree, start: int, end: int, shape: str) -> None:
-        if self._has_differentia() and _leading_cue_match(self.tokens[start:end]):
+        if _has_differentia(self.work) and _leading_cue_match(self.tokens[start:end]):
             self._add(
                 Role.ASSOCIATED_FACT, start, end, "associated-fact",
                 f"{shape}; non-restrictive cue with a differentia already present",
@@ -792,32 +814,21 @@ class _Engine:
                           "differentia-quality", reason)
 
     def reclassify_accessory_qualities(self) -> None:
-        ordered = sorted(self.work, key=lambda s: (s.start, s.end))
-        for span in ordered:
-            if span.role is not Role.DIFFERENTIA_QUALITY:
+        for span in sorted(self.work, key=lambda s: (s.start, s.end)):
+            accessory = _accessory_quality(span, self.work, self.leaves, self.config)
+            if accessory is None:
                 continue
-            if span.end - span.start != 1:
-                continue
-            leaf = self.leaves[span.start]
-            if leaf.label != "JJ" or (leaf.token or "").lower() not in (
-                self.config.accessory_quality_words
-            ):
-                continue
-            others = any(
-                other is not span
-                and other.role in (Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT)
-                for other in self.work
-            )
-            if others:
+            word = self.tokens[span.start]
+            if accessory:
                 span.role = Role.ACCESSORY_QUALITY
                 self._note(
                     "accessory-quality", span.start, span.end,
-                    f"accessory word {leaf.token!r}; {DIVERGENCE_ACCESSORY_QUALITY}",
+                    f"accessory word {word!r}; {DIVERGENCE_ACCESSORY_QUALITY}",
                 )
             else:
                 self._note(
                     "accessory-quality", span.start, span.end,
-                    f"accessory word {leaf.token!r} kept as differentia quality "
+                    f"accessory word {word!r} kept as differentia quality "
                     f"(only identifying span); {DIVERGENCE_ACCESSORY_QUALITY}",
                 )
 
@@ -825,17 +836,7 @@ class _Engine:
 
     def build(self, definition_id: str, ill_formed: bool) -> Annotation:
         self.work.sort(key=lambda s: (s.start, s.end))
-        index = {id(span): i for i, span in enumerate(self.work)}
-        spans = tuple(
-            RoleSpan(
-                span.role,
-                span.start,
-                span.end,
-                index[id(span.parent)] if span.parent is not None else None,
-            )
-            for span in self.work
-        )
-        return Annotation(definition_id, self.tokens, spans, ill_formed)
+        return Annotation(definition_id, self.tokens, _role_spans(self.work), ill_formed)
 
     def enforce_valid(self, annotation: Annotation) -> Annotation:
         """Demote structurally-broken sub-roles so the outcome validates."""
@@ -916,18 +917,7 @@ def classify_post_supertype(
         (s for s in engine.work if id(s) not in placeholder_ids),
         key=lambda s: (s.start, s.end),
     )
-    index = {id(p): i for i, p in enumerate(placeholders)}
-    for offset, span in enumerate(new_spans):
-        index[id(span)] = len(placeholders) + offset
-    return [
-        RoleSpan(
-            s.role,
-            s.start,
-            s.end,
-            index[id(s.parent)] if s.parent is not None else None,
-        )
-        for s in new_spans
-    ]
+    return list(_role_spans(placeholders + new_spans)[len(placeholders):])
 
 
 def label(

@@ -142,18 +142,24 @@ class Lexicon:
         return None
 
 
-def load_wordlist(text: str, pos: str = NOUN) -> Lexicon:
-    """Build a Lexicon from line-oriented text (blank lines and # comments skipped)."""
+def _wordlist_entries(text: str, joiner: str) -> list[str]:
+    """The normalized entries of line-oriented text, one per line; blank
+    lines and # comments are skipped."""
     entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            entries.append(_normalize_entry(stripped, "_"))
+            entries.append(_normalize_entry(stripped, joiner))
         except ValueError as exc:
             raise LexiconFormatError(str(exc), line_no) from exc
-    return Lexicon._from_normalized(pos, entries)
+    return entries
+
+
+def load_wordlist(text: str, pos: str = NOUN) -> Lexicon:
+    """Build a Lexicon from line-oriented text (blank lines and # comments skipped)."""
+    return Lexicon._from_normalized(pos, _wordlist_entries(text, "_"))
 
 
 def load_wndb_index(text: str, pos: str) -> Lexicon:
@@ -213,16 +219,7 @@ class Gazetteer:
 
 
 def load_gazetteer(text: str, kind: str) -> Gazetteer:
-    entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            entries.append(_normalize_entry(stripped, " "))
-        except ValueError as exc:
-            raise LexiconFormatError(str(exc), line_no) from exc
-    return Gazetteer._from_normalized(kind, entries)
+    return Gazetteer._from_normalized(kind, _wordlist_entries(text, " "))
 
 
 def longest_rightmost_entry(

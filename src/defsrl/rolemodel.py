@@ -28,6 +28,7 @@ __all__ = [
     "ERROR",
     "WARNING",
     "PARENT_REQUIRED_ROLES",
+    "DIFFERENTIA_ROLES",
     "validate",
     "parse_gold",
     "serialize_gold",
@@ -62,6 +63,8 @@ _PARENT_TARGETS: dict[Role, tuple[Role, ...] | None] = {
     Role.PARTICLE: None,
 }
 PARENT_REQUIRED_ROLES = frozenset(_PARENT_TARGETS)
+# The identifying roles: a purpose or associated fact floats without one.
+DIFFERENTIA_ROLES = frozenset((Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT))
 
 ERROR = "error"
 WARNING = "warning"
@@ -238,11 +241,7 @@ def validate(annotation: Annotation) -> list[Violation]:
             )
         )
 
-    has_differentia = any(
-        span.role in (Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT)
-        for span in spans
-    )
-    if not has_differentia:
+    if not any(span.role in DIFFERENTIA_ROLES for span in spans):
         for idx, span in enumerate(spans):
             if span.role in (Role.PURPOSE, Role.ASSOCIATED_FACT):
                 violations.append(

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from conftest import random_tree
 from defsrl.cli import main
 from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
 from defsrl.defaults import BUNDLED_CORPUS, packaged_data_text
 from defsrl.labeler import LabelerConfig
 from defsrl.rolemodel import parse_gold
+from defsrl.syntree import serialize
 
 
 @pytest.fixture()
@@ -386,3 +389,112 @@ def test_lint_reports_a_label_failure_and_lints_the_other_records(tmp_path, monk
     for name in ("first", "last"):
         assert f"{name}: ill-formed definition: no supertype" in output
     assert output[-1] == "3 finding(s)"
+
+
+@pytest.mark.parametrize("command", ["label", "lint"])
+def test_an_internal_error_fails_only_its_own_record(tmp_path, monkeypatch, capsys, command):
+    from defsrl import cli
+    from defsrl.labeler import label
+
+    lines = [
+        {"id": name, "pos": "noun", "gloss": "a coach", "tree": "(NP (DT a) (NN coach))"}
+        for name in ("first", "broken", "last")
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+    def failing_label(tree, pos, config, definition_id=""):
+        if definition_id == "broken":
+            raise RuntimeError("boom")
+        return label(tree, pos, config, definition_id)
+
+    monkeypatch.setattr(cli, "label", failing_label)
+    failure = "broken: internal error: RuntimeError: boom"
+    if command == "lint":
+        assert main(["lint", "--input", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [failure, "1 finding(s)"]
+        return
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [failure]
+    source, _ = read_corpus(path.read_text(encoding="utf-8"))
+    labeled, _ = read_corpus(out.read_text(encoding="utf-8"))
+    assert labeled[1] == source[1]
+    assert [r.predicted is not None for r in labeled] == [True, False, True]
+
+
+def _write(path: Path, data: str | bytes) -> str:
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data, encoding="utf-8")
+    return str(path)
+
+
+# Each case: (corpus path, scratch directory) -> argv.
+FATAL_INPUTS = {
+    "config-json-list": lambda corpus, tmp: [
+        "label", "--input", corpus, "--output", str(tmp / "out.jsonl"),
+        "--config", _write(tmp / "config.json", "[]"),
+    ],
+    "config-invalid-json": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict",
+        "--config", _write(tmp / "config.json", "{"),
+    ],
+    "accessory-words-not-a-list": lambda corpus, tmp: [
+        "label", "--input", corpus, "--output", str(tmp / "out.jsonl"),
+        "--config", _write(tmp / "config.json", '{"accessory_quality_words": 5}'),
+    ],
+    "threshold-not-a-number": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict",
+        "--config", _write(tmp / "config.json", '{"supertype_accuracy_threshold": "x"}'),
+    ],
+    "missing-config": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict", "--config", str(tmp / "nope.json"),
+    ],
+    "output-is-a-directory": lambda corpus, tmp: [
+        "label", "--input", corpus, "--output", str(tmp),
+    ],
+    "input-is-a-directory": lambda corpus, tmp: ["stats", "--input", str(tmp)],
+    "input-not-utf8": lambda corpus, tmp: [
+        "label", "--input", _write(tmp / "latin1.jsonl", "caf\u00e9\n".encode("latin-1")),
+        "--output", str(tmp / "out.jsonl"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", FATAL_INPUTS)
+def test_malformed_command_line_inputs_are_fatal_errors(corpus_path, tmp_path, capsys, case):
+    work = tmp_path / "work"
+    work.mkdir()
+    assert main(FATAL_INPUTS[case](str(corpus_path), work)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _random_tree_corpus(count: int, seed: int) -> str:
+    rng = random.Random(seed)
+    records = []
+    for i in range(count):
+        tree = random_tree(rng, max_depth=5)
+        records.append(
+            DefinitionRecord(
+                f"random-{i}", rng.choice(["noun", "verb"]), " ".join(tree.tokens()),
+                tree=serialize(tree), instance=rng.random() < 0.3,
+            )
+        )
+    return write_corpus(records)
+
+
+@pytest.mark.parametrize("corpus", ["bundled", "random-trees"])
+def test_relabeling_a_labeled_corpus_is_byte_identical(tmp_path, corpus):
+    source = tmp_path / "in.jsonl"
+    if corpus == "bundled":
+        source.write_text(packaged_data_text(BUNDLED_CORPUS), encoding="utf-8")
+    else:
+        source.write_text(_random_tree_corpus(500, seed=2024), encoding="utf-8")
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    assert main(["label", "--input", str(source), "--output", str(once)]) == 0
+    assert main(["label", "--input", str(once), "--output", str(twice)]) == 0
+    assert once.read_bytes() == twice.read_bytes()
