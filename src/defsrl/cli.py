@@ -1,7 +1,11 @@
 """Command-line front end: label, stats, eval, and lint over corpus files.
 
 Exit codes follow one contract everywhere: 0 success, 1 fatal error,
-2 partial success (per-record diagnostics were emitted but the batch ran).
+2 partial success (per-record problems were reported but the batch ran).
+Every command reports a bad input line as ``path:line: message`` and a
+record it could not handle as ``id: message``: ``label``, ``stats`` and
+``eval`` on stderr, ``lint`` on stdout among its findings. A fatal error is
+one ``error: ...`` line on stderr; a malformed knowledge file is named in it.
 All commands are deterministic: identical inputs produce identical bytes.
 """
 
@@ -26,7 +30,8 @@ from .labeler import EmptyDefinitionError, LabelerConfig, LabelOutcome, label
 from .lexicon import (
     LOCATION,
     TIME,
-    _NOUN_DETACHMENTS,
+    LexiconFormatError,
+    _noun_variants,
     load_gazetteer,
     load_wordlist,
 )
@@ -42,6 +47,22 @@ PARTIAL = 2
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return FATAL
+
+
+class _Problems:
+    """A command's per-record problem sink: prints each one and counts it."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.count = 0
+
+    def __call__(self, where: str, message: str) -> None:
+        self.count += 1
+        print(f"{where}: {message}", file=self.stream)
+
+    @property
+    def exit_code(self) -> int:
+        return PARTIAL if self.count else OK
 
 
 def _read_text(path: str) -> str:
@@ -68,16 +89,24 @@ def _config_payload(path: str) -> dict:
     return payload
 
 
+def _load_knowledge(loader, path: str, kind: str):
+    """``loader(text, kind)`` over a knowledge file; a format error names it."""
+    try:
+        return loader(_read_text(path), kind)
+    except LexiconFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_config(args: argparse.Namespace) -> LabelerConfig:
     config = default_config()
-    if args.noun_lexicon:
-        config = replace(config, noun_lexicon=load_wordlist(_read_text(args.noun_lexicon), "noun"))
-    if args.verb_lexicon:
-        config = replace(config, verb_lexicon=load_wordlist(_read_text(args.verb_lexicon), "verb"))
-    if args.loc_gazetteer:
-        config = replace(config, location_gazetteer=load_gazetteer(_read_text(args.loc_gazetteer), LOCATION))
-    if args.time_gazetteer:
-        config = replace(config, time_gazetteer=load_gazetteer(_read_text(args.time_gazetteer), TIME))
+    for path, field, loader, kind in (
+        (args.noun_lexicon, "noun_lexicon", load_wordlist, "noun"),
+        (args.verb_lexicon, "verb_lexicon", load_wordlist, "verb"),
+        (args.loc_gazetteer, "location_gazetteer", load_gazetteer, LOCATION),
+        (args.time_gazetteer, "time_gazetteer", load_gazetteer, TIME),
+    ):
+        if path:
+            config = replace(config, **{field: _load_knowledge(loader, path, kind)})
     if args.config:
         payload = _config_payload(args.config)
         phrases = payload.get("accessory_determiner_phrases")
@@ -110,8 +139,12 @@ def _configs_by_mode(config: LabelerConfig) -> dict[bool, LabelerConfig]:
     return {config.instance_mode: config, other.instance_mode: other}
 
 
-def _read_records(path: str) -> tuple[list[DefinitionRecord], list]:
-    return read_corpus(_read_text(path))
+def _read_records(path: str, problems: _Problems) -> list[DefinitionRecord]:
+    """The records of a corpus file; each bad line goes to ``problems``."""
+    records, diagnostics = read_corpus(_read_text(path))
+    for diagnostic in diagnostics:
+        problems(f"{path}:{diagnostic.line_no}", diagnostic.message)
+    return records
 
 
 def _label_record(
@@ -130,23 +163,18 @@ def _label_record(
 
 
 def run_label(args: argparse.Namespace) -> int:
-    records, diagnostics = _read_records(args.input)
-    config = _load_config(args)
-    for diagnostic in diagnostics:
-        print(f"{args.input}:{diagnostic.line_no}: {diagnostic.message}", file=sys.stderr)
-
-    configs = _configs_by_mode(config)
+    problems = _Problems(sys.stderr)
+    records = _read_records(args.input, problems)
+    configs = _configs_by_mode(_load_config(args))
     out_records = []
     traces = []
-    failures = len(diagnostics)
     for record in records:
         if record.tree is None:
             outcome = "no parse tree; record passed through"
         else:
             outcome = _label_record(record, configs)
         if isinstance(outcome, str):
-            print(f"{record.id}: {outcome}", file=sys.stderr)
-            failures += 1
+            problems(record.id, outcome)
             out_records.append(record)
             continue
         out_records.append(replace(record, predicted=outcome.annotation))
@@ -168,13 +196,12 @@ def run_label(args: argparse.Namespace) -> int:
             "".join(json.dumps(t, ensure_ascii=False) + "\n" for t in traces),
             encoding="utf-8",
         )
-    return PARTIAL if failures else OK
+    return problems.exit_code
 
 
 def run_stats(args: argparse.Namespace) -> int:
-    records, diagnostics = _read_records(args.input)
-    for diagnostic in diagnostics:
-        print(f"{args.input}:{diagnostic.line_no}: {diagnostic.message}", file=sys.stderr)
+    problems = _Problems(sys.stderr)
+    records = _read_records(args.input, problems)
     annotations = [r.gold or r.predicted for r in records if r.gold or r.predicted]
     if not annotations:
         return _fail("no annotations in corpus")
@@ -191,50 +218,34 @@ def run_stats(args: argparse.Namespace) -> int:
     print(f"{'Pattern':<{width}}  {'Count':>5}  {'%':>6}")
     for text, count in rows:
         print(f"{text:<{width}}  {count:>5}  {100.0 * count / report.total:>6.1f}")
-    return OK
+    return problems.exit_code
 
 
 def run_eval(args: argparse.Namespace) -> int:
     paths = args.input
-    if len(paths) == 1:
-        records, _ = _read_records(paths[0])
-        pairs = [
-            (r.gold, r.predicted) for r in records
-        ]
-        missing = [
-            r.id for r, (g, p) in zip(records, pairs) if g is None or p is None
-        ]
-        if missing:
-            return _fail(
-                "records missing gold or predicted annotations: "
-                + ", ".join(missing)
-            )
-        gold = [g for g, _ in pairs]
-        predicted = [p for _, p in pairs]
-    elif len(paths) == 2:
-        gold_records, _ = _read_records(paths[0])
-        predicted_records, _ = _read_records(paths[1])
-        gold_by_id = {r.id: r for r in gold_records}
-        predicted_by_id = {r.id: r for r in predicted_records}
-        if set(gold_by_id) != set(predicted_by_id):
-            odd = sorted(set(gold_by_id) ^ set(predicted_by_id))
-            return _fail("ids not aligned across files: " + ", ".join(odd))
-        gold, predicted, missing = [], [], []
-        for record in gold_records:
-            g = record.gold or record.predicted
-            other = predicted_by_id[record.id]
-            p = other.predicted or other.gold
-            if g is None or p is None:
-                missing.append(record.id)
-            else:
-                gold.append(g)
-                predicted.append(p)
-        if missing:
-            return _fail("records missing annotations: " + ", ".join(missing))
-    else:
+    if len(paths) > 2:
         return _fail("eval takes one annotated corpus or two corpora")
+    problems = _Problems(sys.stderr)
+    records = _read_records(paths[0], problems)
+    if len(paths) == 1:
+        # (id, gold, predicted) of each record.
+        scored = [(r.id, r.gold, r.predicted) for r in records]
+        needed = "gold or predicted annotations"
+    else:
+        others = {r.id: r for r in _read_records(paths[1], problems)}
+        odd = sorted({r.id for r in records} ^ set(others))
+        if odd:
+            return _fail("ids not aligned across files: " + ", ".join(odd))
+        scored = [
+            (r.id, r.gold or r.predicted, others[r.id].predicted or others[r.id].gold)
+            for r in records
+        ]
+        needed = "annotations"
+    missing = [record_id for record_id, g, p in scored if g is None or p is None]
+    if missing:
+        return _fail(f"records missing {needed}: " + ", ".join(missing))
 
-    report = evaluate(gold, predicted)
+    report = evaluate([g for _, g, _ in scored], [p for _, _, p in scored])
     print(format_eval_report(report))
     if args.output:
         Path(args.output).write_text(
@@ -250,53 +261,33 @@ def run_eval(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return FATAL
-    return OK
+    return problems.exit_code
 
 
 def _lemma_words(definition_id: str) -> list[str]:
     return definition_id.lower().replace("_", " ").split()
 
 
-def _word_matches(lemma: str, token: str) -> bool:
-    token = token.lower()
-    if token == lemma:
-        return True
-    for suffix, replacement in _NOUN_DETACHMENTS:
-        if token.endswith(suffix) and len(token) > len(suffix):
-            if token[: -len(suffix)] + replacement == lemma:
-                return True
-    return False
-
-
 def _is_circular(definition_id: str, tokens: list[str]) -> bool:
     """The full definiendum lemma occurs in its own gloss.
 
     Multiword lemmas must appear as a contiguous phrase; single-word lemmas
-    match any token up to plural detachment.
+    match any token up to the lexicon's plural detachment.
     """
     words = _lemma_words(definition_id)
     if not words:
         return False
     if len(words) == 1:
-        return any(_word_matches(words[0], token) for token in tokens)
+        return any(words[0] in _noun_variants(token.lower()) for token in tokens)
     lowered = [t.lower() for t in tokens]
     span = len(words)
     return any(lowered[i : i + span] == words for i in range(len(lowered) - span + 1))
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    records, diagnostics = _read_records(args.input)
+    report = _Problems(sys.stdout)
+    records = _read_records(args.input, report)
     configs = _configs_by_mode(_load_config(args))
-    findings = 0
-
-    def report(record_id: str, message: str) -> None:
-        nonlocal findings
-        findings += 1
-        print(f"{record_id}: {message}")
-
-    for diagnostic in diagnostics:
-        report(f"{args.input}:{diagnostic.line_no}", diagnostic.message)
-
     for record in records:
         annotation = record.gold or record.predicted
         residue = []
@@ -328,11 +319,8 @@ def run_lint(args: argparse.Namespace) -> int:
                 f"unlabeled residue [{entry.start}, {entry.end}): {entry.reason}",
             )
 
-    if findings:
-        print(f"{findings} finding(s)")
-        return PARTIAL
-    print("clean")
-    return OK
+    print(f"{report.count} finding(s)" if report.count else "clean")
+    return report.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -780,7 +780,6 @@ class _Engine:
                 role, sub.start, sub.end, rule,
                 f"PP inside the event with a {kind} entity", parent=primary,
             )
-        self.work.sort(key=lambda s: (s.start, s.end))
 
     def _qualities(self, node: SynTree) -> None:
         groups = _split_on_cc(node)

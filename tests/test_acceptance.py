@@ -23,9 +23,11 @@ Criteria:
 from __future__ import annotations
 
 import random
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,13 @@ from defsrl.rolemodel import (
     validate,
 )
 from defsrl.syntree import innermost_leftmost_np, parse_bracketed, serialize
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+# The template table the benchmark's synthetic corpus uses too.
+from corpora import TEMPLATE_SUBSTITUTIONS  # noqa: E402
 
 
 @contextmanager
@@ -371,30 +380,12 @@ def test_criterion_5_round_trips():
 # -- criterion 6 ---------------------------------------------------------------
 
 
-_TEMPLATE_SUBSTITUTIONS = {
-    "footwear": "feet",
-    "baseball_coach": "baseball",
-    "roadhog": "others",
-    "master_of_ceremonies": "host",
-    "frontiersman": "lives",
-    "dart": "hastily",
-    "Bartramian_sandpiper": "uplands",
-    "redundancy": "transmission",
-    "water_faucet": "cask",
-    "Mohorovicic": "discontinuity",
-    "camas": "Camassia",
-    "Allium": "bulbous",
-    "unstaple": "staples",
-    "Tertiary_period": "ago",
-}
-
-
 def expand_templates(count: int) -> list[DefinitionRecord]:
     templates = bundled_records()
     out = []
     for i in range(count):
         base = templates[i % len(templates)]
-        token = _TEMPLATE_SUBSTITUTIONS.get(base.id)
+        token = TEMPLATE_SUBSTITUTIONS.get(base.id)
         tree = base.tree
         gloss = base.gloss
         if token is not None:

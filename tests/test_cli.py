@@ -279,6 +279,39 @@ def test_eval_alignment_error_names_ids(tmp_path, capsys):
     assert "x" in err and "y" in err
 
 
+# A line that parses as JSON but is not a record.
+BAD_LINE = '["not", "a", "record"]'
+
+# Each case: (path of the corpus under test, path of a clean labeled corpus) -> argv.
+READ_ONLY_COMMANDS = {
+    "stats": lambda path, labeled: ["stats", "--input", path],
+    "eval-one-file": lambda path, labeled: ["eval", "--input", path],
+    "eval-two-files": lambda path, labeled: ["eval", "--input", path, labeled],
+}
+
+
+@pytest.mark.parametrize("command", READ_ONLY_COMMANDS)
+def test_a_bad_line_is_reported_and_the_clean_records_still_count(
+    corpus_path, tmp_path, capsys, command
+):
+    labeled = tmp_path / "labeled.jsonl"
+    assert main(["label", "--input", str(corpus_path), "--output", str(labeled)]) == 0
+    lines = labeled.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(2, BAD_LINE + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    argv = READ_ONLY_COMMANDS[command]
+    capsys.readouterr()
+
+    assert main(argv(str(labeled), str(labeled))) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    assert main(argv(str(bad), str(labeled))) == 2
+    partial = capsys.readouterr()
+    assert partial.err.splitlines() == [f"{bad}:3: line is not a JSON object"]
+    assert partial.out == clean.out
+
+
 # --- lint --------------------------------------------------------------------------
 
 
@@ -310,6 +343,34 @@ def test_lint_circularity_via_headword(tmp_path, capsys):
     )
     assert main(["lint", "--input", str(path)]) == 2
     assert "circular definition" in capsys.readouterr().out
+
+
+def test_lint_flags_an_irregular_plural_of_the_definiendum_as_circular(tmp_path, capsys):
+    path = tmp_path / "circular.jsonl"
+    path.write_text(
+        '{"id": "man", "pos": "noun", "gloss": "an adult among men", '
+        '"gold": "an {supertype|adult} {differentia_quality|among men}"}\n',
+        encoding="utf-8",
+    )
+    assert main(["lint", "--input", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "man: circular definition: definiendum occurs in its gloss",
+        "1 finding(s)",
+    ]
+
+
+def test_lint_reports_a_bad_line_among_its_findings(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"id": "trainer", "pos": "noun", "gloss": "a coach of players", '
+        '"gold": "a {supertype|coach} {differentia_quality|of players}"}\n'
+        + BAD_LINE + "\n",
+        encoding="utf-8",
+    )
+    assert main(["lint", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{path}:2: line is not a JSON object", "1 finding(s)"]
+    assert captured.err == ""
 
 
 def test_lint_labels_when_no_annotation_present(tmp_path, capsys):
@@ -471,6 +532,37 @@ def test_malformed_command_line_inputs_are_fatal_errors(corpus_path, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--noun-lexicon", "--verb-lexicon"])
+def test_a_malformed_lexicon_is_named_in_the_fatal_error(corpus_path, tmp_path, capsys, flag):
+    lexicon = tmp_path / "bad.txt"
+    lexicon.write_text("good\n_bad\n", encoding="utf-8")
+    argv = ["label", "--input", str(corpus_path), "--output", str(tmp_path / "out.jsonl")]
+    assert main([*argv, flag, str(lexicon)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {lexicon}: line 2: bad underscore placement in '_bad'\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--loc-gazetteer", "--time-gazetteer"])
+def test_a_gazetteer_format_error_is_named_in_the_fatal_error(
+    corpus_path, tmp_path, capsys, monkeypatch, flag
+):
+    # Every non-blank gazetteer line is a valid entry, so the loader is made
+    # to fail the way the wordlist loader does on a malformed line.
+    from defsrl import cli
+    from defsrl.lexicon import LexiconFormatError
+
+    def failing_load_gazetteer(text, kind):
+        raise LexiconFormatError("empty entry", 2)
+
+    monkeypatch.setattr(cli, "load_gazetteer", failing_load_gazetteer)
+    gazetteer = tmp_path / "places.txt"
+    gazetteer.write_text("Paris\n", encoding="utf-8")
+    argv = ["lint", "--input", str(corpus_path)]
+    assert main([*argv, flag, str(gazetteer)]) == 1
+    assert capsys.readouterr().err == f"error: {gazetteer}: line 2: empty entry\n"
 
 
 def _random_tree_corpus(count: int, seed: int) -> str:

@@ -9,6 +9,7 @@ from defsrl.corpus import (
     AlignmentError,
     CorpusError,
     DefinitionRecord,
+    Diagnostic,
     distribution,
     evaluate,
     format_eval_report,
@@ -51,6 +52,35 @@ def test_read_isolates_bad_lines():
     records, diagnostics = read_corpus(text)
     assert [r.id for r in records] == ["a", "d"]
     assert [d.line_no for d in diagnostics] == [2, 3, 4]
+
+
+# Each case: a rejected line and its diagnostic.
+REJECTED_LINES = {
+    "empty-id": ('{"id": "", "pos": "noun", "gloss": "x"}', "missing or empty 'id'"),
+    "missing-gloss": ('{"id": "b", "pos": "noun"}', "missing 'gloss'"),
+    "tree-not-a-string": ('{"id": "b", "pos": "noun", "gloss": "x", "tree": 5}',
+                          "'tree' must be a string"),
+    "instance-not-a-boolean": ('{"id": "b", "pos": "noun", "gloss": "x", "instance": "yes"}',
+                               "'instance' must be a boolean"),
+    "gold-not-a-string": ('{"id": "b", "pos": "noun", "gloss": "x", "gold": 1}',
+                          "'gold' must be a string"),
+    "predicted-not-a-string": ('{"id": "b", "pos": "noun", "gloss": "x", "predicted": ["a"]}',
+                               "'predicted' must be a string"),
+    "line-not-an-object": ('["a"]', "line is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_LINES)
+def test_read_rejects_a_malformed_record_and_keeps_the_others(case):
+    line, message = REJECTED_LINES[case]
+    text = (
+        '{"id": "a", "pos": "noun", "gloss": "x"}\n'
+        f"{line}\n"
+        '{"id": "c", "pos": "verb", "gloss": "z"}\n'
+    )
+    records, diagnostics = read_corpus(text)
+    assert [r.id for r in records] == ["a", "c"]
+    assert diagnostics == [Diagnostic(2, message)]
 
 
 def test_read_zero_records_is_fatal():

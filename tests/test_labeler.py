@@ -651,3 +651,47 @@ def test_wide_glosses_label_through_the_cli(tmp_path):
         for entry in trace["trace"]:
             accounted.update(range(entry["start"], entry["end"]))
         assert accounted >= set(range(len(annotation.tokens)))
+
+
+# Branches of the engine no other test reaches, each pinned by its exact
+# annotation and its trace as (rule, start, end).
+RARE_BRANCHES = {
+    # A quality modifier whose quality is reclassified as accessory loses its
+    # parent and is demoted by enforce_valid.
+    "demoted-modifier": (
+        "(NP (NP (DT a) (NN plant)) (ADJP (RB very) (JJ large)) (PP (IN of) (NP (NNS plants))))",
+        "a {supertype|plant} {differentia_quality|very} {accessory_quality|large}"
+        " {differentia_quality|of plants}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("quality-modifier", 2, 3),
+         ("differentia-quality", 3, 4), ("differentia-quality", 4, 6),
+         ("accessory-quality", 3, 4), ("demoted", 2, 3)],
+    ),
+    # A noun-free determiner expression leaves its leading article out.
+    "determiner-after-article": (
+        "(NP (NP (DT the) (JJ many)) (PP (IN of) (NP (NN plant))))",
+        "the {accessory_determiner|many of} {supertype|plant}",
+        [("supertype", 3, 4), ("accessory-determiner", 1, 3), ("uncovered", 0, 1)],
+    ),
+    # A configured determiner phrase with no supertype after it changes nothing.
+    "determiner-without-supertype": (
+        "(NP (NP (DT a) (NN type)) (PP (IN of) (NP (DT the) (JJ blue))))",
+        "a {supertype|type} {differentia_quality|of the blue}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("accessory-determiner", 0, 3),
+         ("differentia-quality", 2, 5)],
+    ),
+    # An event made only of gazetteer PPs stays one differentia event.
+    "event-of-gazetteer-pps": (
+        "(NP (NP (NN plant)) (VP (PP (IN in) (NP (NNP Morocco))) (PP (IN in) (NP (CD 1900)))))",
+        "{supertype|plant} {differentia_event|in Morocco in 1900}",
+        [("supertype", 0, 1), ("differentia-event", 1, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RARE_BRANCHES)
+def test_rarely_reached_branches_give_their_pinned_annotation_and_trace(config, case):
+    text, expected, trace = RARE_BRANCHES[case]
+    outcome = label(parse_bracketed(text), "noun", config, case)
+    assert serialize_gold(outcome.annotation) == expected
+    assert not outcome.annotation.ill_formed
+    assert [(t.rule, t.start, t.end) for t in outcome.rule_trace] == trace

@@ -4,6 +4,9 @@
 Each record carries the raw gloss, a hand-built constituency parse of it,
 and a gold annotation in the inline format. The file is written through
 write_corpus so it is canonical byte-for-byte.
+
+Usage: ``PYTHONPATH=src python tools/make_bundled_corpus.py`` (no arguments)
+rewrites ``src/defsrl/data/definitions_gold.jsonl``.
 """
 
 from __future__ import annotations
@@ -126,20 +129,24 @@ RECORDS = [
 ]
 
 
-def main() -> int:
+OUT = Path(__file__).resolve().parents[1] / "src" / "defsrl" / "data" / "definitions_gold.jsonl"
+
+
+def build_text() -> str:
+    """The corpus text of RECORDS. Raises ValueError naming the first record
+    whose tree tokens differ from its gold tokens or whose gold is invalid."""
     records = []
     for spec in RECORDS:
         tree = parse_bracketed(spec["tree"])
         gold = parse_gold(spec["gold"], spec["id"])
         if tuple(tree.tokens()) != gold.tokens:
-            print(f"{spec['id']}: tree tokens != gold tokens", file=sys.stderr)
-            print(f"  tree: {tree.tokens()}", file=sys.stderr)
-            print(f"  gold: {list(gold.tokens)}", file=sys.stderr)
-            return 1
+            raise ValueError(
+                f"{spec['id']}: tree tokens != gold tokens\n"
+                f"  tree: {tree.tokens()}\n  gold: {list(gold.tokens)}"
+            )
         errors = [v for v in validate(gold) if v.severity == "error"]
         if errors:
-            print(f"{spec['id']}: invalid gold: {errors}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{spec['id']}: invalid gold: {errors}")
         assert serialize_gold(gold) == spec["gold"], spec["id"]
         records.append(
             DefinitionRecord(
@@ -151,11 +158,23 @@ def main() -> int:
                 gold=gold,
             )
         )
-    out = Path(__file__).resolve().parents[1] / "src" / "defsrl" / "data" / "definitions_gold.jsonl"
-    out.write_text(write_corpus(records), encoding="utf-8")
-    print(f"wrote {len(records)} records to {out}")
+    return write_corpus(records)
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        print(f"usage: {Path(__file__).name} (takes no arguments; rewrites {OUT.name})",
+              file=sys.stderr)
+        return 2
+    try:
+        text = build_text()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    OUT.write_text(text, encoding="utf-8")
+    print(f"wrote {len(RECORDS)} records to {OUT}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
