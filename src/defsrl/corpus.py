@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _POS_VALUES = ("noun", "verb")
+# The string fields a record keeps, and so writes back.
+_TEXT_FIELDS = ("id", "gloss", "tree", "gold", "predicted")
 
 
 class CorpusError(ValueError):
@@ -101,14 +103,28 @@ def _parse_record(payload: dict) -> DefinitionRecord:
     )
 
 
+def _reject_surrogates(payload: dict) -> None:
+    """Raise ValueError naming the first kept field that holds an unpaired
+    surrogate, which UTF-8 cannot encode."""
+    for name in _TEXT_FIELDS:
+        value = payload.get(name)
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{name!r} holds an unpaired surrogate") from None
+
+
 def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
     """Parse a corpus file; bad lines become diagnostics.
 
-    Raises CorpusError only when no record parses at all (including an
-    empty file).
+    A record whose id an earlier record holds is a bad line; the first one
+    is kept. Raises CorpusError only when no record parses at all
+    (including an empty file).
     """
     records: list[DefinitionRecord] = []
     diagnostics: list[Diagnostic] = []
+    first_line: dict[str, int] = {}  # record id -> the line that holds it
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -116,7 +132,15 @@ def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
             payload = json.loads(line)
             if not isinstance(payload, dict):
                 raise ValueError("line is not a JSON object")
-            records.append(_parse_record(payload))
+            # Text read as UTF-8 can hold a lone surrogate only through a
+            # JSON escape.
+            if "\\u" in line:
+                _reject_surrogates(payload)
+            record = _parse_record(payload)
+            first = first_line.setdefault(record.id, line_no)
+            if first != line_no:
+                raise ValueError(f"duplicate id {record.id!r} (first on line {first})")
+            records.append(record)
         except ValueError as exc:
             diagnostics.append(Diagnostic(line_no, str(exc)))
     if not records:

@@ -49,16 +49,12 @@ from .rolemodel import (
     Annotation,
     DIFFERENTIA_ROLES,
     ERROR,
+    PARENT_TARGETS,
     Role,
     RoleSpan,
     validate,
 )
-from .syntree import (
-    SynTree,
-    _ancestor_labels,
-    _constituents_after_walk,
-    _innermost_leftmost_np_from,
-)
+from .syntree import SynTree, _constituents_after_walk, _path, innermost_leftmost_np
 
 __all__ = [
     "LabelerConfig",
@@ -265,7 +261,7 @@ def _split_on_cc(node: SynTree) -> list[list[SynTree]]:
 def _detect_noun_supertypes(
     tree: SynTree, leaves: list[SynTree], config: LabelerConfig, min_start: int = 0
 ) -> _NounDetection | None:
-    np = _innermost_leftmost_np_from(tree, min_start)
+    np = innermost_leftmost_np(tree, min_start)
     if np is None:
         return None
     detection = _NounDetection(np, [])
@@ -305,27 +301,9 @@ def detect_supertype_noun(
     return detection.hits if detection else None
 
 
-def _leaf_path(root: SynTree, leaf: SynTree) -> list[SynTree] | None:
-    """Root-to-leaf path, descending through the child whose span holds the
-    leaf's position; None when ``leaf`` is not reached."""
-    path = [root]
-    node = root
-    while node is not leaf:
-        for child in node.children:
-            if child.start <= leaf.start < child.end:
-                node = child
-                break
-        else:
-            return None
-        path.append(node)
-    return path
-
-
 def _conjoined_in_vp(tree: SynTree, first: SynTree, candidate: SynTree) -> bool:
-    path_a = _leaf_path(tree, first)
-    path_b = _leaf_path(tree, candidate)
-    if path_a is None or path_b is None:
-        return False
+    path_a = _path(tree, first)
+    path_b = _path(tree, candidate)
     shared = 0
     for a, b in zip(path_a, path_b):
         if a is not b:
@@ -454,9 +432,10 @@ def _detect_instance_origin(
     if not config.instance_mode or supertype_start <= 0:
         return None
     prefix = leaves[:supertype_start]
+    # The nodes that start at 0 are those on the path to the first leaf.
     covers_prefix = any(
-        node.label == "NP" and node.start == 0 and node.end >= supertype_start
-        for node in tree.subtrees()
+        node.label == "NP" and node.end >= supertype_start
+        for node in _path(tree, leaves[0])
     )
     if not covers_prefix:
         return None
@@ -842,11 +821,6 @@ class _Engine:
         problems = [v for v in validate(annotation) if v.severity == ERROR]
         if not problems:
             return annotation
-        demote = {
-            Role.EVENT_TIME: Role.DIFFERENTIA_EVENT,
-            Role.EVENT_LOCATION: Role.DIFFERENTIA_EVENT,
-            Role.QUALITY_MODIFIER: Role.DIFFERENTIA_QUALITY,
-        }
         ordered = sorted(
             (v for v in problems if v.span_index is not None),
             key=lambda v: v.span_index,
@@ -854,18 +828,21 @@ class _Engine:
         )
         for violation in ordered:
             span = self.work[violation.span_index]
-            if span.role is Role.PARTICLE:
+            if span.role not in PARENT_TARGETS:
+                continue
+            hosts = PARENT_TARGETS[span.role]
+            if hosts is None:  # a particle: any role may host it
                 self.work.remove(span)
                 self._note(
                     "demoted", span.start, span.end,
                     "particle without a host removed",
                 )
-            elif span.role in demote:
+            else:
                 self._note(
                     "demoted", span.start, span.end,
                     f"{span.role.value} without a valid parent demoted",
                 )
-                span.role = demote[span.role]
+                span.role = hosts[0]
                 span.parent = None
         rebuilt = self.build(annotation.definition_id, annotation.ill_formed)
         remaining = [v for v in validate(rebuilt) if v.severity == ERROR]
@@ -910,7 +887,8 @@ def classify_post_supertype(
     placeholders = [_Span(s.role, s.start, s.end) for s in context.spans]
     engine.work.extend(placeholders)
     supertypes = [p for p in placeholders if p.role is Role.SUPERTYPE][:1]
-    engine.classify(constituent, _ancestor_labels(constituent, tree), supertypes)
+    ancestors = [node.label for node in _path(tree, constituent)[:-1]]
+    engine.classify(constituent, ancestors, supertypes)
     placeholder_ids = {id(p) for p in placeholders}
     new_spans = sorted(
         (s for s in engine.work if id(s) not in placeholder_ids),

@@ -27,6 +27,7 @@ __all__ = [
     "GoldParseError",
     "ERROR",
     "WARNING",
+    "PARENT_TARGETS",
     "PARENT_REQUIRED_ROLES",
     "DIFFERENTIA_ROLES",
     "validate",
@@ -55,14 +56,15 @@ class Role(str, Enum):
 
 _ROLE_BY_NAME = {role.value: role for role in Role}
 
-# Sub-role -> allowed parent roles; None means any role may host.
-_PARENT_TARGETS: dict[Role, tuple[Role, ...] | None] = {
+# Sub-role -> allowed parent roles, the first being the role a sub-role
+# without a valid parent falls back to; None means any role may host.
+PARENT_TARGETS: dict[Role, tuple[Role, ...] | None] = {
     Role.QUALITY_MODIFIER: (Role.DIFFERENTIA_QUALITY,),
     Role.EVENT_TIME: (Role.DIFFERENTIA_EVENT,),
     Role.EVENT_LOCATION: (Role.DIFFERENTIA_EVENT,),
     Role.PARTICLE: None,
 }
-PARENT_REQUIRED_ROLES = frozenset(_PARENT_TARGETS)
+PARENT_REQUIRED_ROLES = frozenset(PARENT_TARGETS)
 # The identifying roles: a purpose or associated fact floats without one.
 DIFFERENTIA_ROLES = frozenset((Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT))
 
@@ -207,7 +209,7 @@ def validate(annotation: Annotation) -> list[Violation]:
                     )
                 )
             else:
-                allowed = _PARENT_TARGETS[span.role]
+                allowed = PARENT_TARGETS[span.role]
                 target = spans[span.parent].role
                 if allowed is not None and target not in allowed:
                     expected = " or ".join(role.value for role in allowed)
@@ -259,8 +261,10 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
     """Parse the inline annotation format into an Annotation.
 
     The ill-formed flag is derived: an annotation without a supertype
-    segment is ill-formed by definition. Structural problems beyond the
-    format itself (orphan sub-roles, overlaps) are left for ``validate``.
+    segment is ill-formed by definition. A sub-role must name a parent of a
+    role that may host it, and no token may hold ``|``; so every annotation
+    returned is free of ``validate`` errors and ``serialize_gold`` can write
+    it back.
     """
     tokens: list[str] = []
     segments: list[tuple[Role, int | None, int, int]] = []
@@ -308,9 +312,14 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
                 j += 1
             tokens.append(text[i:j])
             i = j
+    # Each segment holds exactly one '|', between its role and its words.
+    if text.count("|") != len(segments):
+        raise GoldParseError("a token holds '|', which the format reserves")
 
     spans = []
     for index, (role, parent, start, end) in enumerate(segments):
+        if parent is None and role in PARENT_REQUIRED_ROLES:
+            raise GoldParseError(f"{role.value} requires a parent reference")
         if parent is not None:
             if role not in PARENT_REQUIRED_ROLES:
                 raise GoldParseError(
@@ -318,7 +327,7 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
                 )
             if not 0 <= parent < len(segments) or parent == index:
                 raise GoldParseError(f"parent index {parent} out of range")
-            allowed = _PARENT_TARGETS[role]
+            allowed = PARENT_TARGETS[role]
             target = segments[parent][0]
             if allowed is not None and target not in allowed:
                 raise GoldParseError(

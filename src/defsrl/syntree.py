@@ -276,17 +276,14 @@ def serialize(tree: SynTree) -> str:
     return "".join(parts)
 
 
-def innermost_leftmost_np(tree: SynTree) -> SynTree | None:
+def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
     """The innermost, leftmost NP dominating at least one noun leaf.
 
-    "Innermost" means the NP dominates no other qualifying NP; ties are
-    broken by smallest start, then shortest span, then greatest depth.
-    Returns None when no NP contains a noun.
+    Only NPs starting at or after ``min_start`` qualify. "Innermost" means
+    the NP dominates no other qualifying NP; ties are broken by smallest
+    start, then shortest span, then greatest depth. Returns None when no NP
+    qualifies.
     """
-    return _innermost_leftmost_np_from(tree, 0)
-
-
-def _innermost_leftmost_np_from(tree: SynTree, min_start: int) -> SynTree | None:
     # Internal nodes in preorder, each with its depth and its parent's
     # index, so the reversed pass below meets every child before its parent.
     # Leaves never enter the list: a noun leaf only marks its parent.
@@ -363,20 +360,28 @@ def _constituents_after_walk(
 def dominated_by(node: SynTree, ancestor_label: str, within: SynTree) -> bool:
     """True iff a proper ancestor of ``node`` inside ``within`` has the label.
 
-    Nodes are located by identity, so ``node`` must be the actual object
-    taken from ``within``. Raises ValueError when it is not in the tree.
+    Nodes are located by identity along the spans, so ``node`` must be the
+    actual object taken from ``within``, spanned as ``parse_bracketed``
+    spans it. Raises ValueError when it is not found in the tree.
     """
-    return ancestor_label in _ancestor_labels(node, within)
+    return any(ancestor.label == ancestor_label for ancestor in _path(within, node)[:-1])
 
 
-def _ancestor_labels(node: SynTree, within: SynTree) -> tuple[str, ...]:
-    """Labels of the proper ancestors of ``node`` inside ``within``, root
-    first. Raises ValueError when ``node`` is not in the tree."""
-    stack: list[tuple[SynTree, tuple[str, ...]]] = [(within, ())]
-    while stack:
-        current, above = stack.pop()
-        if current is node:
-            return above
-        inner = above + (current.label,)
-        stack.extend((child, inner) for child in current.children)
-    raise ValueError("node is not a descendant of the given tree")
+def _path(root: SynTree, node: SynTree) -> list[SynTree]:
+    """The nodes from ``root`` down to ``node``, both included.
+
+    The descent takes, at each level, the child whose span holds
+    ``node.start``, so it relies on the spans ``parse_bracketed`` assigns.
+    Raises ValueError when ``node`` itself (by identity) is not reached.
+    """
+    path = [root]
+    current = root
+    while current is not node:
+        for child in current.children:
+            if child.start <= node.start < child.end:
+                current = child
+                break
+        else:
+            raise ValueError("node is not a descendant of the given tree")
+        path.append(current)
+    return path

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 
 from defsrl.corpus import EvalReport, _metrics
-from defsrl.lexicon import MONTHS, TIME, _ORDINAL, _YEAR
+from defsrl.lexicon import MONTHS, TIME, _ORDINAL, _YEAR, gazetteer_match
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
@@ -72,9 +72,10 @@ def messy_render(rng: random.Random, tree: SynTree) -> str:
 # --- brute-force oracles ----------------------------------------------------
 
 
-def oracle_innermost_leftmost_np(tree: SynTree) -> SynTree | None:
-    """Flat-enumeration oracle: all NPs with a noun leaf, minus those that
-    contain another qualifying NP, then min start / min length / max depth."""
+def oracle_innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
+    """Flat-enumeration oracle: all NPs with a noun leaf starting at or after
+    ``min_start``, minus those that contain another qualifying NP, then min
+    start / min length / max depth."""
 
     nodes: list[tuple[SynTree, int]] = []
 
@@ -93,7 +94,10 @@ def oracle_innermost_leftmost_np(tree: SynTree) -> SynTree | None:
     qualifying = [
         (node, depth)
         for node, depth in nodes
-        if node.label == "NP" and not node.is_leaf() and has_noun(node)
+        if node.label == "NP"
+        and not node.is_leaf()
+        and node.start >= min_start
+        and has_noun(node)
     ]
     innermost = []
     for node, depth in qualifying:
@@ -245,6 +249,24 @@ def oracle_ancestor_path(tree: SynTree, node: SynTree) -> list[SynTree] | None:
         path = oracle_ancestor_path(child, node)
         if path is not None:
             return [tree] + path
+    return None
+
+
+def oracle_instance_origin(
+    tree: SynTree, supertype_start: int, config
+) -> tuple[int, int] | None:
+    """The instance-origin rule with its NP found by a scan of every
+    subtree for one that starts at 0 and reaches the supertype."""
+    if not config.instance_mode or supertype_start <= 0:
+        return None
+    covers_prefix = any(
+        node.label == "NP" and node.start == 0 and node.end >= supertype_start
+        for node in tree.subtrees()
+    )
+    if not covers_prefix:
+        return None
+    if gazetteer_match(config.location_gazetteer, tree.tokens()[:supertype_start]):
+        return (0, supertype_start)
     return None
 
 

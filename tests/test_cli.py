@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
 from defsrl.cli import main
@@ -129,6 +133,109 @@ def test_label_rejects_reserved_characters_in_tree_tokens(tmp_path, capsys, toke
     assert diagnostics == []
     assert [r.id for r in records] == ["good"]
     assert records[0].predicted is not None
+
+
+GOOD_RECORD = {"id": "good", "pos": "noun", "gloss": "a coach",
+               "tree": "(NP (DT a) (NN coach))", "gold": "a {supertype|coach}"}
+
+# Each case: a record that reads with a diagnostic, and its message.
+UNWRITABLE_RECORDS = {
+    "orphan-sub-role": (
+        {"id": "bad", "pos": "noun", "gloss": "a dog at noon",
+         "gold": "a {supertype|dog} {event_time|at noon}"},
+        "event_time requires a parent reference",
+    ),
+    "bar-in-a-token": (
+        {"id": "bad", "pos": "noun", "gloss": "x|y dog", "gold": "x|y {supertype|dog}"},
+        "a token holds '|', which the format reserves",
+    ),
+    "bar-in-a-segment": (
+        {"id": "bad", "pos": "noun", "gloss": "x dog", "gold": "x {supertype|dog|cat}"},
+        "a token holds '|', which the format reserves",
+    ),
+    "lone-surrogate": (
+        {"id": "bad", "pos": "noun", "gloss": "x \ud800 dog"},
+        "'gloss' holds an unpaired surrogate",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_RECORDS)
+def test_label_reports_a_record_it_could_not_write_back(tmp_path, capsys, case):
+    bad, message = UNWRITABLE_RECORDS[case]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_RECORD) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"{path}:1: {message}"]
+    records, diagnostics = read_corpus(out.read_text(encoding="utf-8"))
+    assert diagnostics == []
+    assert [r.id for r in records] == ["good"]
+    assert records[0].predicted is not None
+
+
+def test_label_keeps_the_first_of_repeated_ids(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    repeat = dict(GOOD_RECORD, gloss="a dog", tree="(NP (DT a) (NN dog))", gold=None)
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(repeat) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:2: duplicate id 'good' (first on line 1)"
+    ]
+    records, _ = read_corpus(out.read_text(encoding="utf-8"))
+    assert [(r.id, r.gloss) for r in records] == [("good", "a coach")]
+
+
+# Characters the inline format and JSON make special, and a lone surrogate.
+_ALPHABET = ["a", "b", "{", "}", "|", "@", "1", " ", "\t", "\n", "\ud800"]
+_TEXT = st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join)
+_GOLD = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "{supertype|dog}", "{differentia_quality|big}", "{differentia_event|runs}",
+            "{quality_modifier@1|very}", "{event_time@2|at noon}", "{particle@0|up}",
+            "{quality_modifier|very}", "{event_location|here}", "{particle|off}",
+            "|", "x|y", "dog",
+        ]),
+        _TEXT,
+    ),
+    max_size=5,
+).map(" ".join)
+_TOKEN = st.one_of(st.just("dog"), _TEXT.filter(lambda t: t and not t.isspace()))
+
+
+@st.composite
+def _drawn_records(draw) -> dict:
+    record = {
+        "id": draw(st.one_of(st.just(GOOD_RECORD["id"]), _TEXT)),
+        "pos": draw(st.sampled_from(["noun", "verb"])),
+        "gloss": draw(_TEXT),
+    }
+    if draw(st.booleans()):
+        record["tree"] = f"(NP (DT a) (NN {draw(_TOKEN)}))"
+    for name in ("gold", "predicted"):
+        if draw(st.booleans()):
+            record[name] = draw(_GOLD)
+    return record
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_records())
+def test_one_drawn_record_never_costs_the_batch(drawn):
+    # stdout strict and stderr escaping, as on a UTF-8 terminal.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with TemporaryDirectory() as work, redirect_stdout(out), redirect_stderr(err):
+        path = Path(work) / "corpus.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(drawn) + "\n",
+                        encoding="utf-8")
+        labeled = Path(work) / "out.jsonl"
+        assert main(["label", "--input", str(path), "--output", str(labeled)]) in (0, 2)
+        assert main(["lint", "--input", str(path)]) in (0, 2)
+        records, diagnostics = read_corpus(labeled.read_text(encoding="utf-8"))
+    assert diagnostics == []
+    assert records[0].id == GOOD_RECORD["id"] and records[0].predicted is not None
 
 
 # --- stats -------------------------------------------------------------------------
@@ -277,6 +384,34 @@ def test_eval_alignment_error_names_ids(tmp_path, capsys):
     assert main(["eval", "--input", str(a), str(b)]) == 1
     err = capsys.readouterr().err
     assert "x" in err and "y" in err
+
+
+@pytest.mark.parametrize("repeated_in", ["gold-file", "predictions-file"])
+def test_eval_pairs_one_to_one_when_a_file_repeats_an_id(tmp_path, capsys, repeated_in):
+    lines = {
+        "x": '{"id": "x", "pos": "noun", "gloss": "a coach", "%s": "a {supertype|coach}"}',
+        "y": '{"id": "y", "pos": "noun", "gloss": "dog", "%s": "{supertype|dog}"}',
+        "x-again": '{"id": "x", "pos": "noun", "gloss": "a coach", "%s": "{supertype|a} coach"}',
+    }
+    gold = tmp_path / "gold.jsonl"
+    predicted = tmp_path / "predicted.jsonl"
+    gold.write_text((lines["x"] + "\n" + lines["y"] + "\n") % ("gold", "gold"), encoding="utf-8")
+    predicted.write_text(
+        (lines["x"] + "\n" + lines["y"] + "\n") % ("predicted", "predicted"), encoding="utf-8"
+    )
+    assert main(["eval", "--input", str(gold), str(predicted)]) == 0
+    clean = capsys.readouterr().out
+    assert "pairs: 2" in clean and "supertype accuracy: 1.000000" in clean
+
+    path, field = (gold, "gold") if repeated_in == "gold-file" else (predicted, "predicted")
+    path.write_text(
+        (lines["x"] + "\n" + lines["x-again"] + "\n" + lines["y"] + "\n") % ((field,) * 3),
+        encoding="utf-8",
+    )
+    assert main(["eval", "--input", str(gold), str(predicted)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{path}:2: duplicate id 'x' (first on line 1)"]
+    assert captured.out == clean
 
 
 # A line that parses as JSON but is not a record.

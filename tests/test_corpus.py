@@ -67,6 +67,15 @@ REJECTED_LINES = {
     "predicted-not-a-string": ('{"id": "b", "pos": "noun", "gloss": "x", "predicted": ["a"]}',
                                "'predicted' must be a string"),
     "line-not-an-object": ('["a"]', "line is not a JSON object"),
+    "lone-surrogate": ('{"id": "b", "pos": "noun", "gloss": "x \\ud800 dog"}',
+                       "'gloss' holds an unpaired surrogate"),
+    "lone-surrogate-in-id": ('{"id": "b\\udfff", "pos": "noun", "gloss": "x"}',
+                             "'id' holds an unpaired surrogate"),
+    "lone-surrogate-in-gold": ('{"id": "b", "pos": "noun", "gloss": "x", '
+                               '"gold": "{supertype|\\ud800}"}',
+                               "'gold' holds an unpaired surrogate"),
+    "duplicate-id": ('{"id": "a", "pos": "verb", "gloss": "y"}',
+                     "duplicate id 'a' (first on line 1)"),
 }
 
 
@@ -81,6 +90,21 @@ def test_read_rejects_a_malformed_record_and_keeps_the_others(case):
     records, diagnostics = read_corpus(text)
     assert [r.id for r in records] == ["a", "c"]
     assert diagnostics == [Diagnostic(2, message)]
+
+
+def test_read_keeps_the_first_of_repeated_ids_and_paired_surrogate_escapes():
+    text = (
+        '{"id": "a", "pos": "noun", "gloss": "x \\ud83d\\ude00"}\n'
+        '{"id": "b", "pos": "noun", "gloss": "y"}\n'
+        '{"id": "a", "pos": "verb", "gloss": "z"}\n'
+        '{"id": "a", "pos": "verb", "gloss": "w"}\n'
+    )
+    records, diagnostics = read_corpus(text)
+    assert [(r.id, r.gloss) for r in records] == [("a", "x \U0001f600"), ("b", "y")]
+    assert diagnostics == [
+        Diagnostic(3, "duplicate id 'a' (first on line 1)"),
+        Diagnostic(4, "duplicate id 'a' (first on line 1)"),
+    ]
 
 
 def test_read_zero_records_is_fatal():

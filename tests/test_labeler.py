@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tree
+from conftest import oracle_instance_origin, random_tree
 from defsrl.cli import main
 from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
 from defsrl.defaults import default_config
@@ -217,6 +217,17 @@ def test_classify_never_raises_with_an_empty_context(config):
         for node in tree.subtrees():
             for pos in ("noun", "verb"):
                 classify_post_supertype(tree, node, ctx, config, pos)
+
+
+def test_classify_foreign_node_is_usage_error(config):
+    text = "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))"
+    tree = parse_bracketed(text)
+    ctx = context(tree.tokens(), RoleSpan(Role.SUPERTYPE, 1, 2))
+    twin = parse_bracketed(text).children[1]  # equal to a node, not taken from the tree
+    assert twin == tree.children[1]
+    for node in (parse_bracketed("(PP (IN of) (NP (NNS players)))"), twin):
+        with pytest.raises(ValueError):
+            classify_post_supertype(tree, node, ctx, config)
 
 
 def test_classify_of_pp_is_quality(config):
@@ -593,6 +604,19 @@ def test_label_contract_holds_on_seeded_trees_with_gazetteer_hits(word_config):
     assert located[Role.ORIGIN_LOCATION] > 0
     assert located[Role.EVENT_LOCATION] > 0
     assert located[Role.EVENT_TIME] > 0
+
+
+def test_instance_origin_matches_the_subtree_scan_oracle(word_config):
+    cfg = replace(word_config, instance_mode=True)
+    rng = random.Random(25)
+    found = 0
+    for _ in range(600):
+        tree = random_tree(rng, max_depth=5)
+        for supertype_start in range(tree.end + 1):
+            expected = oracle_instance_origin(tree, supertype_start, cfg)
+            assert detect_instance_origin(tree, supertype_start, cfg) == expected
+            found += expected is not None
+    assert found > 0
 
 
 # --- a 10k-token gloss ----------------------------------------------------------------

@@ -173,6 +173,9 @@ def test_parse_gold_forward_parent_reference():
         "{event_time@1|x} {supertype|y}",
         "{supertype@0|x}",
         "{particle@0|off}",
+        "a {supertype|dog} {event_time|at noon}",
+        "x|y {supertype|dog}",
+        "x {supertype|dog|cat}",
     ],
 )
 def test_parse_gold_errors(text):

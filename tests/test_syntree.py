@@ -152,6 +152,15 @@ def test_innermost_leftmost_np_matches_oracle():
         assert actual is expected
 
 
+def test_innermost_leftmost_np_matches_oracle_at_every_start():
+    rng = random.Random(24)
+    for _ in range(500):
+        tree = random_tree(rng)
+        for min_start in range(tree.end + 1):
+            expected = oracle_innermost_leftmost_np(tree, min_start)
+            assert innermost_leftmost_np(tree, min_start) is expected
+
+
 def test_innermost_leftmost_np_ties_match_oracle():
     # Without spans every node starts at 0 with length 0, so NPs at one
     # depth tie on the key and the leftmost must win.
@@ -216,6 +225,11 @@ def test_dominated_by_foreign_node_is_usage_error():
     other = parse_bracketed("(VP (VB run))")
     with pytest.raises(ValueError):
         dominated_by(other, "NP", tree)
+    # Equal to a node of the tree, but not that node.
+    twin = parse_bracketed(COACH).children[1]
+    assert twin == tree.children[1]
+    with pytest.raises(ValueError):
+        dominated_by(twin, "NP", tree)
 
 
 def test_dominated_by_matches_path_oracle():
