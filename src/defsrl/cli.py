@@ -26,7 +26,7 @@ from .corpus import (
     write_corpus,
 )
 from .defaults import default_config
-from .labeler import EmptyDefinitionError, LabelerConfig, LabelOutcome, label
+from .labeler import UNLABELED_RULE, EmptyDefinitionError, LabelerConfig, LabelOutcome, label
 from .lexicon import (
     LOCATION,
     TIME,
@@ -245,7 +245,15 @@ def run_eval(args: argparse.Namespace) -> int:
     if missing:
         return _fail(f"records missing {needed}: " + ", ".join(missing))
 
-    report = evaluate([g for _, g, _ in scored], [p for _, _, p in scored])
+    aligned = []
+    for record_id, g, p in scored:
+        if g.tokens == p.tokens:
+            aligned.append((g, p))
+        else:
+            problems(record_id, "gold and predicted tokens differ")
+    if not aligned:
+        return _fail("no pair of gold and predicted annotations has the same tokens")
+    report = evaluate([g for g, _ in aligned], [p for _, p in aligned])
     print(format_eval_report(report))
     if args.output:
         Path(args.output).write_text(
@@ -297,7 +305,7 @@ def run_lint(args: argparse.Namespace) -> int:
                 report(record.id, outcome)
                 continue
             annotation = outcome.annotation
-            residue = [t for t in outcome.rule_trace if t.rule == "unlabeled"]
+            residue = [t for t in outcome.rule_trace if t.rule == UNLABELED_RULE]
         if annotation is None:
             report(record.id, "nothing to lint: no annotation and no tree")
             continue

@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+from .lexicon import NOUN, VERB
 from .patterns import Pattern, pattern_of, render
 from .rolemodel import Annotation, Role, parse_gold, serialize_gold
 from .syntree import parse_bracketed
@@ -32,7 +33,7 @@ __all__ = [
     "format_eval_report",
 ]
 
-_POS_VALUES = ("noun", "verb")
+_POS_VALUES = (NOUN, VERB)
 # The string fields a record keeps, and so writes back.
 _TEXT_FIELDS = ("id", "gloss", "tree", "gold", "predicted")
 

@@ -54,7 +54,13 @@ from .rolemodel import (
     RoleSpan,
     validate,
 )
-from .syntree import SynTree, _constituents_after_walk, _path, innermost_leftmost_np
+from .syntree import (
+    NOUN_TAG_PREFIX,
+    SynTree,
+    _constituents_after_walk,
+    _path,
+    innermost_leftmost_np,
+)
 
 __all__ = [
     "LabelerConfig",
@@ -101,6 +107,9 @@ DIVERGENCE_ACCESSORY_QUALITY = (
     "documented divergence: accessory vs differentia quality is semantic; "
     "decided by word list and co-present differentia"
 )
+
+# The trace rule of a constituent no rule labels; ``lint`` reports these.
+UNLABELED_RULE = "unlabeled"
 
 
 class EmptyDefinitionError(ValueError):
@@ -209,26 +218,6 @@ def _has_differentia(spans: Sequence[_Span | RoleSpan], excluding: object = None
     return any(s is not excluding and s.role in DIFFERENTIA_ROLES for s in spans)
 
 
-def _accessory_quality(
-    span: _Span | RoleSpan,
-    spans: Sequence[_Span | RoleSpan],
-    leaves: Sequence[SynTree],
-    config: LabelerConfig,
-) -> bool | None:
-    """The accessory-quality rule for ``span``, one of ``spans``.
-
-    None when ``span`` is not a single-token JJ differentia quality holding
-    a configured accessory-quality word; otherwise whether another
-    differentia quality or event is present, which makes the word accessory.
-    """
-    if span.role is not Role.DIFFERENTIA_QUALITY or span.end - span.start != 1:
-        return None
-    leaf = leaves[span.start]
-    if leaf.label != "JJ" or leaf.token.lower() not in config.accessory_quality_words:
-        return None
-    return _has_differentia(spans, excluding=span)
-
-
 @dataclass
 class _NounDetection:
     np: SynTree
@@ -236,10 +225,14 @@ class _NounDetection:
     dropped_determiners: list[tuple[int, int]] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _DeterminerHit:
+    span: tuple[int, int]
+    redetect_from: int | None
+
+
 def _split_on_cc(node: SynTree) -> list[list[SynTree]]:
     """Child groups of ``node`` split at child-level CC leaves."""
-    if not any(child.label == "CC" for child in node.children):
-        return [list(node.children)] if node.children else []
     groups: list[list[SynTree]] = []
     current: list[SynTree] = []
     for child in node.children:
@@ -252,196 +245,6 @@ def _split_on_cc(node: SynTree) -> list[list[SynTree]]:
     if current:
         groups.append(current)
     return groups
-
-
-# The private helpers below take ``leaves``, the root's leaves in surface
-# order, so any node's leaves are ``leaves[node.start:node.end]``.
-
-
-def _detect_noun_supertypes(
-    tree: SynTree, leaves: list[SynTree], config: LabelerConfig, min_start: int = 0
-) -> _NounDetection | None:
-    np = innermost_leftmost_np(tree, min_start)
-    if np is None:
-        return None
-    detection = _NounDetection(np, [])
-    for group in _split_on_cc(np):
-        group_leaves = leaves[group[0].start : group[-1].end]
-        k = 0
-        while k < len(group_leaves) and group_leaves[k].label == "DT":
-            detection.dropped_determiners.append(
-                (group_leaves[k].start, group_leaves[k].end)
-            )
-            k += 1
-        core = group_leaves[k:]
-        if not core:
-            continue
-        hit = longest_rightmost_entry(config.noun_lexicon, [l.token for l in core])
-        if hit is None:
-            continue
-        offset, _ = hit
-        supertype = (core[offset].start, core[-1].end)
-        leftover = (core[0].start, core[offset].start) if offset > 0 else None
-        detection.hits.append((supertype, leftover))
-    if not detection.hits:
-        return None
-    return detection
-
-
-def detect_supertype_noun(
-    tree: SynTree, config: LabelerConfig
-) -> list[tuple[tuple[int, int], tuple[int, int] | None]] | None:
-    """Supertype spans for a noun gloss, each with an optional leftover span.
-
-    The leftover covers tokens left of the matched entry inside the anchor
-    NP; it is labeled differentia quality downstream. None when no NP
-    qualifies or no lexicon entry matches inside it.
-    """
-    detection = _detect_noun_supertypes(tree, tree.leaves(), config)
-    return detection.hits if detection else None
-
-
-def _conjoined_in_vp(tree: SynTree, first: SynTree, candidate: SynTree) -> bool:
-    path_a = _path(tree, first)
-    path_b = _path(tree, candidate)
-    shared = 0
-    for a, b in zip(path_a, path_b):
-        if a is not b:
-            break
-        shared += 1
-    if shared == 0 or path_b[shared - 1].label != "VP":
-        return False
-    return all(node.label == "VP" for node in path_b[shared:-1])
-
-
-def detect_supertype_verb(
-    tree: SynTree, config: LabelerConfig
-) -> list[tuple[int, int]] | None:
-    """Supertype spans for a verb gloss: the leftmost VB plus conjoined VBs.
-
-    A later VB joins only when the nearest preceding non-supertype leaf is
-    an "or"/"and" CC and the VB sits in the same VP chain as the first.
-    None when the tree has no VB leaf at all.
-    """
-    return _detect_supertype_verb(tree, tree.leaves())
-
-
-def _detect_supertype_verb(
-    tree: SynTree, leaves: list[SynTree]
-) -> list[tuple[int, int]] | None:
-    verb_indices = [i for i, leaf in enumerate(leaves) if leaf.label.startswith("VB")]
-    if not verb_indices:
-        return None
-    chosen = [verb_indices[0]]
-    chosen_set = {verb_indices[0]}
-    first_leaf = leaves[verb_indices[0]]
-    for i in verb_indices[1:]:
-        j = i - 1
-        while j >= 0 and j in chosen_set:
-            j -= 1
-        if j < 0:
-            continue
-        prev = leaves[j]
-        if (
-            prev.label == "CC"
-            and prev.token is not None
-            and prev.token.lower() in _COORDINATORS
-            and _conjoined_in_vp(tree, first_leaf, leaves[i])
-        ):
-            chosen.append(i)
-            chosen_set.add(i)
-    return [(i, i + 1) for i in chosen]
-
-
-@dataclass(frozen=True)
-class _DeterminerHit:
-    span: tuple[int, int]
-    redetect_from: int | None
-
-
-def _detect_determiner(
-    leaves: list[SynTree],
-    supertype_start: int,
-    np: SynTree,
-    config: LabelerConfig,
-) -> _DeterminerHit | None:
-    if supertype_start == 0:
-        return None
-    prefix = leaves[:supertype_start]
-
-    # Noun-free material reaching back before the anchor NP is the whole
-    # determiner expression; leftovers inside it are absorbed.
-    if np.start > 0 and not any(l.label.startswith("NN") for l in prefix):
-        start = 0
-        if (
-            prefix[0].label == "DT"
-            and prefix[0].token is not None
-            and prefix[0].token.lower() in ARTICLES
-            and supertype_start > 1
-        ):
-            start = 1
-        if start < supertype_start:
-            return _DeterminerHit((start, supertype_start), None)
-
-    # Otherwise a configured phrase may reveal that the anchor NP itself is
-    # a determiner expression ("a type of X"); the supertype is then
-    # re-detected after the phrase. Matching ignores a leading article on
-    # either side.
-    tokens = [l.token.lower() if l.token else "" for l in leaves]
-    gloss_offset = 1 if tokens and tokens[0] in ARTICLES else 0
-    for phrase in config.accessory_determiner_phrases:
-        words = phrase.split()
-        core = words[1:] if words and words[0] in ARTICLES else words
-        if not core:
-            continue
-        end = gloss_offset + len(core)
-        if end <= supertype_start or end >= len(tokens):
-            continue
-        if tokens[gloss_offset:end] == core:
-            return _DeterminerHit((0, end), end)
-    return None
-
-
-def detect_accessory_determiner(
-    tree: SynTree, supertype_start: int, config: LabelerConfig
-) -> tuple[int, int] | None:
-    """The accessory-determiner span preceding the supertype, if any."""
-    leaves = tree.leaves()
-    detection = _detect_noun_supertypes(tree, leaves, config)
-    if detection is None:
-        return None
-    hit = _detect_determiner(leaves, supertype_start, detection.np, config)
-    return hit.span if hit else None
-
-
-def detect_instance_origin(
-    tree: SynTree, supertype_start: int, config: LabelerConfig
-) -> tuple[int, int] | None:
-    """Pre-supertype origin location for instance definienda.
-
-    Fires only in instance mode, when the tokens before the supertype are an
-    NP (or NP prefix) with a location-gazetteer hit. Takes precedence over
-    the pre-supertype differentia-quality leftover.
-    """
-    return _detect_instance_origin(tree, tree.leaves(), supertype_start, config)
-
-
-def _detect_instance_origin(
-    tree: SynTree, leaves: list[SynTree], supertype_start: int, config: LabelerConfig
-) -> tuple[int, int] | None:
-    if not config.instance_mode or supertype_start <= 0:
-        return None
-    prefix = leaves[:supertype_start]
-    # The nodes that start at 0 are those on the path to the first leaf.
-    covers_prefix = any(
-        node.label == "NP" and node.end >= supertype_start
-        for node in _path(tree, leaves[0])
-    )
-    if not covers_prefix:
-        return None
-    if gazetteer_match(config.location_gazetteer, [l.token for l in prefix]):
-        return (0, supertype_start)
-    return None
 
 
 def detect_quality_modifier(
@@ -478,7 +281,7 @@ def detect_accessory_quality(
     annotation keeps at least one other differentia quality or event.
     """
     span = annotation.spans[span_index]
-    return bool(_accessory_quality(span, annotation.spans, tree.leaves(), config))
+    return bool(_Engine(tree, NOUN, config).accessory_quality(span, annotation.spans))
 
 
 def _unwrap_clause(node: SynTree) -> SynTree:
@@ -502,39 +305,22 @@ def _leading_cue_match(tokens: Sequence[str]) -> bool:
     return any(tuple(lowered[: len(cue)]) == cue for cue in _FACT_CUES)
 
 
-def _carve_event_subroles(
-    event_node: SynTree, tokens: Sequence[str], config: LabelerConfig
-) -> list[tuple[SynTree, Role]]:
-    """Maximal PPs inside an event matched by the location/time gazetteers.
-
-    ``tokens`` are the root's tokens in surface order.
-    """
-    matches: list[tuple[SynTree, Role]] = []
-    stack = [event_node]
-    while stack:
-        node = stack.pop()
-        whole = node.start == event_node.start and node.end == event_node.end
-        if node is not event_node and node.label == "PP" and not whole:
-            pp_tokens = tokens[node.start : node.end]
-            if gazetteer_match(config.location_gazetteer, pp_tokens):
-                matches.append((node, Role.EVENT_LOCATION))
-                continue
-            if gazetteer_match(config.time_gazetteer, pp_tokens):
-                matches.append((node, Role.EVENT_TIME))
-                continue
-        stack.extend(reversed(node.children))
-    return matches
-
-
 class _Engine:
+    """The labeling state of one gloss: its tree, leaves and tokens, the
+    spans and trace built so far, and the supertype spans once detected.
+    A node's leaves are ``self.leaves[node.start:node.end]``."""
+
     def __init__(self, tree: SynTree, pos: str, config: LabelerConfig) -> None:
         self.tree = tree
         self.pos = pos
         self.config = config
         self.leaves = tree.leaves()
-        self.tokens = tuple(l.token or "" for l in self.leaves)
+        self.tokens = tuple(l.token for l in self.leaves)
         self.work: list[_Span] = []
         self.trace: list[TraceEntry] = []
+        self.supertypes: list[_Span] = []
+        # The noun detection the supertypes came from; None for a verb's.
+        self.noun_info: _NounDetection | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -551,73 +337,199 @@ class _Engine:
         self._note(rule, start, end, reason)
         return span
 
+    # -- rules: each reads the gloss and changes no state ------------------
+
+    def noun_supertypes(self, min_start: int = 0) -> _NounDetection | None:
+        np = innermost_leftmost_np(self.tree, min_start)
+        if np is None:
+            return None
+        detection = _NounDetection(np, [])
+        for group in _split_on_cc(np):
+            group_leaves = self.leaves[group[0].start : group[-1].end]
+            k = 0
+            while k < len(group_leaves) and group_leaves[k].label == "DT":
+                detection.dropped_determiners.append(
+                    (group_leaves[k].start, group_leaves[k].end)
+                )
+                k += 1
+            core = group_leaves[k:]
+            if not core:
+                continue
+            hit = longest_rightmost_entry(self.config.noun_lexicon, [l.token for l in core])
+            if hit is None:
+                continue
+            offset, _ = hit
+            supertype = (core[offset].start, core[-1].end)
+            leftover = (core[0].start, core[offset].start) if offset > 0 else None
+            detection.hits.append((supertype, leftover))
+        return detection if detection.hits else None
+
+    def verb_supertypes(self) -> list[tuple[int, int]] | None:
+        leaves = self.leaves
+        verb_indices = [i for i, leaf in enumerate(leaves) if leaf.label.startswith("VB")]
+        if not verb_indices:
+            return None
+        chosen = [verb_indices[0]]
+        chosen_set = {verb_indices[0]}
+        first_leaf = leaves[verb_indices[0]]
+        for i in verb_indices[1:]:
+            j = i - 1
+            while j >= 0 and j in chosen_set:
+                j -= 1
+            if (
+                j >= 0
+                and leaves[j].label == "CC"
+                and self.tokens[j].lower() in _COORDINATORS
+                and self._conjoined_in_vp(first_leaf, leaves[i])
+            ):
+                chosen.append(i)
+                chosen_set.add(i)
+        return [(i, i + 1) for i in chosen]
+
+    def _conjoined_in_vp(self, first: SynTree, candidate: SynTree) -> bool:
+        path_a = _path(self.tree, first)
+        path_b = _path(self.tree, candidate)
+        shared = 0
+        for a, b in zip(path_a, path_b):
+            if a is not b:
+                break
+            shared += 1
+        if shared == 0 or path_b[shared - 1].label != "VP":
+            return False
+        return all(node.label == "VP" for node in path_b[shared:-1])
+
+    def determiner(self, supertype_start: int, np: SynTree) -> _DeterminerHit | None:
+        if supertype_start == 0:
+            return None
+        prefix = self.leaves[:supertype_start]
+
+        # Noun-free material reaching back before the anchor NP is the whole
+        # determiner expression; leftovers inside it are absorbed.
+        if np.start > 0 and not any(l.label.startswith(NOUN_TAG_PREFIX) for l in prefix):
+            start = 0
+            if (
+                prefix[0].label == "DT"
+                and self.tokens[0].lower() in ARTICLES
+                and supertype_start > 1
+            ):
+                start = 1
+            if start < supertype_start:
+                return _DeterminerHit((start, supertype_start), None)
+
+        # Otherwise a configured phrase may reveal that the anchor NP itself is
+        # a determiner expression ("a type of X"); the supertype is then
+        # re-detected after the phrase. Matching ignores a leading article on
+        # either side.
+        tokens = [t.lower() for t in self.tokens]
+        gloss_offset = 1 if tokens[0] in ARTICLES else 0
+        for phrase in self.config.accessory_determiner_phrases:
+            words = phrase.split()
+            core = words[1:] if words and words[0] in ARTICLES else words
+            if not core:
+                continue
+            end = gloss_offset + len(core)
+            if end <= supertype_start or end >= len(tokens):
+                continue
+            if tokens[gloss_offset:end] == core:
+                return _DeterminerHit((0, end), end)
+        return None
+
+    def instance_origin(self, supertype_start: int) -> tuple[int, int] | None:
+        if not self.config.instance_mode or supertype_start <= 0:
+            return None
+        # The nodes that start at 0 are those on the path to the first leaf.
+        covers_prefix = any(
+            node.label == "NP" and node.end >= supertype_start
+            for node in _path(self.tree, self.leaves[0])
+        )
+        if covers_prefix and gazetteer_match(
+            self.config.location_gazetteer, self.tokens[:supertype_start]
+        ):
+            return (0, supertype_start)
+        return None
+
+    def event_subroles(self, event_node: SynTree) -> list[tuple[SynTree, Role]]:
+        """Maximal PPs inside an event matched by the location/time gazetteers."""
+        matches: list[tuple[SynTree, Role]] = []
+        stack = [event_node]
+        while stack:
+            node = stack.pop()
+            whole = node.start == event_node.start and node.end == event_node.end
+            if node is not event_node and node.label == "PP" and not whole:
+                pp_tokens = self.tokens[node.start : node.end]
+                if gazetteer_match(self.config.location_gazetteer, pp_tokens):
+                    matches.append((node, Role.EVENT_LOCATION))
+                    continue
+                if gazetteer_match(self.config.time_gazetteer, pp_tokens):
+                    matches.append((node, Role.EVENT_TIME))
+                    continue
+            stack.extend(reversed(node.children))
+        return matches
+
+    def accessory_quality(
+        self, span: _Span | RoleSpan, spans: Sequence[_Span | RoleSpan]
+    ) -> bool | None:
+        """The accessory-quality rule for ``span``, one of ``spans``.
+
+        None when ``span`` is not a single-token JJ differentia quality holding
+        a configured accessory-quality word; otherwise whether another
+        differentia quality or event is present, which makes the word accessory.
+        """
+        if span.role is not Role.DIFFERENTIA_QUALITY or span.end - span.start != 1:
+            return None
+        if (
+            self.leaves[span.start].label != "JJ"
+            or self.tokens[span.start].lower() not in self.config.accessory_quality_words
+        ):
+            return None
+        return _has_differentia(spans, excluding=span)
+
     # -- supertype anchoring ----------------------------------------------
 
-    def detect_supertypes(self) -> tuple[list[_Span], _NounDetection | None]:
-        supertypes: list[_Span] = []
-        noun_info: _NounDetection | None = None
-        effective_pos = self.pos
+    def detect_supertypes(self) -> None:
         if self.pos == VERB:
-            verb_spans = _detect_supertype_verb(self.tree, self.leaves)
+            verb_spans = self.verb_supertypes()
             if verb_spans:
-                for start, end in verb_spans:
-                    supertypes.append(
-                        self._add(
-                            Role.SUPERTYPE, start, end, "supertype",
-                            f"leftmost/conjoined VB {self._text(start, end)!r}",
-                        )
-                    )
-                return supertypes, None
+                self._add_supertypes(verb_spans, "leftmost/conjoined VB")
+                return
             self._note("fallback", 0, 0, "no VB leaf; retrying with noun rules")
-            effective_pos = NOUN
-        if effective_pos == NOUN:
-            noun_info = _detect_noun_supertypes(self.tree, self.leaves, self.config)
-            if noun_info:
-                supertypes = self._apply_noun_hits(noun_info)
-        return supertypes, noun_info
+        detection = self.noun_supertypes()
+        if detection:
+            self._apply_noun_hits(detection)
 
-    def _apply_noun_hits(self, detection: _NounDetection) -> list[_Span]:
-        supertypes = []
-        for (start, end), _ in detection.hits:
-            supertypes.append(
-                self._add(
-                    Role.SUPERTYPE, start, end, "supertype",
-                    f"lexicon entry in anchor NP: {self._text(start, end)!r}",
-                )
-            )
+    def _add_supertypes(self, spans: Sequence[tuple[int, int]], why: str) -> None:
+        self.supertypes = [
+            self._add(Role.SUPERTYPE, start, end, "supertype",
+                      f"{why} {self._text(start, end)!r}")
+            for start, end in spans
+        ]
+
+    def _apply_noun_hits(self, detection: _NounDetection) -> None:
+        self.noun_info = detection
+        self._add_supertypes(
+            [supertype for supertype, _ in detection.hits], "lexicon entry in anchor NP:"
+        )
         for start, end in detection.dropped_determiners:
             self._note("leading-dt", start, end, "leading determiner discarded")
-        return supertypes
 
-    def handle_prefix(
-        self, supertypes: list[_Span], noun_info: _NounDetection
-    ) -> tuple[list[_Span], _NounDetection]:
+    def handle_prefix(self) -> None:
         """Accessory determiner, instance origin, and leftover qualities."""
         consumed: list[tuple[int, int]] = []
-        hit = _detect_determiner(
-            self.leaves, supertypes[0].start, noun_info.np, self.config
-        )
+        supertype_start = self.supertypes[0].start
+        hit = self.determiner(supertype_start, self.noun_info.np)
         if hit and hit.redetect_from is not None:
-            redo = _detect_noun_supertypes(
-                self.tree, self.leaves, self.config, min_start=hit.redetect_from
+            redo = self.noun_supertypes(hit.redetect_from)
+            self._note(
+                "accessory-determiner", hit.span[0], hit.span[1],
+                "determiner phrase absorbs the first NP; supertype re-detected" if redo
+                else "determiner phrase matched but no supertype follows; kept as is",
             )
             if redo:
-                for span in supertypes:
+                for span in self.supertypes:
                     self.work.remove(span)
-                self._note(
-                    "accessory-determiner", hit.span[0], hit.span[1],
-                    "determiner phrase absorbs the first NP; supertype re-detected",
-                )
-                start, end = hit.span
-                self.work.append(_Span(Role.ACCESSORY_DETERMINER, start, end))
+                self.work.append(_Span(Role.ACCESSORY_DETERMINER, *hit.span))
                 consumed.append(hit.span)
-                supertypes = self._apply_noun_hits(redo)
-                noun_info = redo
-            else:
-                self._note(
-                    "accessory-determiner", hit.span[0], hit.span[1],
-                    "determiner phrase matched but no supertype follows; kept as is",
-                )
+                self._apply_noun_hits(redo)
         elif hit:
             start, end = hit.span
             self._add(
@@ -626,9 +538,7 @@ class _Engine:
             )
             consumed.append(hit.span)
         else:
-            origin = _detect_instance_origin(
-                self.tree, self.leaves, supertypes[0].start, self.config
-            )
+            origin = self.instance_origin(supertype_start)
             if origin:
                 start, end = origin
                 self._add(
@@ -636,7 +546,7 @@ class _Engine:
                     "pre-supertype NP with a location entity (instance definiendum)",
                 )
                 consumed.append(origin)
-        for _, leftover in noun_info.hits:
+        for _, leftover in self.noun_info.hits:
             if leftover is None:
                 continue
             if any(s < leftover[1] and leftover[0] < e for s, e in consumed):
@@ -646,23 +556,20 @@ class _Engine:
                 "pre-supertype-quality",
                 "tokens left of the supertype entry inside the anchor NP",
             )
-        return supertypes, noun_info
 
     # -- post-supertype classification --------------------------------------
 
-    def classify(
-        self, constituent: SynTree, ancestors: Sequence[str], supertypes: list[_Span]
-    ) -> None:
+    def classify(self, constituent: SynTree, ancestors: Sequence[str]) -> None:
         """Label one post-supertype constituent; ``ancestors`` are the labels
         of its proper ancestors in the tree. A PRT matches no rule when there
         is no supertype for it to complete."""
         node = _unwrap_clause(constituent)
         start, end = node.start, node.end
 
-        if node.label == "PRT" and supertypes:
+        if node.label == "PRT" and self.supertypes:
             self._add(
                 Role.PARTICLE, start, end, "particle",
-                "PRT completes the supertype", parent=supertypes[0],
+                "PRT completes the supertype", parent=self.supertypes[0],
             )
             return
 
@@ -692,7 +599,7 @@ class _Engine:
                 self._event(node, start, end, "VP after the supertype")
                 return
             self._note(
-                "unlabeled", start, end,
+                UNLABELED_RULE, start, end,
                 "VP after a verb supertype matches no rule",
             )
             return
@@ -714,7 +621,7 @@ class _Engine:
             return
 
         self._note(
-            "unlabeled", start, end,
+            UNLABELED_RULE, start, end,
             f"constituent {node.label} matches no rule",
         )
 
@@ -728,7 +635,7 @@ class _Engine:
         self._event(node, start, end, shape)
 
     def _event(self, node: SynTree, start: int, end: int, shape: str) -> None:
-        carved = _carve_event_subroles(node, self.tokens, self.config)
+        carved = self.event_subroles(node)
         if not carved:
             self._add(Role.DIFFERENTIA_EVENT, start, end, "differentia-event", shape)
             return
@@ -793,7 +700,7 @@ class _Engine:
 
     def reclassify_accessory_qualities(self) -> None:
         for span in sorted(self.work, key=lambda s: (s.start, s.end)):
-            accessory = _accessory_quality(span, self.work, self.leaves, self.config)
+            accessory = self.accessory_quality(span, self.work)
             if accessory is None:
                 continue
             word = self.tokens[span.start]
@@ -869,6 +776,57 @@ class _Engine:
                 gap_start = None
 
 
+# ---------------------------------------------------------------------------
+# Public entry points: each runs one rule, or the whole engine, on one gloss.
+
+
+def detect_supertype_noun(
+    tree: SynTree, config: LabelerConfig
+) -> list[tuple[tuple[int, int], tuple[int, int] | None]] | None:
+    """Supertype spans for a noun gloss, each with an optional leftover span.
+
+    The leftover covers tokens left of the matched entry inside the anchor
+    NP; it is labeled differentia quality downstream. None when no NP
+    qualifies or no lexicon entry matches inside it.
+    """
+    detection = _Engine(tree, NOUN, config).noun_supertypes()
+    return detection.hits if detection else None
+
+
+def detect_supertype_verb(
+    tree: SynTree, config: LabelerConfig
+) -> list[tuple[int, int]] | None:
+    """Supertype spans for a verb gloss: the leftmost VB plus conjoined VBs.
+
+    A later VB joins only when the nearest preceding non-supertype leaf is
+    an "or"/"and" CC and the VB sits in the same VP chain as the first.
+    None when the tree has no VB leaf at all.
+    """
+    return _Engine(tree, VERB, config).verb_supertypes()
+
+
+def detect_accessory_determiner(
+    tree: SynTree, supertype_start: int, config: LabelerConfig
+) -> tuple[int, int] | None:
+    """The accessory-determiner span preceding the supertype, if any."""
+    engine = _Engine(tree, NOUN, config)
+    detection = engine.noun_supertypes()
+    hit = engine.determiner(supertype_start, detection.np) if detection else None
+    return hit.span if hit else None
+
+
+def detect_instance_origin(
+    tree: SynTree, supertype_start: int, config: LabelerConfig
+) -> tuple[int, int] | None:
+    """Pre-supertype origin location for instance definienda.
+
+    Fires only in instance mode, when the tokens before the supertype are an
+    NP (or NP prefix) with a location-gazetteer hit. Takes precedence over
+    the pre-supertype differentia-quality leftover.
+    """
+    return _Engine(tree, NOUN, config).instance_origin(supertype_start)
+
+
 def classify_post_supertype(
     tree: SynTree,
     constituent: SynTree,
@@ -886,9 +844,9 @@ def classify_post_supertype(
     engine = _Engine(tree, pos, config)
     placeholders = [_Span(s.role, s.start, s.end) for s in context.spans]
     engine.work.extend(placeholders)
-    supertypes = [p for p in placeholders if p.role is Role.SUPERTYPE][:1]
+    engine.supertypes = [p for p in placeholders if p.role is Role.SUPERTYPE][:1]
     ancestors = [node.label for node in _path(tree, constituent)[:-1]]
-    engine.classify(constituent, ancestors, supertypes)
+    engine.classify(constituent, ancestors)
     placeholder_ids = {id(p) for p in placeholders}
     new_spans = sorted(
         (s for s in engine.work if id(s) not in placeholder_ids),
@@ -915,8 +873,8 @@ def label(
     if not engine.leaves:
         raise EmptyDefinitionError("tree has no tokens")
 
-    supertypes, noun_info = engine.detect_supertypes()
-    if not supertypes:
+    engine.detect_supertypes()
+    if not engine.supertypes:
         engine._note(
             "ill-formed", 0, len(engine.tokens),
             "no supertype found; definition lacks the supertype-differentia shape",
@@ -924,12 +882,12 @@ def label(
         annotation = Annotation(definition_id, engine.tokens, (), True)
         return LabelOutcome(annotation, tuple(engine.trace))
 
-    if noun_info is not None:
-        supertypes, noun_info = engine.handle_prefix(supertypes, noun_info)
+    if engine.noun_info is not None:
+        engine.handle_prefix()
 
-    last_end = max(span.end for span in supertypes)
+    last_end = max(span.end for span in engine.supertypes)
     for constituent, ancestors in _constituents_after_walk(tree, last_end):
-        engine.classify(constituent, ancestors, supertypes)
+        engine.classify(constituent, ancestors)
 
     engine.reclassify_accessory_qualities()
     annotation = engine.build(definition_id, False)

@@ -15,7 +15,7 @@ from defsrl.cli import main
 from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
 from defsrl.defaults import BUNDLED_CORPUS, packaged_data_text
 from defsrl.labeler import LabelerConfig
-from defsrl.rolemodel import parse_gold
+from defsrl.rolemodel import parse_gold, serialize_gold
 from defsrl.syntree import serialize
 
 
@@ -133,6 +133,50 @@ def test_label_rejects_reserved_characters_in_tree_tokens(tmp_path, capsys, toke
     assert diagnostics == []
     assert [r.id for r in records] == ["good"]
     assert records[0].predicted is not None
+
+
+FORM_OF_COACH = {"id": "form_of_coach", "pos": "noun", "gloss": "a form of coach",
+                 "tree": "(NP (NP (DT a) (NN form)) (PP (IN of) (NP (NN coach))))"}
+_ALLIUM_REST = "{supertype|genus} {differentia_quality|of perennial and biennial pungent bulbous plants}"
+
+# Each case: the --config payload (None: no --config) -> the predictions for
+# the bundled Allium record and for FORM_OF_COACH.
+LABEL_CONFIGS = {
+    "defaults": (
+        None,
+        "{accessory_quality|large} " + _ALLIUM_REST,
+        "{accessory_determiner|a form of} {supertype|coach}",
+    ),
+    "no-accessory-quality-words": (
+        {"accessory_quality_words": []},
+        "{differentia_quality|large} " + _ALLIUM_REST,
+        "{accessory_determiner|a form of} {supertype|coach}",
+    ),
+    "no-accessory-determiner-phrases": (
+        {"accessory_determiner_phrases": []},
+        "{accessory_quality|large} " + _ALLIUM_REST,
+        "a {supertype|form} {differentia_quality|of coach}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LABEL_CONFIGS)
+def test_label_config_word_lists_replace_the_defaults(tmp_path, case):
+    payload, allium, form_of = LABEL_CONFIGS[case]
+    bundled = packaged_data_text(BUNDLED_CORPUS).splitlines()
+    source = tmp_path / "in.jsonl"
+    source.write_text(
+        next(line for line in bundled if '"id": "Allium"' in line) + "\n"
+        + json.dumps(FORM_OF_COACH) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    argv = ["label", "--input", str(source), "--output", str(out)]
+    if payload is not None:
+        argv += ["--config", _write(tmp_path / "config.json", json.dumps(payload))]
+    assert main(argv) == 0
+    records, _ = read_corpus(out.read_text(encoding="utf-8"))
+    assert [serialize_gold(r.predicted) for r in records] == [allium, form_of]
 
 
 GOOD_RECORD = {"id": "good", "pos": "noun", "gloss": "a coach",
@@ -414,6 +458,37 @@ def test_eval_pairs_one_to_one_when_a_file_repeats_an_id(tmp_path, capsys, repea
     assert captured.out == clean
 
 
+@pytest.mark.parametrize("form", ["one-file", "two-files"])
+def test_eval_reports_a_token_mismatch_and_scores_the_other_pairs(tmp_path, capsys, form):
+    # x's gold and predicted annotations cover different tokens.
+    x = {"id": "x", "pos": "noun", "gloss": "a coach"}
+    y = {"id": "y", "pos": "noun", "gloss": "dog"}
+    gold = [dict(x, gold="a {supertype|coach}"), dict(y, gold="{supertype|dog}")]
+    predicted = [dict(x, predicted="{supertype|dog}"), dict(y, predicted="{supertype|dog}")]
+
+    def corpus(name, records):
+        return _write(tmp_path / name, "".join(json.dumps(r) + "\n" for r in records))
+
+    def inputs(count):
+        if form == "one-file":
+            return [corpus("one.jsonl", [dict(g, **p) for g, p in zip(gold, predicted)][:count])]
+        return [corpus("gold.jsonl", gold[:count]), corpus("predicted.jsonl", predicted[:count])]
+
+    assert main(["eval", "--input", *inputs(2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["x: gold and predicted tokens differ"]
+    assert "pairs: 1" in captured.out
+    assert "supertype accuracy: 1.000000" in captured.out
+    # With x alone there is no pair left to score.
+    assert main(["eval", "--input", *inputs(1), "--strict"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "x: gold and predicted tokens differ",
+        "error: no pair of gold and predicted annotations has the same tokens",
+    ]
+    assert captured.out == ""
+
+
 # A line that parses as JSON but is not a record.
 BAD_LINE = '["not", "a", "record"]'
 
@@ -652,6 +727,9 @@ FATAL_INPUTS = {
         "label", "--input", corpus, "--output", str(tmp),
     ],
     "input-is-a-directory": lambda corpus, tmp: ["stats", "--input", str(tmp)],
+    "eval-three-inputs": lambda corpus, tmp: ["eval", "--input", corpus, corpus, corpus],
+    # The bundled corpus holds gold annotations but no predictions.
+    "eval-one-file-without-predictions": lambda corpus, tmp: ["eval", "--input", corpus],
     "input-not-utf8": lambda corpus, tmp: [
         "label", "--input", _write(tmp / "latin1.jsonl", "caf\u00e9\n".encode("latin-1")),
         "--output", str(tmp / "out.jsonl"),

@@ -107,6 +107,19 @@ def test_read_keeps_the_first_of_repeated_ids_and_paired_surrogate_escapes():
     ]
 
 
+def test_read_skips_blank_and_whitespace_only_lines():
+    text = (
+        "\n"
+        '{"id": "a", "pos": "noun", "gloss": "x"}\n'
+        "   \n"
+        "\t\n"
+        '{"id": "b", "pos": "adj", "gloss": "y"}\n'
+    )
+    records, diagnostics = read_corpus(text)
+    assert [r.id for r in records] == ["a"]
+    assert diagnostics == [Diagnostic(5, "'pos' must be one of ('noun', 'verb'), got 'adj'")]
+
+
 def test_read_zero_records_is_fatal():
     with pytest.raises(CorpusError):
         read_corpus("")

@@ -35,7 +35,7 @@ from defsrl.rolemodel import (
     serialize_gold,
     validate,
 )
-from defsrl.syntree import parse_bracketed
+from defsrl.syntree import SynTree, parse_bracketed
 
 from dataclasses import replace
 
@@ -497,6 +497,11 @@ def test_label_trace_covers_every_span(config):
         assert (span.start, span.end) in traced
 
 
+def test_label_of_a_tree_without_tokens_is_signaled(config):
+    with pytest.raises(EmptyDefinitionError):
+        label(SynTree("NP"), "noun", config)
+
+
 def test_label_rejects_unknown_pos(config):
     with pytest.raises(ValueError):
         label(parse_bracketed("(NP (NN dog))"), "adjective", config)
@@ -585,8 +590,20 @@ def word_config(config):
 )
 def test_label_contract_holds_on_random_trees(word_config, rng, pos, instance_mode):
     tree = random_tree(rng, max_depth=5)
-    outcome = label(tree, pos, replace(word_config, instance_mode=instance_mode), "r")
+    cfg = replace(word_config, instance_mode=instance_mode)
+    outcome = label(tree, pos, cfg, "r")
     _check_label_contract(outcome, "r")
+    # The public supertype detectors agree with the engine.
+    supertypes = spans_by_role(outcome.annotation, Role.SUPERTYPE)
+    verb_spans = detect_supertype_verb(tree, cfg) if pos == "verb" else None
+    if verb_spans is not None:
+        assert verb_spans == supertypes
+        return
+    noun_hits = detect_supertype_noun(tree, cfg)
+    if noun_hits is None:
+        assert outcome.annotation.ill_formed
+    elif not any("re-detected" in entry.reason for entry in outcome.rule_trace):
+        assert [span for span, _ in noun_hits] == supertypes
 
 
 def test_label_contract_holds_on_seeded_trees_with_gazetteer_hits(word_config):

@@ -174,6 +174,7 @@ def test_parse_gold_forward_parent_reference():
         "{supertype@0|x}",
         "{particle@0|off}",
         "a {supertype|dog} {event_time|at noon}",
+        "a {supertype|dog} {event_time@x|at noon}",
         "x|y {supertype|dog}",
         "x {supertype|dog|cat}",
     ],
