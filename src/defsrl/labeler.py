@@ -108,8 +108,37 @@ DIVERGENCE_ACCESSORY_QUALITY = (
     "decided by word list and co-present differentia"
 )
 
+# The trace rule names: ``TraceEntry.rule`` is always one of these.
+SUPERTYPE_RULE = "supertype"
+FALLBACK_RULE = "fallback"
+LEADING_DT_RULE = "leading-dt"
+ACCESSORY_DETERMINER_RULE = "accessory-determiner"
+INSTANCE_ORIGIN_RULE = "instance-origin"
+PRE_SUPERTYPE_QUALITY_RULE = "pre-supertype-quality"
+PARTICLE_RULE = "particle"
+PURPOSE_RULE = "purpose"
+ORIGIN_LOCATION_RULE = "origin-location"
+ASSOCIATED_FACT_RULE = "associated-fact"
+DIFFERENTIA_EVENT_RULE = "differentia-event"
+EVENT_LOCATION_RULE = "event-location"
+EVENT_TIME_RULE = "event-time"
+QUALITY_MODIFIER_RULE = "quality-modifier"
+DIFFERENTIA_QUALITY_RULE = "differentia-quality"
+ACCESSORY_QUALITY_RULE = "accessory-quality"
+DEMOTED_RULE = "demoted"
+UNCOVERED_RULE = "uncovered"
+ILL_FORMED_RULE = "ill-formed"
 # The trace rule of a constituent no rule labels; ``lint`` reports these.
 UNLABELED_RULE = "unlabeled"
+
+TRACE_RULES = frozenset((
+    SUPERTYPE_RULE, FALLBACK_RULE, LEADING_DT_RULE, ACCESSORY_DETERMINER_RULE,
+    INSTANCE_ORIGIN_RULE, PRE_SUPERTYPE_QUALITY_RULE, PARTICLE_RULE, PURPOSE_RULE,
+    ORIGIN_LOCATION_RULE, ASSOCIATED_FACT_RULE, DIFFERENTIA_EVENT_RULE,
+    EVENT_LOCATION_RULE, EVENT_TIME_RULE, QUALITY_MODIFIER_RULE,
+    DIFFERENTIA_QUALITY_RULE, ACCESSORY_QUALITY_RULE, DEMOTED_RULE,
+    UNCOVERED_RULE, ILL_FORMED_RULE, UNLABELED_RULE,
+))
 
 
 class EmptyDefinitionError(ValueError):
@@ -492,14 +521,14 @@ class _Engine:
             if verb_spans:
                 self._add_supertypes(verb_spans, "leftmost/conjoined VB")
                 return
-            self._note("fallback", 0, 0, "no VB leaf; retrying with noun rules")
+            self._note(FALLBACK_RULE, 0, 0, "no VB leaf; retrying with noun rules")
         detection = self.noun_supertypes()
         if detection:
             self._apply_noun_hits(detection)
 
     def _add_supertypes(self, spans: Sequence[tuple[int, int]], why: str) -> None:
         self.supertypes = [
-            self._add(Role.SUPERTYPE, start, end, "supertype",
+            self._add(Role.SUPERTYPE, start, end, SUPERTYPE_RULE,
                       f"{why} {self._text(start, end)!r}")
             for start, end in spans
         ]
@@ -510,7 +539,7 @@ class _Engine:
             [supertype for supertype, _ in detection.hits], "lexicon entry in anchor NP:"
         )
         for start, end in detection.dropped_determiners:
-            self._note("leading-dt", start, end, "leading determiner discarded")
+            self._note(LEADING_DT_RULE, start, end, "leading determiner discarded")
 
     def handle_prefix(self) -> None:
         """Accessory determiner, instance origin, and leftover qualities."""
@@ -520,7 +549,7 @@ class _Engine:
         if hit and hit.redetect_from is not None:
             redo = self.noun_supertypes(hit.redetect_from)
             self._note(
-                "accessory-determiner", hit.span[0], hit.span[1],
+                ACCESSORY_DETERMINER_RULE, hit.span[0], hit.span[1],
                 "determiner phrase absorbs the first NP; supertype re-detected" if redo
                 else "determiner phrase matched but no supertype follows; kept as is",
             )
@@ -533,7 +562,7 @@ class _Engine:
         elif hit:
             start, end = hit.span
             self._add(
-                Role.ACCESSORY_DETERMINER, start, end, "accessory-determiner",
+                Role.ACCESSORY_DETERMINER, start, end, ACCESSORY_DETERMINER_RULE,
                 f"noun-free expression before the supertype: {self._text(start, end)!r}",
             )
             consumed.append(hit.span)
@@ -542,7 +571,7 @@ class _Engine:
             if origin:
                 start, end = origin
                 self._add(
-                    Role.ORIGIN_LOCATION, start, end, "instance-origin",
+                    Role.ORIGIN_LOCATION, start, end, INSTANCE_ORIGIN_RULE,
                     "pre-supertype NP with a location entity (instance definiendum)",
                 )
                 consumed.append(origin)
@@ -553,7 +582,7 @@ class _Engine:
                 continue
             self._add(
                 Role.DIFFERENTIA_QUALITY, leftover[0], leftover[1],
-                "pre-supertype-quality",
+                PRE_SUPERTYPE_QUALITY_RULE,
                 "tokens left of the supertype entry inside the anchor NP",
             )
 
@@ -568,14 +597,14 @@ class _Engine:
 
         if node.label == "PRT" and self.supertypes:
             self._add(
-                Role.PARTICLE, start, end, "particle",
+                Role.PARTICLE, start, end, PARTICLE_RULE,
                 "PRT completes the supertype", parent=self.supertypes[0],
             )
             return
 
         if node.label == "VP" and self.leaves[start].label == "TO":
             self._add(
-                Role.PURPOSE, start, end, "purpose", "VP opened by TO",
+                Role.PURPOSE, start, end, PURPOSE_RULE, "VP opened by TO",
             )
             return
 
@@ -583,7 +612,7 @@ class _Engine:
         if node.label == "PP" and inner is not None and inner.label == "VP":
             if self.tokens[start].lower() == "for":
                 self._add(
-                    Role.PURPOSE, start, end, "purpose",
+                    Role.PURPOSE, start, end, PURPOSE_RULE,
                     f"'for' PP with a VP inside; {DIVERGENCE_PURPOSE_EVENT}",
                 )
                 return
@@ -611,7 +640,7 @@ class _Engine:
             and gazetteer_match(self.config.location_gazetteer, self.tokens[start:end])
         ):
             self._add(
-                Role.ORIGIN_LOCATION, start, end, "origin-location",
+                Role.ORIGIN_LOCATION, start, end, ORIGIN_LOCATION_RULE,
                 "PP outside SBAR/VP with a location entity",
             )
             return
@@ -628,7 +657,7 @@ class _Engine:
     def _fact_or_event(self, node: SynTree, start: int, end: int, shape: str) -> None:
         if _has_differentia(self.work) and _leading_cue_match(self.tokens[start:end]):
             self._add(
-                Role.ASSOCIATED_FACT, start, end, "associated-fact",
+                Role.ASSOCIATED_FACT, start, end, ASSOCIATED_FACT_RULE,
                 f"{shape}; non-restrictive cue with a differentia already present",
             )
             return
@@ -637,7 +666,7 @@ class _Engine:
     def _event(self, node: SynTree, start: int, end: int, shape: str) -> None:
         carved = self.event_subroles(node)
         if not carved:
-            self._add(Role.DIFFERENTIA_EVENT, start, end, "differentia-event", shape)
+            self._add(Role.DIFFERENTIA_EVENT, start, end, DIFFERENTIA_EVENT_RULE, shape)
             return
         pieces: list[tuple[int, int]] = []
         position = start
@@ -648,19 +677,19 @@ class _Engine:
         if position < end:
             pieces.append((position, end))
         if not pieces:
-            self._add(Role.DIFFERENTIA_EVENT, start, end, "differentia-event", shape)
+            self._add(Role.DIFFERENTIA_EVENT, start, end, DIFFERENTIA_EVENT_RULE, shape)
             return
         primary = self._add(
             Role.DIFFERENTIA_EVENT, pieces[0][0], pieces[0][1],
-            "differentia-event", f"{shape}; gazetteer PPs carved out",
+            DIFFERENTIA_EVENT_RULE, f"{shape}; gazetteer PPs carved out",
         )
         for extra_start, extra_end in pieces[1:]:
             self._add(
                 Role.DIFFERENTIA_EVENT, extra_start, extra_end,
-                "differentia-event", "event continues past a carved PP",
+                DIFFERENTIA_EVENT_RULE, "event continues past a carved PP",
             )
         for sub, role in carved:
-            rule = "event-location" if role is Role.EVENT_LOCATION else "event-time"
+            rule = EVENT_LOCATION_RULE if role is Role.EVENT_LOCATION else EVENT_TIME_RULE
             kind = "location" if role is Role.EVENT_LOCATION else "time"
             self._add(
                 role, sub.start, sub.end, rule,
@@ -684,11 +713,11 @@ class _Engine:
                 self.work.append(modifier)
                 self.work.append(quality)
                 self._note(
-                    "quality-modifier", mod_start, mod_end,
+                    QUALITY_MODIFIER_RULE, mod_start, mod_end,
                     "premodifier before the quality head",
                 )
                 self._note(
-                    "differentia-quality", rest_start, rest_end,
+                    DIFFERENTIA_QUALITY_RULE, rest_start, rest_end,
                     f"{node.label} after the supertype",
                 )
             else:
@@ -696,7 +725,7 @@ class _Engine:
                 if split:
                     reason += " (CC-separated)"
                 self._add(Role.DIFFERENTIA_QUALITY, start, end,
-                          "differentia-quality", reason)
+                          DIFFERENTIA_QUALITY_RULE, reason)
 
     def reclassify_accessory_qualities(self) -> None:
         for span in sorted(self.work, key=lambda s: (s.start, s.end)):
@@ -707,12 +736,12 @@ class _Engine:
             if accessory:
                 span.role = Role.ACCESSORY_QUALITY
                 self._note(
-                    "accessory-quality", span.start, span.end,
+                    ACCESSORY_QUALITY_RULE, span.start, span.end,
                     f"accessory word {word!r}; {DIVERGENCE_ACCESSORY_QUALITY}",
                 )
             else:
                 self._note(
-                    "accessory-quality", span.start, span.end,
+                    ACCESSORY_QUALITY_RULE, span.start, span.end,
                     f"accessory word {word!r} kept as differentia quality "
                     f"(only identifying span); {DIVERGENCE_ACCESSORY_QUALITY}",
                 )
@@ -741,12 +770,12 @@ class _Engine:
             if hosts is None:  # a particle: any role may host it
                 self.work.remove(span)
                 self._note(
-                    "demoted", span.start, span.end,
+                    DEMOTED_RULE, span.start, span.end,
                     "particle without a host removed",
                 )
             else:
                 self._note(
-                    "demoted", span.start, span.end,
+                    DEMOTED_RULE, span.start, span.end,
                     f"{span.role.value} without a valid parent demoted",
                 )
                 span.role = hosts[0]
@@ -760,20 +789,25 @@ class _Engine:
         return rebuilt
 
     def fill_uncovered(self, annotation: Annotation) -> None:
-        accounted = annotation.covered()
-        for entry in self.trace:
-            accounted.update(range(entry.start, entry.end))
-        gap_start: int | None = None
-        for i in range(len(self.tokens) + 1):
-            if i < len(self.tokens) and i not in accounted:
-                if gap_start is None:
-                    gap_start = i
-            elif gap_start is not None:
+        """Note each maximal run of tokens that no span and no trace entry
+        covers, left to right."""
+        intervals = sorted(
+            [(span.start, span.end) for span in annotation.spans]
+            + [(entry.start, entry.end) for entry in self.trace]
+        )
+        # One interval past the last token closes a trailing gap.
+        end_of_gloss = (len(self.tokens), len(self.tokens) + 1)
+        reach = 0  # every token before it is covered
+        for start, end in intervals + [end_of_gloss]:
+            if start >= end:  # a zero-width entry covers nothing
+                continue
+            if start > reach:
                 self._note(
-                    "uncovered", gap_start, i,
-                    f"no rule covers {self._text(gap_start, i)!r}",
+                    UNCOVERED_RULE, reach, start,
+                    f"no rule covers {self._text(reach, start)!r}",
                 )
-                gap_start = None
+            if end > reach:
+                reach = end
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +910,7 @@ def label(
     engine.detect_supertypes()
     if not engine.supertypes:
         engine._note(
-            "ill-formed", 0, len(engine.tokens),
+            ILL_FORMED_RULE, 0, len(engine.tokens),
             "no supertype found; definition lacks the supertype-differentia shape",
         )
         annotation = Annotation(definition_id, engine.tokens, (), True)

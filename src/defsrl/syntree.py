@@ -11,7 +11,7 @@ annotations on labels ("NP-SBJ", "NP=2") are stripped, and trace leaves
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from typing import Iterator
 
@@ -40,8 +40,21 @@ class TreeParseError(ValueError):
         self.offset = offset
 
 
+class _LeafRecord:
+    """The slot of a parsed root's leaves, in surface order.
+
+    It lives on a base class so that it is no dataclass field: ``==``,
+    ``hash``, ``repr``, ``pickle``, ``deepcopy`` and ``dataclasses.replace``
+    all ignore it, and a copy made by any of them carries no record. Only
+    ``parse_bracketed`` sets it; assigning or deleting it raises
+    ``FrozenInstanceError``, as for a field.
+    """
+
+    __slots__ = ("_leaf_record",)
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False)
-class SynTree:
+class SynTree(_LeafRecord):
     """A constituency-tree node over the half-open token span [start, end).
 
     A node is a leaf exactly when ``token`` is present, in which case it has
@@ -111,8 +124,13 @@ class SynTree:
         """All leaf nodes in surface order.
 
         A node's span indexes its root's leaves:
-        ``root.leaves()[node.start:node.end] == node.leaves()``.
+        ``root.leaves()[node.start:node.end] == node.leaves()``. A root from
+        ``parse_bracketed`` returns the leaves it recorded; any other node
+        walks its subtree.
         """
+        record = _recorded_leaves(self)
+        if record is not None:
+            return list(record)
         out: list[SynTree] = []
         stack = [self]
         while stack:
@@ -124,7 +142,7 @@ class SynTree:
         return out
 
     def tokens(self) -> list[str]:
-        return [leaf.token for leaf in self.leaves() if leaf.token is not None]
+        return [leaf.token for leaf in self.leaves()]
 
     def subtrees(self) -> Iterator["SynTree"]:
         """Preorder iterator over this node and all descendants."""
@@ -143,6 +161,32 @@ _set_children = SynTree.children.__set__
 _set_token = SynTree.token.__set__
 _set_start = SynTree.start.__set__
 _set_end = SynTree.end.__set__
+_set_leaf_record = _LeafRecord._leaf_record.__set__
+
+
+# The generated ``__setattr__`` and ``__delattr__`` refuse the fields, but
+# meet any other name, the leaf record included, with a TypeError from a
+# ``super()`` over the class as it was before ``slots=True`` rebuilt it
+# (Python 3.10 to 3.13). These refuse every name alike.
+def _refuse_assignment(self: SynTree, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self: SynTree, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+SynTree.__setattr__ = _refuse_assignment
+SynTree.__delattr__ = _refuse_deletion
+
+
+def _recorded_leaves(node: SynTree) -> tuple[SynTree, ...] | None:
+    """The leaves ``parse_bracketed`` recorded on ``node``, or None when it
+    is not a parsed root (or is a copy of one)."""
+    try:
+        return node._leaf_record
+    except AttributeError:
+        return None
 
 
 # ``_strip_functional`` of the raw labels met so far. A corpus can carry any
@@ -195,6 +239,7 @@ def parse_bracketed(text: str) -> SynTree:
     # constituents left empty by dropping them are not kept, so spans count
     # surface tokens only.
     frames: list[tuple[str, list[SynTree]]] = []
+    found: list[SynTree] = []  # the surface leaves, in order
     leaf_count = 0
     pos = 1  # just past a "(": a label comes next
     try:
@@ -224,6 +269,7 @@ def parse_bracketed(text: str) -> SynTree:
                 if label is None:
                     label = _stripped(raw)
                 node = SynTree(label, (), lexeme, leaf_count, leaf_count + 1)
+                found.append(node)
                 leaf_count += 1
             # Close constituents up to the next "(" or the end of the tree.
             while frames:
@@ -251,6 +297,7 @@ def parse_bracketed(text: str) -> SynTree:
         raise TreeParseError("trailing content after tree", _offset(text, pos))
     if node is None:
         raise TreeParseError("tree has no surface tokens", 0)
+    _set_leaf_record(node, tuple(found))
     return node
 
 
@@ -283,7 +330,17 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
     the NP dominates no other qualifying NP; ties are broken by smallest
     start, then shortest span, then greatest depth. Returns None when no NP
     qualifies.
+
+    A root returned by ``parse_bracketed`` carries its leaf record, and its
+    walk stops early: under the parser's spans the innermost qualifying NPs
+    are disjoint, so the first qualifying NP met in postorder is the answer.
+    Every other tree (built by hand, copied by ``pickle``, ``deepcopy`` or
+    ``dataclasses.replace``, or a subtree) is scanned whole, which is the
+    only exact rule where spans are missing or tie.
     """
+    leaves = _recorded_leaves(tree)
+    if leaves is not None:
+        return _first_np_in_postorder(tree, leaves, min_start)
     # Internal nodes in preorder, each with its depth and its parent's
     # index, so the reversed pass below meets every child before its parent.
     # Leaves never enter the list: a noun leaf only marks its parent.
@@ -327,6 +384,41 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
             if has_noun:
                 noun[parent] = True
     return best
+
+
+def _first_np_in_postorder(
+    tree: SynTree, leaves: tuple[SynTree, ...], min_start: int
+) -> SynTree | None:
+    """``innermost_leftmost_np`` of a parsed root whose leaves are ``leaves``.
+
+    Nodes finish in postorder by growing end, so the leaves before a node's
+    end are scanned once, left to right, as the walk needs them.
+    """
+    scanned = max(min_start, 0)
+    last_noun = -1  # the last noun leaf in [min_start, scanned)
+    stack = [tree] if tree.token is None else []  # internal nodes
+    entered: list[SynTree] = []  # nodes whose children are still on the stack
+    while stack:
+        node = stack[-1]
+        if not entered or entered[-1] is not node:
+            entered.append(node)
+            # A subtree ending at or before ``min_start`` holds no NP that
+            # starts at or after it.
+            for child in reversed(node.children):
+                if child.token is None and child.end > min_start:
+                    stack.append(child)
+            continue
+        stack.pop()
+        entered.pop()
+        if node.label == "NP" and node.start >= min_start:
+            end = node.end
+            while scanned < end:
+                if leaves[scanned].label.startswith(NOUN_TAG_PREFIX):
+                    last_noun = scanned
+                scanned += 1
+            if last_noun >= node.start:
+                return node
+    return None
 
 
 def constituents_after(tree: SynTree, start: int) -> list[SynTree]:

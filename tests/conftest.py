@@ -11,6 +11,7 @@ import random
 from collections import Counter
 
 from defsrl.corpus import EvalReport, _metrics
+from defsrl.labeler import UNCOVERED_RULE, TraceEntry
 from defsrl.lexicon import MONTHS, TIME, _ORDINAL, _YEAR, gazetteer_match
 from defsrl.rolemodel import (
     Annotation,
@@ -239,6 +240,27 @@ def oracle_validate(annotation: Annotation) -> list[Violation]:
     # Range and order checks come before the overlap block.
     head = [v for v in rest if v.kind in (KIND_SPAN_OUT_OF_RANGE, KIND_SPANS_UNSORTED)]
     return head + overlaps + rest[len(head) :]
+
+
+def oracle_uncovered(annotation: Annotation, trace: list[TraceEntry]) -> list[TraceEntry]:
+    """The ``uncovered`` entries ``_Engine.fill_uncovered`` appends after
+    ``trace``, found with a set of every covered token index that each token
+    is tested against."""
+    tokens = annotation.tokens
+    accounted = annotation.covered()
+    for entry in trace:
+        accounted.update(range(entry.start, entry.end))
+    out: list[TraceEntry] = []
+    gap_start: int | None = None
+    for i in range(len(tokens) + 1):
+        if i < len(tokens) and i not in accounted:
+            if gap_start is None:
+                gap_start = i
+        elif gap_start is not None:
+            text = " ".join(tokens[gap_start:i])
+            out.append(TraceEntry(UNCOVERED_RULE, gap_start, i, f"no rule covers {text!r}"))
+            gap_start = None
+    return out
 
 
 def oracle_ancestor_path(tree: SynTree, node: SynTree) -> list[SynTree] | None:

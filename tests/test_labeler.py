@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_instance_origin, random_tree
+from conftest import oracle_instance_origin, oracle_uncovered, random_tree
 from defsrl.cli import main
 from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
-from defsrl.defaults import default_config
+from defsrl.defaults import BUNDLED_CORPUS, default_config, packaged_data_text
 from defsrl.labeler import (
     DIVERGENCE_ACCESSORY_QUALITY,
     DIVERGENCE_PURPOSE_EVENT,
+    FALLBACK_RULE,
+    TRACE_RULES,
     EmptyDefinitionError,
+    TraceEntry,
+    _Engine,
     classify_post_supertype,
     detect_accessory_determiner,
     detect_accessory_quality,
@@ -35,7 +40,7 @@ from defsrl.rolemodel import (
     serialize_gold,
     validate,
 )
-from defsrl.syntree import SynTree, parse_bracketed
+from defsrl.syntree import SynTree, _recorded_leaves, parse_bracketed, serialize
 
 from dataclasses import replace
 
@@ -566,6 +571,7 @@ def _check_label_contract(outcome, definition_id: str) -> None:
         accounted.update(range(entry.start, entry.end))
     assert accounted >= set(range(len(annotation.tokens)))
     assert parse_gold(serialize_gold(annotation), definition_id) == annotation
+    assert {entry.rule for entry in outcome.rule_trace} <= TRACE_RULES
 
 
 @pytest.fixture(scope="module")
@@ -604,6 +610,66 @@ def test_label_contract_holds_on_random_trees(word_config, rng, pos, instance_mo
         assert outcome.annotation.ill_formed
     elif not any("re-detected" in entry.reason for entry in outcome.rule_trace):
         assert [span for span, _ in noun_hits] == supertypes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["noun", "verb"]),
+    st.booleans(),
+)
+def test_label_is_the_same_with_and_without_the_leaf_record(word_config, rng, pos, instance_mode):
+    # The parsed root takes the early exits; its unpickled copy has no leaf
+    # record and walks.
+    tree = parse_bracketed(serialize(random_tree(rng, max_depth=5)))
+    unpickled = pickle.loads(pickle.dumps(tree))
+    assert _recorded_leaves(tree) is not None and _recorded_leaves(unpickled) is None
+    cfg = replace(word_config, instance_mode=instance_mode)
+    assert label(tree, pos, cfg, "r") == label(unpickled, pos, cfg, "r")
+
+
+@st.composite
+def _coverage(draw):
+    """Tokens, possibly overlapping or nested role spans, and a trace with
+    zero-width entries, such as the fallback note at (0, 0)."""
+    n = draw(st.integers(1, 12))
+    bounds = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
+    spans = [(a, b) for a, b in draw(st.lists(bounds, max_size=5)) if a < b]
+    trace = [
+        TraceEntry("supertype", a, b, "drawn")
+        for a, b in draw(st.lists(bounds, max_size=5))
+    ]
+    if draw(st.booleans()):
+        trace.insert(0, TraceEntry(FALLBACK_RULE, 0, 0, "drawn"))
+    tokens = tuple(f"w{i}" for i in range(n))
+    roles = (RoleSpan(Role.DIFFERENTIA_QUALITY, a, b) for a, b in sorted(spans))
+    return Annotation("u", tokens, tuple(roles)), trace
+
+
+@settings(max_examples=500, deadline=None)
+@given(_coverage())
+def test_fill_uncovered_matches_the_per_token_oracle(config, case):
+    annotation, trace = case
+    leaves = tuple(
+        SynTree("NN", (), token, i, i + 1) for i, token in enumerate(annotation.tokens)
+    )
+    engine = _Engine(SynTree("NP", leaves, None, 0, len(leaves)), "noun", config)
+    engine.trace = list(trace)
+    engine.fill_uncovered(annotation)
+    assert engine.trace[: len(trace)] == trace
+    assert engine.trace[len(trace) :] == oracle_uncovered(annotation, trace)
+
+
+def test_trace_rules_on_the_bundled_corpus_are_the_vocabulary(config):
+    records, diagnostics = read_corpus(packaged_data_text(BUNDLED_CORPUS))
+    assert diagnostics == []
+    configs = {False: config, True: replace(config, instance_mode=True)}
+    fired = Counter()
+    for record in records:
+        tree = parse_bracketed(record.tree)
+        outcome = label(tree, record.pos, configs[record.instance], record.id)
+        fired.update(entry.rule for entry in outcome.rule_trace)
+    assert len(fired) > 5 and set(fired) <= TRACE_RULES
 
 
 def test_label_contract_holds_on_seeded_trees_with_gazetteer_hits(word_config):

@@ -28,6 +28,7 @@ from defsrl.rolemodel import Role, validate
 from defsrl.syntree import (
     SynTree,
     TreeParseError,
+    _recorded_leaves,
     constituents_after,
     dominated_by,
     innermost_leftmost_np,
@@ -171,6 +172,17 @@ def test_innermost_leftmost_np_ties_match_oracle():
     for _ in range(1000):
         tree = spanless(random_tree(rng))
         assert innermost_leftmost_np(tree) is oracle_innermost_leftmost_np(tree)
+
+
+def test_innermost_leftmost_np_on_parsed_trees_matches_oracle_at_every_start():
+    # A parsed root carries its leaf record, so its walk stops early.
+    rng = random.Random(26)
+    for _ in range(500):
+        tree = parse_bracketed(serialize(random_tree(rng)))
+        assert _recorded_leaves(tree) is not None
+        for min_start in range(tree.end + 1):
+            expected = oracle_innermost_leftmost_np(tree, min_start)
+            assert innermost_leftmost_np(tree, min_start) is expected
 
 
 def test_constituents_after_end_is_empty():
@@ -521,3 +533,70 @@ def test_node_repr_is_the_dataclass_repr():
     )
     assert SynTree("X") == SynTree("X", (), None, 0, 0)
     assert repr(SynTree("X")) == "SynTree(label='X', children=(), token=None, start=0, end=0)"
+
+
+# --- the leaf record of a parsed root ---------------------------------------------
+
+
+def _copies(tree: SynTree) -> dict[str, SynTree]:
+    copies = {
+        "replace": dataclasses.replace(tree),
+        "replace-label": dataclasses.replace(tree, label="NX"),
+        "deepcopy": copy.deepcopy(tree),
+        "copy": copy.copy(tree),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies[f"pickle-{protocol}"] = pickle.loads(pickle.dumps(tree, protocol))
+    return copies
+
+
+def test_only_a_parsed_root_records_its_leaves():
+    tree = parse_bracketed(COACH)
+    record = _recorded_leaves(tree)
+    assert isinstance(record, tuple)
+    assert list(record) == tree.leaves() and tree.leaves() is not tree.leaves()
+    assert [leaf.token for leaf in record] == tree.tokens()
+    assert all(_recorded_leaves(node) is None for node in tree.subtrees() if node is not tree)
+    assert _recorded_leaves(parse_bracketed("(NN dog)")) == (parse_bracketed("(NN dog)"),)
+    assert _recorded_leaves(SynTree("NN", (), "dog", 0, 1)) is None
+
+
+def test_equality_hash_repr_and_pickle_ignore_the_leaf_record():
+    rng = random.Random(27)
+    for _ in range(200):
+        tree = parse_bracketed(serialize(random_tree(rng)))
+        same = _changed(tree, -1, "label")  # an equal copy built by hand
+        assert _recorded_leaves(same) is None
+        assert tree == same and same == tree and hash(tree) == hash(same)
+        assert repr(tree) == repr(same)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(tree, protocol) == pickle.dumps(same, protocol)
+
+
+def test_copies_carry_no_leaf_record_and_walk_for_the_same_leaves():
+    rng = random.Random(28)
+    for _ in range(100):
+        tree = parse_bracketed(serialize(random_tree(rng)))
+        if tree.token is not None:  # a relabeled leaf is another leaf
+            continue
+        leaves = tree.leaves()
+        for route, other in _copies(tree).items():
+            assert _recorded_leaves(other) is None, route
+            assert other.leaves() == leaves, route
+            assert [leaf.span for leaf in other.leaves()] == [leaf.span for leaf in leaves]
+            if route.startswith("replace"):  # the children are shared
+                assert all(a is b for a, b in zip(other.leaves(), leaves, strict=True))
+            else:
+                assert other == tree and innermost_leftmost_np(other) == innermost_leftmost_np(tree)
+
+
+def test_leaf_record_cannot_be_assigned_or_deleted():
+    tree = parse_bracketed(COACH)
+    record = _recorded_leaves(tree)
+    for node in (tree, tree.children[0], SynTree("NN", (), "dog", 0, 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node._leaf_record = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node._leaf_record
+    assert _recorded_leaves(tree) is record
+    assert _recorded_leaves(tree.children[0]) is None
