@@ -59,6 +59,8 @@ from .syntree import (
     SynTree,
     _constituents_after_walk,
     _path,
+    _refuse_assignment,
+    _refuse_deletion,
     innermost_leftmost_np,
 )
 
@@ -88,6 +90,7 @@ _COORDINATORS = frozenset(("or", "and"))
 # Lexical cues opening a non-restrictive clause (an associated fact rather
 # than an identifying differentia event).
 _FACT_CUES = (("for", "whom"), ("which", "was"), ("whose",))
+_LONGEST_FACT_CUE = max(len(cue) for cue in _FACT_CUES)
 
 DEFAULT_ACCESSORY_DETERMINER_PHRASES = (
     "any of several",
@@ -174,12 +177,27 @@ class LabelerConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceEntry:
     rule: str
     start: int
     end: int
     reason: str
+
+    def __init__(self, rule: str, start: int, end: int, reason: str) -> None:
+        # The slots' own setters, as in ``SynTree.__init__``.
+        _set_rule(self, rule)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_reason(self, reason)
+
+
+_set_rule = TraceEntry.rule.__set__
+_set_start = TraceEntry.start.__set__
+_set_end = TraceEntry.end.__set__
+_set_reason = TraceEntry.reason.__set__
+TraceEntry.__setattr__ = _refuse_assignment
+TraceEntry.__delattr__ = _refuse_deletion
 
 
 @dataclass(frozen=True)
@@ -330,8 +348,10 @@ def _pp_inner_phrase(pp: SynTree) -> SynTree | None:
 
 
 def _leading_cue_match(tokens: Sequence[str]) -> bool:
-    lowered = [t.lower() for t in tokens]
-    return any(tuple(lowered[: len(cue)]) == cue for cue in _FACT_CUES)
+    # ``tokens``: a clause's first ``_LONGEST_FACT_CUE`` tokens, or all of a
+    # shorter clause.
+    lowered = tuple([t.lower() for t in tokens])
+    return any(lowered[: len(cue)] == cue for cue in _FACT_CUES)
 
 
 class _Engine:
@@ -448,9 +468,9 @@ class _Engine:
         # Otherwise a configured phrase may reveal that the anchor NP itself is
         # a determiner expression ("a type of X"); the supertype is then
         # re-detected after the phrase. Matching ignores a leading article on
-        # either side.
-        tokens = [t.lower() for t in self.tokens]
-        gloss_offset = 1 if tokens[0] in ARTICLES else 0
+        # either side, and lowercases only the tokens a phrase is compared to.
+        tokens = self.tokens
+        gloss_offset = 1 if tokens[0].lower() in ARTICLES else 0
         for phrase in self.config.accessory_determiner_phrases:
             words = phrase.split()
             core = words[1:] if words and words[0] in ARTICLES else words
@@ -459,7 +479,7 @@ class _Engine:
             end = gloss_offset + len(core)
             if end <= supertype_start or end >= len(tokens):
                 continue
-            if tokens[gloss_offset:end] == core:
+            if [t.lower() for t in tokens[gloss_offset:end]] == core:
                 return _DeterminerHit((0, end), end)
         return None
 
@@ -478,21 +498,38 @@ class _Engine:
         return None
 
     def event_subroles(self, event_node: SynTree) -> list[tuple[SynTree, Role]]:
-        """Maximal PPs inside an event matched by the location/time gazetteers."""
+        """Maximal PPs inside an event matched by the location/time gazetteers,
+        in surface order.
+
+        A PP that is not the whole event and matches neither gazetteer is not
+        entered: ``gazetteer_match`` is monotone (a hit in part of a window
+        is a hit in the whole window), so no PP nested in it can match.
+        """
+        location = self.config.location_gazetteer
+        time = self.config.time_gazetteer
+        tokens = self.tokens
+        start, end = event_node.start, event_node.end
         matches: list[tuple[SynTree, Role]] = []
         stack = [event_node]
         while stack:
             node = stack.pop()
-            whole = node.start == event_node.start and node.end == event_node.end
-            if node is not event_node and node.label == "PP" and not whole:
-                pp_tokens = self.tokens[node.start : node.end]
-                if gazetteer_match(self.config.location_gazetteer, pp_tokens):
+            if (
+                node.label == "PP"
+                and node is not event_node
+                and (node.start != start or node.end != end)
+            ):
+                pp_tokens = tokens[node.start : node.end]
+                if gazetteer_match(location, pp_tokens):
                     matches.append((node, Role.EVENT_LOCATION))
-                    continue
-                if gazetteer_match(self.config.time_gazetteer, pp_tokens):
+                elif gazetteer_match(time, pp_tokens):
                     matches.append((node, Role.EVENT_TIME))
-                    continue
-            stack.extend(reversed(node.children))
+                continue
+            # Only a PP can match, and a leaf has nothing inside it.
+            stack += [
+                child
+                for child in reversed(node.children)
+                if child.token is None or child.label == "PP"
+            ]
         return matches
 
     def accessory_quality(
@@ -655,7 +692,8 @@ class _Engine:
         )
 
     def _fact_or_event(self, node: SynTree, start: int, end: int, shape: str) -> None:
-        if _has_differentia(self.work) and _leading_cue_match(self.tokens[start:end]):
+        cue_end = min(end, start + _LONGEST_FACT_CUE)
+        if _has_differentia(self.work) and _leading_cue_match(self.tokens[start:cue_end]):
             self._add(
                 Role.ASSOCIATED_FACT, start, end, ASSOCIATED_FACT_RULE,
                 f"{shape}; non-restrictive cue with a differentia already present",

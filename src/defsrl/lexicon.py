@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -85,6 +86,11 @@ def _normalize_entry(text: str, joiner: str) -> str:
     return entry
 
 
+def _max_words(entries: Iterable[str], joiner: str) -> int:
+    """The most words in one of ``entries``, joined by ``joiner``; 0 for none."""
+    return max(map(str.count, entries, repeat(joiner)), default=-1) + 1
+
+
 def _noun_variants(word: str) -> list[str]:
     variants = [word]
     for suffix, replacement in _NOUN_DETACHMENTS:
@@ -112,8 +118,7 @@ class Lexicon:
         if pos not in (NOUN, VERB):
             raise ValueError(f"pos must be {NOUN!r} or {VERB!r}, got {pos!r}")
         normalized = frozenset(entries)
-        max_words = max((e.count("_") + 1 for e in normalized), default=0)
-        return cls(pos, normalized, max_words)
+        return cls(pos, normalized, _max_words(normalized, "_"))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -145,16 +150,32 @@ class Lexicon:
 def _wordlist_entries(text: str, joiner: str) -> list[str]:
     """The normalized entries of line-oriented text, one per line; blank
     lines and # comments are skipped."""
-    entries = []
+    # A kept line has a word, so its entry is never empty.
+    entries = [
+        joiner.join(words).lower()
+        for words in map(str.split, text.splitlines())
+        if words and not words[0].startswith("#")
+    ]
+    if joiner == "_":
+        # No entry holds a newline, so a misplaced underscore in any entry
+        # shows in the entries framed and joined by newlines.
+        framed = "\n" + "\n".join(entries) + "\n"
+        if "__" in framed or "\n_" in framed or "_\n" in framed:
+            _raise_underscore_error(text)
+    return entries
+
+
+def _raise_underscore_error(text: str) -> None:
+    """Raise the LexiconFormatError of the first line of ``text`` whose
+    underscore-joined entry is malformed."""
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        words = line.split()
+        if not words or words[0].startswith("#"):
             continue
         try:
-            entries.append(_normalize_entry(stripped, joiner))
+            _normalize_entry(line, "_")
         except ValueError as exc:
             raise LexiconFormatError(str(exc), line_no) from exc
-    return entries
 
 
 def load_wordlist(text: str, pos: str = NOUN) -> Lexicon:
@@ -211,8 +232,7 @@ class Gazetteer:
         if kind not in (LOCATION, TIME):
             raise ValueError(f"kind must be {LOCATION!r} or {TIME!r}, got {kind!r}")
         normalized = frozenset(entries)
-        max_words = max((e.count(" ") + 1 for e in normalized), default=0)
-        return cls(kind, normalized, max_words)
+        return cls(kind, normalized, _max_words(normalized, " "))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -249,6 +269,13 @@ def gazetteer_match(gazetteer: Gazetteer, tokens: Sequence[str]) -> bool:
     apply the built-in year / Nth-century / month patterns. A window is
     tried only from a token that is the first word of some entry, or that
     holds a space itself (its joined window then starts mid-token).
+
+    The match is monotone, for any gazetteer: when it holds for a
+    contiguous part ``tokens[i:j]``, it holds for ``tokens``. Every window
+    of a part is a window of the whole, the first-word and space tests
+    read one token at a time, and the patterns read one token or one
+    adjacent pair. The labeler relies on this to skip the PPs nested in a
+    PP that missed.
     """
     if not tokens:
         raise ValueError("tokens must be non-empty")

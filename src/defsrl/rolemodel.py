@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .syntree import _refuse_assignment, _refuse_deletion
+
 __all__ = [
     "Role",
     "RoleSpan",
@@ -85,7 +87,7 @@ KIND_FLOATING_COMPLEMENT = "floating_complement"
 _TOKEN_UNSAFE = re.compile(r"[{}|\s]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RoleSpan:
     """A role over the half-open token interval [start, end).
 
@@ -97,6 +99,23 @@ class RoleSpan:
     start: int
     end: int
     parent: int | None = None
+
+    def __init__(
+        self, role: Role, start: int, end: int, parent: int | None = None
+    ) -> None:
+        # The slots' own setters, as in ``SynTree.__init__``.
+        _set_role(self, role)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_parent(self, parent)
+
+
+_set_role = RoleSpan.role.__set__
+_set_start = RoleSpan.start.__set__
+_set_end = RoleSpan.end.__set__
+_set_parent = RoleSpan.parent.__set__
+RoleSpan.__setattr__ = _refuse_assignment
+RoleSpan.__delattr__ = _refuse_deletion
 
 
 @dataclass(frozen=True)

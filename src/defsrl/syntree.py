@@ -164,15 +164,16 @@ _set_end = SynTree.end.__set__
 _set_leaf_record = _LeafRecord._leaf_record.__set__
 
 
-# The generated ``__setattr__`` and ``__delattr__`` refuse the fields, but
-# meet any other name, the leaf record included, with a TypeError from a
-# ``super()`` over the class as it was before ``slots=True`` rebuilt it
-# (Python 3.10 to 3.13). These refuse every name alike.
-def _refuse_assignment(self: SynTree, name: str, value: object) -> None:
+# The ``__setattr__`` and ``__delattr__`` of a frozen dataclass with
+# ``slots=True`` refuse the fields, but meet any other name (here the leaf
+# record) with a TypeError from a ``super()`` over the class as it was
+# before ``slots=True`` rebuilt it (Python 3.10 to 3.13). These refuse
+# every name alike; ``RoleSpan`` and ``TraceEntry`` use them too.
+def _refuse_assignment(self: object, name: str, value: object) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
-def _refuse_deletion(self: SynTree, name: str) -> None:
+def _refuse_deletion(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -234,6 +235,10 @@ def parse_bracketed(text: str) -> SynTree:
     if lexemes[0] != "(":
         raise TreeParseError("expected '('", _offset(text, 0))
     labels = _STRIPPED  # a local name for the per-node lookups
+    # Nodes are built as ``SynTree.__init__`` builds them, without its call.
+    new, tree_class = object.__new__, SynTree
+    set_label, set_children, set_token = _set_label, _set_children, _set_token
+    set_start, set_end = _set_start, _set_end
     # Open internal constituents, outermost first: (raw label, kept
     # children). Preterminals never get a frame. Trace leaves and
     # constituents left empty by dropping them are not kept, so spans count
@@ -268,7 +273,12 @@ def parse_bracketed(text: str) -> SynTree:
                 label = labels.get(raw)
                 if label is None:
                     label = _stripped(raw)
-                node = SynTree(label, (), lexeme, leaf_count, leaf_count + 1)
+                node = new(tree_class)
+                set_label(node, label)
+                set_children(node, ())
+                set_token(node, lexeme)
+                set_start(node, leaf_count)
+                set_end(node, leaf_count + 1)
                 found.append(node)
                 leaf_count += 1
             # Close constituents up to the next "(" or the end of the tree.
@@ -286,7 +296,12 @@ def parse_bracketed(text: str) -> SynTree:
                     label = labels.get(raw)
                     if label is None:
                         label = _stripped(raw)
-                    node = SynTree(label, tuple(kept), None, kept[0].start, kept[-1].end)
+                    node = new(tree_class)
+                    set_label(node, label)
+                    set_children(node, tuple(kept))
+                    set_token(node, None)
+                    set_start(node, kept[0].start)
+                    set_end(node, kept[-1].end)
                 else:
                     node = None
             if not frames:

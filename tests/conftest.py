@@ -12,7 +12,15 @@ from collections import Counter
 
 from defsrl.corpus import EvalReport, _metrics
 from defsrl.labeler import UNCOVERED_RULE, TraceEntry
-from defsrl.lexicon import MONTHS, TIME, _ORDINAL, _YEAR, gazetteer_match
+from defsrl.lexicon import (
+    MONTHS,
+    TIME,
+    LexiconFormatError,
+    _ORDINAL,
+    _YEAR,
+    _normalize_entry,
+    gazetteer_match,
+)
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
@@ -223,6 +231,43 @@ def oracle_gazetteer_match(gazetteer, tokens) -> bool:
             if word in MONTHS:
                 return True
     return False
+
+
+def oracle_wordlist_entries(text: str, joiner: str) -> list[str]:
+    """``lexicon._wordlist_entries`` as a loop over the lines, each stripped,
+    skipped when blank or a comment, and normalized on its own."""
+    entries = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            entries.append(_normalize_entry(stripped, joiner))
+        except ValueError as exc:
+            raise LexiconFormatError(str(exc), line_no) from exc
+    return entries
+
+
+def oracle_event_subroles(
+    tokens: tuple[str, ...], event_node: SynTree, config
+) -> list[tuple[SynTree, Role]]:
+    """``_Engine.event_subroles`` without its pruning: a PP that matches
+    neither gazetteer is entered, and every PP nested in it is tried."""
+    matches: list[tuple[SynTree, Role]] = []
+    stack = [event_node]
+    while stack:
+        node = stack.pop()
+        whole = node.start == event_node.start and node.end == event_node.end
+        if node is not event_node and node.label == "PP" and not whole:
+            pp_tokens = tokens[node.start : node.end]
+            if gazetteer_match(config.location_gazetteer, pp_tokens):
+                matches.append((node, Role.EVENT_LOCATION))
+                continue
+            if gazetteer_match(config.time_gazetteer, pp_tokens):
+                matches.append((node, Role.EVENT_TIME))
+                continue
+        stack.extend(reversed(node.children))
+    return matches
 
 
 def oracle_validate(annotation: Annotation) -> list[Violation]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import random
@@ -8,7 +9,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_instance_origin, oracle_uncovered, random_tree
+from conftest import (
+    WORDS,
+    oracle_event_subroles,
+    oracle_instance_origin,
+    oracle_uncovered,
+    random_tree,
+)
 from defsrl.cli import main
 from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
 from defsrl.defaults import BUNDLED_CORPUS, default_config, packaged_data_text
@@ -30,7 +37,7 @@ from defsrl.labeler import (
     label,
     preprocess_gloss,
 )
-from defsrl.lexicon import LOCATION, NOUN, TIME, Gazetteer, Lexicon
+from defsrl.lexicon import LOCATION, NOUN, TIME, Gazetteer, Lexicon, gazetteer_match
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
@@ -700,6 +707,92 @@ def test_instance_origin_matches_the_subtree_scan_oracle(word_config):
             assert detect_instance_origin(tree, supertype_start, cfg) == expected
             found += expected is not None
     assert found > 0
+
+
+@st.composite
+def _word_gazetteer(draw, kind):
+    """A gazetteer of one- to three-word phrases over ``conftest.WORDS``."""
+    phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    return Gazetteer.from_entries(kind, draw(st.lists(phrases, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.one_of(st.none(), st.tuples(_word_gazetteer(LOCATION), _word_gazetteer(TIME))),
+    st.booleans(),
+)
+def test_event_subroles_equal_the_walk_that_enters_missed_pps(word_config, rng, drawn, pp_leaves):
+    tree = random_tree(rng, max_depth=5)
+    if pp_leaves:  # preterminals labeled PP are tried too
+        tree = parse_bracketed(serialize(tree).replace("(IN ", "(PP "))
+    cfg = word_config
+    if drawn is not None:
+        cfg = replace(cfg, location_gazetteer=drawn[0], time_gazetteer=drawn[1])
+    engine = _Engine(tree, "noun", cfg)
+    for node in tree.subtrees():
+        expected = oracle_event_subroles(engine.tokens, node, cfg)
+        assert engine.event_subroles(node) == expected
+
+
+def test_a_deep_event_with_no_gazetteer_hit_tries_only_its_outer_pp(config, monkeypatch):
+    pp = "(PP (IN of) (NP (NN part)))"
+    for _ in range(999):  # 1,000 PPs, each nested in the one before
+        pp = f"(PP (IN of) (NP (NN part) {pp}))"
+    tree = parse_bracketed(f"(NP (NP (DT a) (NN coach)) (VP (VBG holding) {pp}))")
+    calls = []
+
+    def counting(gazetteer, tokens):
+        calls.append(len(tokens))
+        return gazetteer_match(gazetteer, tokens)
+
+    monkeypatch.setattr("defsrl.labeler.gazetteer_match", counting)
+    outcome = label(tree, "noun", config, "deep")
+    _check_label_contract(outcome, "deep")
+    # The outer PP misses the location and then the time gazetteer; the 999
+    # PPs inside it are not tried.
+    assert calls == [tree.end - 3, tree.end - 3]
+    assert spans_by_role(outcome.annotation, Role.DIFFERENTIA_EVENT) == [(2, tree.end)]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        TraceEntry("supertype", 1, 2, "lexicon entry in anchor NP: 'coach'"),
+        RoleSpan(Role.SUPERTYPE, 0, 1),
+        RoleSpan(Role.EVENT_TIME, 2, 4, 1),
+    ],
+    ids=["trace-entry", "role-span", "role-span-with-parent"],
+)
+def test_slotted_records_behave_as_frozen_dataclasses(record):
+    cls = record.__class__
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(record, name) for name in names]
+    # The same record as a frozen dataclass without slots.
+    plain = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
+        frozen=True,
+    )(*values)
+    assert repr(record) == repr(plain)
+    assert hash(record) == hash(plain)
+    assert record == cls(*values) and not record != cls(*values)
+    assert record != plain and record != tuple(values)
+    assert record != dataclasses.replace(record, start=record.start + 1)
+    assert dataclasses.replace(record) == record
+    assert dataclasses.replace(record, end=9).end == 9
+    assert cls(**dict(zip(names, values))) == record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(record, protocol))
+        assert copied == record and copied.__class__ is cls
+    for name in names + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in names] == values
+    with pytest.raises(TypeError):
+        vars(record)
 
 
 # --- a 10k-token gloss ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_gazetteer_match, oracle_longest_rightmost
+from conftest import oracle_gazetteer_match, oracle_longest_rightmost, oracle_wordlist_entries
 from defsrl.defaults import default_noun_lexicon
 from defsrl.lexicon import (
     Gazetteer,
@@ -22,6 +22,7 @@ from defsrl.lexicon import (
     load_wndb_index,
     load_wordlist,
     longest_rightmost_entry,
+    _wordlist_entries,
 )
 
 
@@ -226,6 +227,17 @@ def test_gazetteer_match_equals_the_all_windows_scan(gazetteer, tokens):
     assert gazetteer_match(gazetteer, tokens) == oracle_gazetteer_match(gazetteer, tokens)
 
 
+@settings(max_examples=600, deadline=None)
+@given(_gazetteers(), st.lists(st.sampled_from(_GAZ_WORDS), min_size=1, max_size=8))
+def test_gazetteer_match_is_monotone(gazetteer, tokens):
+    # A hit in a window is a hit in any window holding it, which lets the
+    # labeler skip the PPs nested in a PP that missed.
+    for i in range(len(tokens)):
+        for j in range(i + 1, len(tokens) + 1):
+            if gazetteer_match(gazetteer, tokens[i:j]):
+                assert gazetteer_match(gazetteer, tokens)
+
+
 def test_gazetteer_match_starts_at_tokens_holding_a_space():
     gazetteer = Gazetteer(LOCATION, frozenset({"new york city"}), 2)
     assert "new" in gazetteer.first_words
@@ -264,3 +276,31 @@ def test_gazetteer_replace_and_pickle_rebuild_first_words():
     assert loaded == gazetteer
     assert loaded.first_words == {"lake"}
     assert gazetteer_match(loaded, ["the", "Lake", "District"])
+
+
+# --- bulk loading -----------------------------------------------------------------
+
+# Words in mixed case (some change length when lowercased), comment marks,
+# stray underscores, Unicode whitespace and every line break splitlines knows.
+_TEXT_PIECES = [
+    "coach", "Sea", "LION", "İstanbul", "Straße", "ΣΑ", "#", "# note", "_", "__",
+    "a_b", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x0c",
+    "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\n", "\n", "\r\n", "\r",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join))
+def test_wordlist_loaders_equal_the_line_loop(text):
+    for joiner, load in (("_", load_wordlist), (" ", lambda t: load_gazetteer(t, LOCATION))):
+        try:
+            expected = oracle_wordlist_entries(text, joiner)
+        except LexiconFormatError as exc:
+            with pytest.raises(LexiconFormatError) as info:
+                _wordlist_entries(text, joiner)
+            assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
+            continue
+        assert _wordlist_entries(text, joiner) == expected
+        loaded = load(text)
+        assert loaded.entries == frozenset(expected)
+        assert loaded.max_words == max((e.count(joiner) + 1 for e in expected), default=0)
