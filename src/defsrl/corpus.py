@@ -96,7 +96,8 @@ def _parse_record(payload: dict) -> DefinitionRecord:
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{name!r} must be a string")
     gold_annotation = parse_gold(gold, record_id) if gold is not None else None
-    predicted_annotation = (
+    # A prediction that repeats its gold text shares the gold's Annotation.
+    predicted_annotation = gold_annotation if predicted == gold else (
         parse_gold(predicted, record_id) if predicted is not None else None
     )
     return DefinitionRecord(

@@ -59,8 +59,7 @@ from .syntree import (
     SynTree,
     _constituents_after_walk,
     _path,
-    _refuse_assignment,
-    _refuse_deletion,
+    _seal,
     innermost_leftmost_np,
 )
 
@@ -196,8 +195,7 @@ _set_rule = TraceEntry.rule.__set__
 _set_start = TraceEntry.start.__set__
 _set_end = TraceEntry.end.__set__
 _set_reason = TraceEntry.reason.__set__
-TraceEntry.__setattr__ = _refuse_assignment
-TraceEntry.__delattr__ = _refuse_deletion
+_seal(TraceEntry)
 
 
 @dataclass(frozen=True)
@@ -226,11 +224,8 @@ def preprocess_gloss(gloss: str) -> str:
             kept.append(ch)
     for segment in "".join(kept).split(";"):
         stripped = segment.strip()
-        if not stripped:
-            continue
-        if stripped[0] in "\"“`":
-            continue
-        return " ".join(stripped.split())
+        if stripped and stripped[0] not in "\"“`":
+            return " ".join(stripped.split())
     raise EmptyDefinitionError("gloss is empty after cleaning")
 
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .syntree import _refuse_assignment, _refuse_deletion
+from .syntree import _seal
 
 __all__ = [
     "Role",
@@ -114,8 +114,7 @@ _set_role = RoleSpan.role.__set__
 _set_start = RoleSpan.start.__set__
 _set_end = RoleSpan.end.__set__
 _set_parent = RoleSpan.parent.__set__
-RoleSpan.__setattr__ = _refuse_assignment
-RoleSpan.__delattr__ = _refuse_deletion
+_seal(RoleSpan)
 
 
 @dataclass(frozen=True)
@@ -283,78 +282,67 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
     segment is ill-formed by definition. A sub-role must name a parent of a
     role that may host it, and no token may hold ``|``; so every annotation
     returned is free of ``validate`` errors and ``serialize_gold`` can write
-    it back.
+    it back. An error's offset is the character position in ``text`` of the
+    offending ``{`` or ``}``.
     """
-    tokens: list[str] = []
-    segments: list[tuple[Role, int | None, int, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "}":
-            raise GoldParseError(f"unmatched '}}' at offset {i}")
-        if ch == "{":
-            close = text.find("}", i + 1)
-            if close < 0:
-                raise GoldParseError(f"unclosed '{{' at offset {i}")
-            segment = text[i + 1 : close]
-            if "{" in segment:
-                raise GoldParseError(f"nested '{{' at offset {i}")
-            head, bar, body = segment.partition("|")
-            if not bar:
-                raise GoldParseError(f"segment missing '|' at offset {i}")
-            name, at, parent_text = head.partition("@")
+    # The text before the first '{' is untagged. Each piece after it opens
+    # a segment, and its text after the segment's '}' is untagged again.
+    pieces = text.split("{")
+    if "}" in pieces[0]:
+        raise GoldParseError(f"unmatched '}}' at offset {pieces[0].index('}')}")
+    tokens = pieces[0].split()
+    spans: list[RoleSpan] = []
+    at = len(pieces[0])  # the offset of the '{' that opens the next piece
+    for piece in pieces[1:]:
+        segment, close, untagged = piece.partition("}")
+        if not close:
+            problem = "unclosed" if text.find("}", at) < 0 else "nested"
+            raise GoldParseError(f"{problem} '{{' at offset {at}")
+        head, bar, body = segment.partition("|")
+        if not bar:
+            raise GoldParseError(f"segment missing '|' at offset {at}")
+        role = _ROLE_BY_NAME.get(head)
+        parent: int | None = None
+        if role is None:
+            name, sign, parent_text = head.partition("@")
             role = _ROLE_BY_NAME.get(name.strip())
             if role is None:
                 raise GoldParseError(f"unknown role {name.strip()!r}")
-            parent: int | None = None
-            if at:
+            if sign:
                 try:
                     parent = int(parent_text)
                 except ValueError:
-                    raise GoldParseError(
-                        f"bad parent reference {parent_text!r}"
-                    ) from None
-            words = body.split()
-            if not words:
-                raise GoldParseError(f"empty segment at offset {i}")
-            start = len(tokens)
-            tokens.extend(words)
-            segments.append((role, parent, start, len(tokens)))
-            i = close + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "{}":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+                    raise GoldParseError(f"bad parent reference {parent_text!r}") from None
+        words = body.split()
+        if not words:
+            raise GoldParseError(f"empty segment at offset {at}")
+        start = len(tokens)
+        tokens += words
+        spans.append(RoleSpan(role, start, len(tokens), parent))
+        at += len(piece) + 1
+        if "}" in untagged:
+            stray = at - len(untagged) + untagged.index("}")
+            raise GoldParseError(f"unmatched '}}' at offset {stray}")
+        tokens += untagged.split()
     # Each segment holds exactly one '|', between its role and its words.
-    if text.count("|") != len(segments):
+    if text.count("|") != len(spans):
         raise GoldParseError("a token holds '|', which the format reserves")
 
-    spans = []
-    for index, (role, parent, start, end) in enumerate(segments):
-        if parent is None and role in PARENT_REQUIRED_ROLES:
+    for index, span in enumerate(spans):
+        role, parent = span.role, span.parent
+        if role not in PARENT_REQUIRED_ROLES:
+            if parent is not None:
+                raise GoldParseError(f"role {role.value!r} does not take a parent reference")
+        elif parent is None:
             raise GoldParseError(f"{role.value} requires a parent reference")
-        if parent is not None:
-            if role not in PARENT_REQUIRED_ROLES:
-                raise GoldParseError(
-                    f"role {role.value!r} does not take a parent reference"
-                )
-            if not 0 <= parent < len(segments) or parent == index:
-                raise GoldParseError(f"parent index {parent} out of range")
-            allowed = PARENT_TARGETS[role]
-            target = segments[parent][0]
+        elif not 0 <= parent < len(spans) or parent == index:
+            raise GoldParseError(f"parent index {parent} out of range")
+        else:
+            allowed, target = PARENT_TARGETS[role], spans[parent].role
             if allowed is not None and target not in allowed:
-                raise GoldParseError(
-                    f"{role.value} cannot attach to {target.value}"
-                )
-        spans.append(RoleSpan(role, start, end, parent))
+                raise GoldParseError(f"{role.value} cannot attach to {target.value}")
 
-    ill_formed = not any(span.role is Role.SUPERTYPE for span in spans)
+    ill_formed = Role.SUPERTYPE not in [span.role for span in spans]
     return Annotation(definition_id, tuple(tokens), tuple(spans), ill_formed)
 
 

@@ -11,7 +11,7 @@ annotations on labels ("NP-SBJ", "NP=2") are stripped, and trace leaves
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import islice
 from typing import Iterator
 
@@ -168,7 +168,7 @@ _set_leaf_record = _LeafRecord._leaf_record.__set__
 # ``slots=True`` refuse the fields, but meet any other name (here the leaf
 # record) with a TypeError from a ``super()`` over the class as it was
 # before ``slots=True`` rebuilt it (Python 3.10 to 3.13). These refuse
-# every name alike; ``RoleSpan`` and ``TraceEntry`` use them too.
+# every name alike.
 def _refuse_assignment(self: object, name: str, value: object) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -177,17 +177,33 @@ def _refuse_deletion(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-SynTree.__setattr__ = _refuse_assignment
-SynTree.__delattr__ = _refuse_deletion
+# The generated ``__setstate__`` zips the fields with any state, so the dict
+# pickled by a version whose records had a ``__dict__`` would fill each field
+# with its own name. This one reads such a dict by field name.
+def _set_state(self: object, state: object) -> None:
+    names = [field.name for field in fields(self)]
+    if isinstance(state, dict):
+        if state.keys() != set(names):
+            raise TypeError(f"cannot unpickle {type(self).__name__} from {list(state)}")
+        state = map(state.__getitem__, names)
+    for name, value in zip(names, state):
+        object.__setattr__(self, name, value)
+
+
+def _seal(cls: type) -> None:
+    """Fit a slotted frozen record class with the three methods above."""
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    cls.__setstate__ = _set_state
+
+
+_seal(SynTree)
 
 
 def _recorded_leaves(node: SynTree) -> tuple[SynTree, ...] | None:
     """The leaves ``parse_bracketed`` recorded on ``node``, or None when it
     is not a parsed root (or is a copy of one)."""
-    try:
-        return node._leaf_record
-    except AttributeError:
-        return None
+    return getattr(node, "_leaf_record", None)
 
 
 # ``_strip_functional`` of the raw labels met so far. A corpus can carry any

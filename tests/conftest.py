@@ -24,10 +24,12 @@ from defsrl.lexicon import (
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
+    GoldParseError,
     KIND_OVERLAPPING_SPANS,
     KIND_SPAN_OUT_OF_RANGE,
     KIND_SPANS_UNSORTED,
     PARENT_REQUIRED_ROLES,
+    PARENT_TARGETS,
     Role,
     RoleSpan,
     Violation,
@@ -198,6 +200,83 @@ def oracle_parse_bracketed(text: str) -> SynTree:
     if root is None:
         raise TreeParseError("tree has no surface tokens", 0)
     return root
+
+
+def oracle_parse_gold(text: str, definition_id: str = "") -> Annotation:
+    """Character-by-character reference reader of the inline format, with
+    the whole parent check after the scan. Same annotations, messages and
+    offsets as ``parse_gold``."""
+    roles = {role.value: role for role in Role}
+    tokens: list[str] = []
+    segments: list[tuple[Role, int | None, int, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "}":
+            raise GoldParseError(f"unmatched '}}' at offset {i}")
+        if ch == "{":
+            close = text.find("}", i + 1)
+            if close < 0:
+                raise GoldParseError(f"unclosed '{{' at offset {i}")
+            segment = text[i + 1 : close]
+            if "{" in segment:
+                raise GoldParseError(f"nested '{{' at offset {i}")
+            head, bar, body = segment.partition("|")
+            if not bar:
+                raise GoldParseError(f"segment missing '|' at offset {i}")
+            name, at, parent_text = head.partition("@")
+            role = roles.get(name.strip())
+            if role is None:
+                raise GoldParseError(f"unknown role {name.strip()!r}")
+            parent: int | None = None
+            if at:
+                try:
+                    parent = int(parent_text)
+                except ValueError:
+                    raise GoldParseError(
+                        f"bad parent reference {parent_text!r}"
+                    ) from None
+            words = body.split()
+            if not words:
+                raise GoldParseError(f"empty segment at offset {i}")
+            start = len(tokens)
+            tokens.extend(words)
+            segments.append((role, parent, start, len(tokens)))
+            i = close + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "{}":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    if text.count("|") != len(segments):
+        raise GoldParseError("a token holds '|', which the format reserves")
+
+    spans = []
+    for index, (role, parent, start, end) in enumerate(segments):
+        if parent is None and role in PARENT_REQUIRED_ROLES:
+            raise GoldParseError(f"{role.value} requires a parent reference")
+        if parent is not None:
+            if role not in PARENT_REQUIRED_ROLES:
+                raise GoldParseError(
+                    f"role {role.value!r} does not take a parent reference"
+                )
+            if not 0 <= parent < len(segments) or parent == index:
+                raise GoldParseError(f"parent index {parent} out of range")
+            allowed = PARENT_TARGETS[role]
+            target = segments[parent][0]
+            if allowed is not None and target not in allowed:
+                raise GoldParseError(
+                    f"{role.value} cannot attach to {target.value}"
+                )
+        spans.append(RoleSpan(role, start, end, parent))
+
+    ill_formed = not any(span.role is Role.SUPERTYPE for span in spans)
+    return Annotation(definition_id, tuple(tokens), tuple(spans), ill_formed)
 
 
 def oracle_longest_rightmost(lexicon, tokens) -> tuple[int, str] | None:

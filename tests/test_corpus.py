@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import oracle_evaluate, random_annotation, random_tree
+from defsrl.cli import main
 from defsrl.corpus import (
     AlignmentError,
     CorpusError,
@@ -142,6 +145,69 @@ def test_gold_field_is_parsed():
     assert gold is not None
     assert gold.definition_id == "a"
     assert gold.spans[0].role is Role.SUPERTYPE
+
+
+def _annotated(record_id, gold, predicted):
+    payload = {"id": record_id, "pos": "noun", "gloss": "a dog", "gold": gold}
+    if predicted is not None:
+        payload["predicted"] = predicted
+    return json.dumps(payload)
+
+
+def test_a_prediction_that_repeats_its_gold_text_shares_the_gold_annotation():
+    text = (
+        _annotated("same", "a {supertype|dog}", "a {supertype|dog}") + "\n"
+        + _annotated("other", "a {supertype|dog}", "{differentia_quality|a} {supertype|dog}")
+        + "\n" + _annotated("gold-only", "a {supertype|dog}", None) + "\n"
+    )
+    (same, other, gold_only), diagnostics = read_corpus(text)
+    assert diagnostics == []
+    assert same.predicted is same.gold
+    assert other.predicted is not other.gold
+    assert other.predicted == Annotation(
+        "other",
+        ("a", "dog"),
+        (RoleSpan(Role.DIFFERENTIA_QUALITY, 0, 1), RoleSpan(Role.SUPERTYPE, 1, 2)),
+    )
+    assert replace(other.gold, definition_id="same") == same.gold
+    assert gold_only.predicted is None
+
+
+def test_a_malformed_annotation_gives_one_diagnostic_whether_or_not_it_is_shared(
+    tmp_path, capsys
+):
+    text = (
+        _annotated("a", "{supertype|x}", "{supertype|x}") + "\n"
+        + _annotated("p", "a {supertype|dog}", "a {supertype|dog") + "\n"
+        + _annotated("q", "a {supertype|dog} }", "a {supertype|dog} }") + "\n"
+    )
+    records, diagnostics = read_corpus(text)
+    assert [r.id for r in records] == ["a"]
+    assert diagnostics == [
+        Diagnostic(2, "unclosed '{' at offset 2"),
+        Diagnostic(3, "unmatched '}' at offset 18"),
+    ]
+    path = tmp_path / "in.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stats", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:2: unclosed '{{' at offset 2\n{path}:3: unmatched '}}' at offset 18\n"
+    )
+
+
+def test_a_corpus_of_shared_and_separate_predictions_round_trips_byte_identically():
+    rng = random.Random(53)
+    records = []
+    for i in range(300):
+        gold = random_annotation(rng, f"m{i}")
+        kind = i % 3
+        predicted = gold if kind == 0 else random_annotation(rng, f"m{i}") if kind == 1 else None
+        records.append(DefinitionRecord(f"m{i}", "noun", "g", gold=gold, predicted=predicted))
+    text = write_corpus(records)
+    parsed, diagnostics = read_corpus(text)
+    assert diagnostics == [] and parsed == records
+    assert all((r.predicted is r.gold) == (i % 3 == 0) for i, r in enumerate(parsed))
+    assert write_corpus(parsed) == text
 
 
 def test_random_record_round_trip():

@@ -1,9 +1,11 @@
-"""Byte-identity gate: SHA-256 digests of every CLI output on three corpora.
+"""Byte-identity gate: SHA-256 digests of every CLI output on four corpora.
 
 A change that alters output on purpose updates the digest here and says why
 in CHANGES.md. The corpora are the bundled gold corpus, the 10k-definition
-``expand_templates`` corpus of criterion 6, and the seed-5 ``label-long``
-benchmark corpus with its generated lexicon and gazetteer.
+``expand_templates`` corpus of criterion 6, the seed-5 ``label-long``
+benchmark corpus with its generated lexicon and gazetteer, and the seed-5
+``eval-stats`` benchmark corpus, whose records carry both gold and predicted
+annotations and which is read by ``eval`` and ``stats`` only.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import corpora  # noqa: E402
 
 LONG_SEED = 5
 LONG_RECORDS = 1_000  # the label-long workload's size in bench/run.py
+EVAL_SEED = 5
+EVAL_RECORDS = 10_000  # the eval-stats workload's size in bench/run.py
 
 
 def _write_bundled(work: Path) -> list[str]:
@@ -51,7 +55,10 @@ def _write_long(work: Path) -> list[str]:
     return ["--noun-lexicon", str(work / "nouns.txt"), "--loc-gazetteer", str(work / "locations.txt")]
 
 
-CORPORA = {"bundled": _write_bundled, "templates-10k": _write_templates, "label-long-5": _write_long}
+def _write_eval(work: Path) -> list[str]:
+    corpus = corpora.eval_corpus(corpora.load_templates(ROOT), EVAL_RECORDS, EVAL_SEED)
+    (work / "in.jsonl").write_text(corpora.to_jsonl(corpus.records), encoding="utf-8")
+    return []
 
 EXPECTED = {
     "bundled": {
@@ -72,6 +79,11 @@ EXPECTED = {
         "stats": "0 8bb9f2a8423c16b7a0fecedcc0cf586fbe34ad2a2b7acf11f3ccaf6165d9cf64",
         "eval --output": "0 3222c8cf47613179ae650218683d017a89665c82de196a5dc78286c6fd43ee60",
     },
+    "eval-stats-5": {
+        "eval --output": "0 874722ddf9d76c9bc5e66dc6de810b56bd742e752cc7802a1482c92831700f37",
+        "eval stdout": "0 2ec0611d85b2edbb7494fa4682181b5bd92a9bd33641a7cda1aaefecc17b3d90",
+        "stats": "0 908a61299c22fafa8e7e0ff83eac94d831b4caaa0b54938d1033297c09f88f5f",
+    },
     "templates-10k": {
         "label": "0 03311acb57ae677274f1e8a44aad2787291dab96c716f1daa351a0ad95ec6a11",
         "label.trace": "0 225a24d2ea4900bdd4e38d2a696bf14d50046248f1e07848a4608f6c1e1649dc",
@@ -91,6 +103,10 @@ def _run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
+def _digest(code: int, data: bytes) -> str:
+    return f"{code} {hashlib.sha256(data).hexdigest()}"
+
+
 def _outputs(work: Path, knowledge: list[str]) -> dict[str, str]:
     """Exit code and digest of each output, keyed by command and file."""
     source, labeled = str(work / "in.jsonl"), str(work / "out.jsonl")
@@ -98,7 +114,7 @@ def _outputs(work: Path, knowledge: list[str]) -> dict[str, str]:
     results: dict[str, str] = {}
 
     def record(name: str, code: int, data: bytes) -> None:
-        results[name] = f"{code} {hashlib.sha256(data).hexdigest()}"
+        results[name] = _digest(code, data)
 
     code, _ = _run(["label", "--trace", "--input", source, "--output", labeled, *knowledge])
     record("label", code, Path(labeled).read_bytes())
@@ -116,9 +132,30 @@ def _outputs(work: Path, knowledge: list[str]) -> dict[str, str]:
     return results
 
 
+def _read_side_outputs(work: Path, knowledge: list[str]) -> dict[str, str]:
+    """Exit code and digest of one-file ``eval`` (report and stdout) and of
+    ``stats`` on an input that carries both gold and predicted annotations."""
+    source, report = str(work / "in.jsonl"), work / "report.json"
+    code, stdout = _run(["eval", "--input", source, "--output", str(report)])
+    return {
+        "eval --output": _digest(code, report.read_bytes()),
+        "eval stdout": _digest(code, stdout),
+        "stats": _digest(*_run(["stats", "--input", source])),
+    }
+
+
+# Corpus name -> (writer of in.jsonl, returning knowledge flags; outputs).
+CORPORA = {
+    "bundled": (_write_bundled, _outputs),
+    "eval-stats-5": (_write_eval, _read_side_outputs),
+    "label-long-5": (_write_long, _outputs),
+    "templates-10k": (_write_templates, _outputs),
+}
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_cli_outputs_match_their_digests(corpus, tmp_path):
-    knowledge = CORPORA[corpus](tmp_path)
-    actual = _outputs(tmp_path, knowledge)
+    write, outputs = CORPORA[corpus]
+    actual = outputs(tmp_path, write(tmp_path))
     changed = {name: digest for name, digest in actual.items() if EXPECTED[corpus].get(name) != digest}
     assert not changed, f"{corpus}: exit code and digest changed; new values: {changed}"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import copyreg
 import dataclasses
 import json
 import pickle
@@ -793,6 +795,53 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
     assert [getattr(record, name) for name in names] == values
     with pytest.raises(TypeError):
         vars(record)
+
+
+class _DictStatePickle:
+    """Pickles as a ``cls`` record whose state is a dict of its fields, as
+    pickled by a version whose records had a ``__dict__``."""
+
+    def __init__(self, cls: type, state: dict) -> None:
+        self.cls, self.state = cls, state
+
+    def __reduce_ex__(self, protocol):
+        return copyreg._reconstructor, (self.cls, object, None), self.state
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        TraceEntry("supertype", 1, 2, "lexicon entry in anchor NP: 'coach'"),
+        RoleSpan(Role.SUPERTYPE, 0, 1),
+        RoleSpan(Role.EVENT_TIME, 2, 4, 1),
+        parse_bracketed("(NP (DT a) (NN dog))"),
+    ],
+    ids=["trace-entry", "role-span", "role-span-with-parent", "syntree"],
+)
+def test_slotted_records_unpickle_a_dict_or_a_sequence_state(record):
+    cls = record.__class__
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(record, name) for name in names]
+    by_name = dict(zip(names, values))
+    for state in (by_name, dict(reversed(by_name.items()))):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(_DictStatePickle(cls, state), protocol))
+            assert loaded.__class__ is cls and loaded == record
+            assert [getattr(loaded, name) for name in names] == values
+    # The sequence state that ``__getstate__`` gives, as a list or a tuple.
+    assert record.__getstate__() == values
+    for state in (values, tuple(values)):
+        restored = object.__new__(cls)
+        restored.__setstate__(state)
+        assert restored == record
+    # A dict is read by field name only when its keys are the fields.
+    missing = dict(list(by_name.items())[1:])
+    for state in (missing, {**by_name, "extra": 0}, {**missing, "other": values[0]}, {}):
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(_DictStatePickle(cls, state)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+    assert copy.deepcopy(record) == record and copy.copy(record) == record
 
 
 # --- a 10k-token gloss ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_validate, random_annotation
+from conftest import oracle_parse_gold, oracle_validate, random_annotation
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
@@ -160,28 +160,65 @@ def test_parse_gold_forward_parent_reference():
     assert annotation.spans[0].parent == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{mystery|x}",
-        "{supertype|x",
-        "{supertype x}",
-        "{supertype|}",
-        "{{supertype|x}}",
-        "broken } here",
-        "{event_time@9|x} {supertype|y}",
-        "{event_time@1|x} {supertype|y}",
-        "{supertype@0|x}",
-        "{particle@0|off}",
-        "a {supertype|dog} {event_time|at noon}",
-        "a {supertype|dog} {event_time@x|at noon}",
-        "x|y {supertype|dog}",
-        "x {supertype|dog|cat}",
-    ],
-)
+# Each case: a malformed text and the message of its GoldParseError.
+GOLD_ERRORS = {
+    "{mystery|x}": "unknown role 'mystery'",
+    "{supertype|x": "unclosed '{' at offset 0",
+    "{supertype x}": "segment missing '|' at offset 0",
+    "{supertype|}": "empty segment at offset 0",
+    "{{supertype|x}}": "nested '{' at offset 0",
+    "broken } here": "unmatched '}' at offset 7",
+    "{event_time@9|x} {supertype|y}": "parent index 9 out of range",
+    "{event_time@1|x} {supertype|y}": "event_time cannot attach to supertype",
+    "{supertype@0|x}": "role 'supertype' does not take a parent reference",
+    "{particle@0|off}": "parent index 0 out of range",
+    "a {supertype|dog} {event_time|at noon}": "event_time requires a parent reference",
+    "a {supertype|dog} {event_time@x|at noon}": "bad parent reference 'x'",
+    "x|y {supertype|dog}": "a token holds '|', which the format reserves",
+    "x {supertype|dog|cat}": "a token holds '|', which the format reserves",
+}
+
+
+@pytest.mark.parametrize("text", GOLD_ERRORS)
 def test_parse_gold_errors(text):
-    with pytest.raises(GoldParseError):
+    with pytest.raises(GoldParseError) as info:
         parse_gold(text)
+    assert str(info.value) == GOLD_ERRORS[text]
+
+
+# Pieces of hostile inline text: the format's four marks, parent references
+# good and bad, role names bare and padded, and the whitespace that
+# ``str.split`` and ``str.isspace`` know beyond the ASCII space.
+_GOLD_PIECES = [
+    "{", "}", "|", "@", "0", "1", "2", "-1", "x", " ", "a", "b c",
+    *(role.value for role in Role),
+    *(f" {role.value} " for role in (Role.SUPERTYPE, Role.EVENT_TIME, Role.PARTICLE)),
+    "\t", "\x1c", "\x85", "\u3000",
+]
+_PIECE = st.sampled_from(_GOLD_PIECES)
+# Segment-shaped text, so that drawn strings also get past the scan: a head
+# of pieces, often a role name with a parent reference, then a body.
+_SEGMENT = st.builds(
+    lambda head, parent, body: "{" + head + parent + body + "}",
+    st.one_of(st.sampled_from([role.value for role in Role]), _PIECE),
+    st.sampled_from(["|", "@0|", "@1|", "@2|", "@-1|", "@x|", "@ 1 |", "@|", ""]),
+    st.lists(_PIECE, max_size=3).map("".join),
+)
+_GOLD_TEXT = st.lists(st.one_of(_PIECE, _SEGMENT), max_size=10).map("".join)
+
+
+def _outcome(parse, text):
+    """The annotation ``parse`` reads from ``text``, or its error message."""
+    try:
+        return parse(text, "g")
+    except GoldParseError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_GOLD_TEXT)
+def test_parse_gold_matches_the_character_loop(text):
+    assert _outcome(parse_gold, text) == _outcome(oracle_parse_gold, text)
 
 
 def test_serialize_single_span():
