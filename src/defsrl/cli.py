@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from .corpus import (
     evaluate,
     format_eval_report,
     read_corpus,
-    write_corpus,
+    record_line,
 )
 from .defaults import default_config
 from .labeler import UNLABELED_RULE, EmptyDefinitionError, LabelerConfig, LabelOutcome, label
@@ -162,40 +165,87 @@ def _label_record(
         return f"internal error: {type(exc).__name__}: {exc}"
 
 
+@contextmanager
+def _replacing(path: str):
+    """A text stream whose contents replace the file at ``path`` on success.
+
+    The text goes to a new file, uniquely named and created exclusively, in
+    the directory of the file that ``path`` names (a symlink is followed, so
+    it stays a symlink). The file is renamed over that one when the block
+    ends and removed if the block raises, so an earlier file at ``path``
+    stays as it was. A new file gets ``0o666`` less the umask; a replaced
+    one keeps its permission bits. A ``path`` that exists and is not a
+    regular file (a FIFO, say, or a directory) is opened in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    while True:
+        temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename = path
+            raise
+    try:
+        with open(fd, "w", encoding="utf-8") as stream:
+            yield stream
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        os.replace(temporary, target)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def _trace_line(record_id: str, outcome: LabelOutcome) -> str:
+    entries = [
+        {"rule": t.rule, "start": t.start, "end": t.end, "reason": t.reason}
+        for t in outcome.rule_trace
+    ]
+    return json.dumps({"id": record_id, "trace": entries}, ensure_ascii=False)
+
+
 def run_label(args: argparse.Namespace) -> int:
+    """Label a corpus into ``--output`` (and ``--output.trace``).
+
+    Records are labeled, written and dropped one at a time, so memory grows
+    with the input and not with the output. Each file is written to a
+    temporary file in its own directory and renamed over it at the end
+    (``_replacing``): a fatal error or an interrupt leaves any earlier
+    output untouched.
+    """
     problems = _Problems(sys.stderr)
     records = _read_records(args.input, problems)
     configs = _configs_by_mode(_load_config(args))
-    out_records = []
-    traces = []
-    for record in records:
-        if record.tree is None:
-            outcome = "no parse tree; record passed through"
-        else:
-            outcome = _label_record(record, configs)
-        if isinstance(outcome, str):
-            problems(record.id, outcome)
-            out_records.append(record)
-            continue
-        out_records.append(replace(record, predicted=outcome.annotation))
-        if args.trace:
-            traces.append(
-                {
-                    "id": record.id,
-                    "trace": [
-                        {"rule": t.rule, "start": t.start, "end": t.end, "reason": t.reason}
-                        for t in outcome.rule_trace
-                    ],
-                }
-            )
-
-    Path(args.output).write_text(write_corpus(out_records), encoding="utf-8")
-    if args.trace:
-        trace_path = args.output + ".trace"
-        Path(trace_path).write_text(
-            "".join(json.dumps(t, ensure_ascii=False) + "\n" for t in traces),
-            encoding="utf-8",
-        )
+    with _replacing(args.output) as output, (
+        _replacing(args.output + ".trace") if args.trace else nullcontext()
+    ) as trace:
+        for record in records:
+            if record.tree is None:
+                outcome = "no parse tree; record passed through"
+            else:
+                outcome = _label_record(record, configs)
+            if isinstance(outcome, str):
+                problems(record.id, outcome)
+                output.write(record_line(record) + "\n")
+                continue
+            output.write(record_line(record, outcome.annotation) + "\n")
+            if trace is not None:
+                trace.write(_trace_line(record.id, outcome) + "\n")
     return problems.exit_code
 
 

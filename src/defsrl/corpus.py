@@ -27,6 +27,7 @@ __all__ = [
     "EvalReport",
     "DistributionReport",
     "read_corpus",
+    "record_line",
     "write_corpus",
     "distribution",
     "evaluate",
@@ -150,21 +151,34 @@ def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
     return records, diagnostics
 
 
+def record_line(record: DefinitionRecord, predicted: Annotation | None = None) -> str:
+    """One record's canonical JSON line, without its newline.
+
+    ``predicted``, when given, is written in place of ``record.predicted``,
+    so a caller that labels a record need not build a new one to write it.
+    """
+    payload: dict = {"id": record.id, "pos": record.pos, "gloss": record.gloss}
+    if record.tree is not None:
+        payload["tree"] = record.tree
+    if record.instance:
+        payload["instance"] = True
+    if record.gold is not None:
+        payload["gold"] = serialize_gold(record.gold)
+    if predicted is None:
+        predicted = record.predicted
+    if predicted is not None:
+        payload["predicted"] = serialize_gold(predicted)
+    return json.dumps(payload, ensure_ascii=False)
+
+
 def write_corpus(records: list[DefinitionRecord]) -> str:
-    """Canonical line-delimited form; inverse of ``read_corpus`` on valid files."""
-    lines = []
-    for record in records:
-        payload: dict = {"id": record.id, "pos": record.pos, "gloss": record.gloss}
-        if record.tree is not None:
-            payload["tree"] = record.tree
-        if record.instance:
-            payload["instance"] = True
-        if record.gold is not None:
-            payload["gold"] = serialize_gold(record.gold)
-        if record.predicted is not None:
-            payload["predicted"] = serialize_gold(record.predicted)
-        lines.append(json.dumps(payload, ensure_ascii=False))
-    return "\n".join(lines) + "\n" if lines else ""
+    """Canonical line-delimited form; inverse of ``read_corpus`` on valid files.
+
+    It is the join of ``record_line`` over ``records``. ``defsrl label``
+    writes those lines one at a time instead, so that it never holds the
+    whole output.
+    """
+    return "".join(record_line(record) + "\n" for record in records)
 
 
 @dataclass(frozen=True)

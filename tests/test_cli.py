@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 import random
+import stat
+import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -17,6 +22,7 @@ from defsrl.defaults import BUNDLED_CORPUS, packaged_data_text
 from defsrl.labeler import LabelerConfig
 from defsrl.rolemodel import parse_gold, serialize_gold
 from defsrl.syntree import serialize
+from test_acceptance import expand_templates
 
 
 @pytest.fixture()
@@ -741,10 +747,13 @@ FATAL_INPUTS = {
 def test_malformed_command_line_inputs_are_fatal_errors(corpus_path, tmp_path, capsys, case):
     work = tmp_path / "work"
     work.mkdir()
-    assert main(FATAL_INPUTS[case](str(corpus_path), work)) == 1
+    argv = FATAL_INPUTS[case](str(corpus_path), work)
+    entries = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == entries
 
 
 @pytest.mark.parametrize("flag", ["--noun-lexicon", "--verb-lexicon"])
@@ -803,3 +812,207 @@ def test_relabeling_a_labeled_corpus_is_byte_identical(tmp_path, corpus):
     assert main(["label", "--input", str(source), "--output", str(once)]) == 0
     assert main(["label", "--input", str(once), "--output", str(twice)]) == 0
     assert once.read_bytes() == twice.read_bytes()
+
+
+# --- label output files ------------------------------------------------------------
+
+
+def _label_argv(source: Path, out: Path, *extra: str) -> list[str]:
+    return ["label", "--input", str(source), "--output", str(out), *extra]
+
+
+def _contents(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.fixture()
+def earlier_output(tmp_path):
+    """A directory holding an earlier ``out.jsonl`` and its trace."""
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "out.jsonl").write_text("earlier output\n", encoding="utf-8")
+    (work / "out.jsonl.trace").write_text("earlier trace\n", encoding="utf-8")
+    return work
+
+
+@pytest.fixture()
+def labeled_bytes(corpus_path, tmp_path):
+    """The bytes of the bundled corpus labeled into a new file."""
+    reference = tmp_path / "reference" / "out.jsonl"
+    reference.parent.mkdir()
+    assert main(_label_argv(corpus_path, reference)) == 0
+    return reference.read_bytes()
+
+
+def test_an_interrupt_leaves_the_earlier_output_untouched(
+    corpus_path, earlier_output, monkeypatch
+):
+    from defsrl import cli
+    from defsrl.labeler import label
+
+    calls = []
+
+    def interrupted_label(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return label(*args)
+
+    monkeypatch.setattr(cli, "label", interrupted_label)
+    before = _contents(earlier_output)
+    with pytest.raises(KeyboardInterrupt):
+        main(_label_argv(corpus_path, earlier_output / "out.jsonl", "--trace"))
+    assert len(calls) == 3
+    assert _contents(earlier_output) == before
+
+
+class _FullDisk:
+    """A text stream whose third write fails the way a full disk does."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.stream.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stream.close()
+
+
+def test_a_write_error_leaves_the_earlier_output_untouched(
+    corpus_path, earlier_output, monkeypatch, capsys
+):
+    from defsrl import cli
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
+    before = _contents(earlier_output)
+    assert main(_label_argv(corpus_path, earlier_output / "out.jsonl", "--trace")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ]
+    assert _contents(earlier_output) == before
+
+
+def test_a_fatal_config_error_creates_no_temporary_file(
+    corpus_path, earlier_output, monkeypatch, capsys
+):
+    config = earlier_output / "config.json"
+    config.write_text("[]", encoding="utf-8")
+    created = []
+    real_open = os.open
+
+    def spying_open(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spying_open)
+    before = _contents(earlier_output)
+    argv = _label_argv(corpus_path, earlier_output / "out.jsonl", "--trace")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: config {config}: not a JSON object\n"
+    assert created == []
+    assert _contents(earlier_output) == before
+
+
+def test_an_output_in_a_missing_directory_is_named_in_the_fatal_error(
+    corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "missing" / "out.jsonl"
+    assert main(_label_argv(corpus_path, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == [corpus_path]
+
+
+posix_modes = pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+
+
+@posix_modes
+def test_a_new_output_gets_the_umask_mode(corpus_path, tmp_path):
+    out = tmp_path / "out.jsonl"
+    umask = os.umask(0o027)
+    try:
+        assert main(_label_argv(corpus_path, out, "--trace")) == 0
+    finally:
+        os.umask(umask)
+    for path in (out, Path(f"{out}.trace")):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@posix_modes
+def test_an_existing_output_keeps_its_permission_bits(corpus_path, tmp_path, labeled_bytes):
+    out = tmp_path / "out.jsonl"
+    trace = Path(f"{out}.trace")
+    for path, mode in ((out, 0o604), (trace, 0o751)):
+        path.write_text("earlier\n", encoding="utf-8")
+        os.chmod(path, mode)
+    assert main(_label_argv(corpus_path, out, "--trace")) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o604
+    assert stat.S_IMODE(trace.stat().st_mode) == 0o751
+    assert out.read_bytes() == labeled_bytes
+
+
+def test_a_symlinked_output_stays_a_symlink(corpus_path, tmp_path, labeled_bytes):
+    target = tmp_path / "elsewhere" / "labeled.jsonl"
+    target.parent.mkdir()
+    target.write_text("earlier\n", encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    link = work / "out.jsonl"
+    try:
+        link.symlink_to(target)
+    except OSError as exc:
+        pytest.skip(f"cannot create a symlink: {exc}")
+    assert main(_label_argv(corpus_path, link)) == 0
+    assert link.is_symlink()
+    assert Path(os.readlink(link)) == target
+    assert target.read_bytes() == labeled_bytes
+    assert sorted(os.listdir(work)) == ["out.jsonl"]
+    assert sorted(os.listdir(target.parent)) == ["labeled.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_output_is_written_in_place(corpus_path, tmp_path, labeled_bytes):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(_label_argv(corpus_path, fifo)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [labeled_bytes]
+
+
+def test_label_can_write_over_its_own_input(corpus_path, labeled_bytes):
+    assert main(_label_argv(corpus_path, corpus_path)) == 0
+    assert corpus_path.read_bytes() == labeled_bytes
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_label_memory_grows_with_its_input_not_its_output(tmp_path):
+    source = tmp_path / "in.jsonl"
+    source.write_text(write_corpus(expand_templates(2_000)), encoding="utf-8")
+    argv = _label_argv(source, tmp_path / "out.jsonl", "--trace")
+    assert main(argv) == 0  # loads the packaged knowledge files once, untraced
+    read_peak = _traced_peak(lambda: read_corpus(source.read_text(encoding="utf-8")))
+    label_peak = _traced_peak(lambda: main(argv))
+    assert label_peak <= 1.25 * read_peak, (label_peak, read_peak)
