@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
@@ -122,18 +123,19 @@ def _load_config(args: argparse.Namespace) -> LabelerConfig:
 
 
 def _config_threshold(args: argparse.Namespace) -> float:
+    """``--threshold``, else the config's ``supertype_accuracy_threshold``,
+    else 1. A NaN or infinite one would pass every accuracy or none, so it
+    is refused, as is a config value that is no JSON number."""
     if args.threshold is not None:
-        return args.threshold
-    if args.config:
-        payload = _config_payload(args.config)
-        if "supertype_accuracy_threshold" in payload:
-            try:
-                return float(payload["supertype_accuracy_threshold"])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"config {args.config}: supertype_accuracy_threshold is not a number"
-                ) from None
-    return 1.0
+        name, threshold = "--threshold", args.threshold
+    else:
+        payload = _config_payload(args.config) if args.config else {}
+        name = f"config {args.config}: supertype_accuracy_threshold"
+        threshold = payload.get("supertype_accuracy_threshold", 1.0)
+    # ``type`` keeps out bools; NaN fails both comparisons.
+    if type(threshold) not in (int, float) or not -math.inf < threshold < math.inf:
+        raise ValueError(f"{name} is not a finite number: {threshold!r}")
+    return threshold
 
 
 def _configs_by_mode(config: LabelerConfig) -> dict[bool, LabelerConfig]:
@@ -275,6 +277,7 @@ def run_eval(args: argparse.Namespace) -> int:
     paths = args.input
     if len(paths) > 2:
         return _fail("eval takes one annotated corpus or two corpora")
+    threshold = _config_threshold(args) if args.strict else None
     problems = _Problems(sys.stderr)
     records = _read_records(paths[0], problems)
     if len(paths) == 1:
@@ -310,20 +313,14 @@ def run_eval(args: argparse.Namespace) -> int:
             json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8",
         )
-    if args.strict:
-        threshold = _config_threshold(args)
-        if report.supertype_accuracy < threshold:
-            print(
-                f"supertype accuracy {report.supertype_accuracy:.6f} below threshold "
-                f"{threshold:.6f}",
-                file=sys.stderr,
-            )
-            return FATAL
+    if threshold is not None and report.supertype_accuracy < threshold:
+        print(
+            f"supertype accuracy {report.supertype_accuracy:.6f} below threshold "
+            f"{threshold:.6f}",
+            file=sys.stderr,
+        )
+        return FATAL
     return problems.exit_code
-
-
-def _lemma_words(definition_id: str) -> list[str]:
-    return definition_id.lower().replace("_", " ").split()
 
 
 def _is_circular(definition_id: str, tokens: list[str]) -> bool:
@@ -332,7 +329,7 @@ def _is_circular(definition_id: str, tokens: list[str]) -> bool:
     Multiword lemmas must appear as a contiguous phrase; single-word lemmas
     match any token up to the lexicon's plural detachment.
     """
-    words = _lemma_words(definition_id)
+    words = definition_id.lower().replace("_", " ").split()
     if not words:
         return False
     if len(words) == 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .lexicon import NOUN, VERB
 from .patterns import Pattern, pattern_of, render
@@ -118,6 +119,23 @@ def _reject_surrogates(payload: dict) -> None:
                 raise ValueError(f"{name!r} holds an unpaired surrogate") from None
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, one at a time, broken only at "\\n", "\\r\\n"
+    and "\\r", none of which a JSON string holds raw. ``str.splitlines``
+    also breaks at U+0085, U+2028 and U+2029, which one may hold raw."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        line = text[start:end]
+        start = end + 1
+        if "\r" in line:
+            yield from line.removesuffix("\r").split("\r")
+        else:
+            yield line
+
+
 def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
     """Parse a corpus file; bad lines become diagnostics.
 
@@ -128,7 +146,7 @@ def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
     records: list[DefinitionRecord] = []
     diagnostics: list[Diagnostic] = []
     first_line: dict[str, int] = {}  # record id -> the line that holds it
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:

@@ -297,18 +297,13 @@ def detect_quality_modifier(
     Returns (modifier span, shrunk quality span), or None when the
     constituent is not an ADJP/ADVP or no premodifier precedes the head.
     """
+    if constituent.label not in ("ADJP", "ADVP"):
+        return None
     start, end = quality
     inside = [l for l in constituent.leaves() if start <= l.start and l.end <= end]
-    return _detect_quality_modifier(constituent, inside, end)
-
-
-def _detect_quality_modifier(
-    constituent: SynTree, leaves: list[SynTree], end: int
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    # ``leaves``: the constituent's leaves inside the quality span [_, end).
-    if constituent.label not in ("ADJP", "ADVP") or len(leaves) < 2:
+    if len(inside) < 2:
         return None
-    head, following = leaves[0], leaves[1]
+    head, following = inside[0], inside[1]
     if head.label in ("RB", "JJ") and following.label in ("RB", "JJ"):
         return ((head.start, head.end), (head.end, end))
     return None
@@ -736,7 +731,7 @@ class _Engine:
         split = len(groups) > 1
         for group in groups:
             start, end = group[0].start, group[-1].end
-            carve = _detect_quality_modifier(node, self.leaves[start:end], end)
+            carve = detect_quality_modifier(node, (start, end))
             if carve:
                 (mod_start, mod_end), (rest_start, rest_end) = carve
                 quality = _Span(Role.DIFFERENTIA_QUALITY, rest_start, rest_end)

@@ -123,10 +123,11 @@ class SynTree(_LeafRecord):
     def leaves(self) -> list["SynTree"]:
         """All leaf nodes in surface order.
 
-        A node's span indexes its root's leaves:
+        Under the spans ``parse_bracketed`` assigns, which the span queries
+        require, a node's span indexes its root's leaves:
         ``root.leaves()[node.start:node.end] == node.leaves()``. A root from
         ``parse_bracketed`` returns the leaves it recorded; any other node
-        walks its subtree.
+        (a subtree, a copy, a tree built by hand) walks its subtree.
         """
         record = _recorded_leaves(self)
         if record is not None:
@@ -362,70 +363,27 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
     start, then shortest span, then greatest depth. Returns None when no NP
     qualifies.
 
-    A root returned by ``parse_bracketed`` carries its leaf record, and its
-    walk stops early: under the parser's spans the innermost qualifying NPs
-    are disjoint, so the first qualifying NP met in postorder is the answer.
-    Every other tree (built by hand, copied by ``pickle``, ``deepcopy`` or
-    ``dataclasses.replace``, or a subtree) is scanned whole, which is the
-    only exact rule where spans are missing or tie.
+    The tree's spans must number its leaves ``tree.start, tree.start + 1,
+    ...`` as ``parse_bracketed`` numbers them; ValueError is raised when they
+    do not (a tree built by hand without spans, say). Under such spans the
+    innermost qualifying NPs are disjoint, so the first qualifying NP met in
+    postorder is the answer. Nodes finish in postorder by growing end, so the
+    leaves before a node's end are scanned once, left to right, as the walk
+    needs them. A parsed root reads the leaves it recorded; any other tree (a
+    subtree, or a copy by ``pickle``, ``deepcopy`` or ``dataclasses.replace``)
+    walks for them.
     """
+    first = tree.start
     leaves = _recorded_leaves(tree)
-    if leaves is not None:
-        return _first_np_in_postorder(tree, leaves, min_start)
-    # Internal nodes in preorder, each with its depth and its parent's
-    # index, so the reversed pass below meets every child before its parent.
-    # Leaves never enter the list: a noun leaf only marks its parent.
-    nodes: list[tuple[SynTree, int, int]] = []
-    noun: list[bool] = []  # per node: a noun leaf below it
-    stack = [(tree, 0, -1)] if tree.token is None else []
-    while stack:
-        entry = stack.pop()
-        node, depth, _ = entry
-        index = len(nodes)
-        nodes.append(entry)
-        has_noun = False
-        for child in reversed(node.children):
-            if child.token is None:
-                stack.append((child, depth + 1, index))
-            elif not has_noun and child.label.startswith(NOUN_TAG_PREFIX):
-                has_noun = True
-        noun.append(has_noun)
-    qualifying = [False] * len(nodes)  # per node: a qualifying NP below it
-    best: SynTree | None = None
-    best_key: tuple[int, int, int] | None = None
-    for index in range(len(nodes) - 1, -1, -1):
-        node, depth, parent = nodes[index]
-        has_qualifying = qualifying[index]
-        has_noun = noun[index]
-        if (
-            not has_qualifying
-            and has_noun
-            and node.label == "NP"
-            and node.start >= min_start
-        ):
-            has_qualifying = True
-            key = (node.start, node.end - node.start, -depth)
-            # Ties come from disjoint subtrees, met here right to left; the
-            # leftmost of them wins.
-            if best_key is None or key <= best_key:
-                best, best_key = node, key
-        if parent >= 0:
-            if has_qualifying:
-                qualifying[parent] = True
-            if has_noun:
-                noun[parent] = True
-    return best
-
-
-def _first_np_in_postorder(
-    tree: SynTree, leaves: tuple[SynTree, ...], min_start: int
-) -> SynTree | None:
-    """``innermost_leftmost_np`` of a parsed root whose leaves are ``leaves``.
-
-    Nodes finish in postorder by growing end, so the leaves before a node's
-    end are scanned once, left to right, as the walk needs them.
-    """
-    scanned = max(min_start, 0)
+    if leaves is None:
+        leaves = tree.leaves()
+        for index, leaf in enumerate(leaves, first):
+            if leaf.start != index or leaf.end != index + 1:
+                raise ValueError(
+                    f"leaf spans do not number the leaves from {first}: "
+                    f"leaf {leaf.token!r} has span {leaf.span}, not {(index, index + 1)}"
+                )
+    scanned = max(min_start, first)
     last_noun = -1  # the last noun leaf in [min_start, scanned)
     stack = [tree] if tree.token is None else []  # internal nodes
     entered: list[SynTree] = []  # nodes whose children are still on the stack
@@ -444,7 +402,7 @@ def _first_np_in_postorder(
         if node.label == "NP" and node.start >= min_start:
             end = node.end
             while scanned < end:
-                if leaves[scanned].label.startswith(NOUN_TAG_PREFIX):
+                if leaves[scanned - first].label.startswith(NOUN_TAG_PREFIX):
                     last_noun = scanned
                 scanned += 1
             if last_noun >= node.start:

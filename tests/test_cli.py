@@ -237,6 +237,21 @@ def test_label_keeps_the_first_of_repeated_ids(tmp_path, capsys):
     assert [(r.id, r.gloss) for r in records] == [("good", "a coach")]
 
 
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_label_output_with_a_unicode_line_separator_reads_back(tmp_path, capsys, separator):
+    # JSON writes these characters raw; each stays inside its record.
+    record = DefinitionRecord(
+        f"x{separator}y", "noun", f"a dog{separator}that barks", tree="(NP (DT a) (NN dog))"
+    )
+    path, out = tmp_path / "corpus.jsonl", tmp_path / "out.jsonl"
+    path.write_text(write_corpus([record]), encoding="utf-8")
+    assert main(["label", "--input", str(path), "--output", str(out)]) == 0
+    (labeled,), diagnostics = read_corpus(out.read_text(encoding="utf-8"))
+    assert diagnostics == [] and (labeled.id, labeled.gloss) == (record.id, record.gloss)
+    assert main(["stats", "--input", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["Total", "1", "100.0"]
+
+
 # Characters the inline format and JSON make special, and a lone surrogate.
 _ALPHABET = ["a", "b", "{", "}", "|", "@", "1", " ", "\t", "\n", "\ud800"]
 _TEXT = st.lists(st.sampled_from(_ALPHABET), max_size=12).map("".join)
@@ -726,6 +741,28 @@ FATAL_INPUTS = {
         "eval", "--input", corpus, corpus, "--strict",
         "--config", _write(tmp / "config.json", '{"supertype_accuracy_threshold": "x"}'),
     ],
+    "threshold-flag-nan": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict", "--threshold", "nan",
+    ],
+    "threshold-flag-infinite": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict", "--threshold=-inf",
+    ],
+    "threshold-nan": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict",
+        "--config", _write(tmp / "config.json", '{"supertype_accuracy_threshold": NaN}'),
+    ],
+    "threshold-infinite": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict",
+        "--config", _write(tmp / "config.json", '{"supertype_accuracy_threshold": -Infinity}'),
+    ],
+    "threshold-a-boolean": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict",
+        "--config", _write(tmp / "config.json", '{"supertype_accuracy_threshold": true}'),
+    ],
+    "threshold-a-numeric-string": lambda corpus, tmp: [
+        "eval", "--input", corpus, corpus, "--strict",
+        "--config", _write(tmp / "config.json", '{"supertype_accuracy_threshold": "0.5"}'),
+    ],
     "missing-config": lambda corpus, tmp: [
         "eval", "--input", corpus, corpus, "--strict", "--config", str(tmp / "nope.json"),
     ],
@@ -754,6 +791,28 @@ def test_malformed_command_line_inputs_are_fatal_errors(corpus_path, tmp_path, c
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == entries
+
+
+@pytest.mark.parametrize(
+    "option, config, name",
+    [
+        (["--threshold", "nan"], None, "--threshold"),
+        ([], '{"supertype_accuracy_threshold": NaN}', "supertype_accuracy_threshold"),
+        ([], '{"supertype_accuracy_threshold": false}', "supertype_accuracy_threshold"),
+    ],
+    ids=["flag-nan", "config-nan", "config-boolean"],
+)
+def test_a_bad_threshold_is_named_in_the_fatal_error(
+    corpus_path, tmp_path, capsys, option, config, name
+):
+    argv = ["eval", "--input", str(corpus_path), str(corpus_path), "--strict", *option]
+    if config is not None:
+        argv += ["--config", _write(tmp_path / "config.json", config)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and name in line and "not a finite number" in line
 
 
 @pytest.mark.parametrize("flag", ["--noun-lexicon", "--verb-lexicon"])

@@ -123,6 +123,18 @@ def test_read_skips_blank_and_whitespace_only_lines():
     assert diagnostics == [Diagnostic(5, "'pos' must be one of ('noun', 'verb'), got 'adj'")]
 
 
+@pytest.mark.parametrize("break_", ["\n", "\r\n", "\r"])
+def test_read_breaks_lines_at_each_newline_convention(break_):
+    # The bad record's line number counts every break and blank line alike.
+    lines = [
+        '{"id": "a", "pos": "noun", "gloss": "x\u2028y"}', "",
+        '{"id": "b", "pos": "adj", "gloss": "y"}', '{"id": "c", "pos": "noun", "gloss": "z"}',
+    ]
+    records, diagnostics = read_corpus(break_.join(lines) + break_)
+    assert [(r.id, r.gloss) for r in records] == [("a", "x\u2028y"), ("c", "z")]
+    assert [d.line_no for d in diagnostics] == [3]
+
+
 def test_read_zero_records_is_fatal():
     with pytest.raises(CorpusError):
         read_corpus("")
@@ -211,16 +223,20 @@ def test_a_corpus_of_shared_and_separate_predictions_round_trips_byte_identicall
 
 
 def test_random_record_round_trip():
+    # ``write_corpus`` writes U+0085, U+2028 and U+2029 raw; each is a line
+    # break to ``str.splitlines`` but stays inside its record.
+    separators = ["\x85", "\u2028", "\u2029"]
     rng = random.Random(51)
     records = []
     for i in range(500):
         tree = serialize(random_tree(rng)) if rng.random() < 0.7 else None
-        gold = random_annotation(rng, f"r{i}") if rng.random() < 0.7 else None
+        record_id = f"r{i}" + (rng.choice(separators) if rng.random() < 0.2 else "")
+        gold = random_annotation(rng, record_id) if rng.random() < 0.7 else None
         records.append(
             DefinitionRecord(
-                id=f"r{i}",
+                id=record_id,
                 pos=rng.choice(["noun", "verb"]),
-                gloss=" ".join(rng.choices(["some", "gloss", "text"], k=3)),
+                gloss=" ".join(rng.choices(["some", "gloss", "text", *separators], k=3)),
                 tree=tree,
                 instance=rng.random() < 0.2,
                 gold=gold,

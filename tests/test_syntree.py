@@ -162,16 +162,37 @@ def test_innermost_leftmost_np_matches_oracle_at_every_start():
             assert innermost_leftmost_np(tree, min_start) is expected
 
 
-def test_innermost_leftmost_np_ties_match_oracle():
-    # Without spans every node starts at 0 with length 0, so NPs at one
-    # depth tie on the key and the leftmost must win.
+def test_innermost_leftmost_np_rejects_spans_that_do_not_number_the_leaves():
+    # Without spans every node starts at 0 with length 0; a shift moves the
+    # leaves off their root's start; a swap puts two leaves out of order.
     def spanless(node: SynTree) -> SynTree:
         return SynTree(node.label, tuple(spanless(c) for c in node.children), node.token)
 
+    def respanned(node: SynTree, spans: list[tuple[int, int]]) -> SynTree:
+        if node.token is not None:
+            return dataclasses.replace(node, start=spans[node.start][0], end=spans[node.start][1])
+        return dataclasses.replace(node, children=tuple(respanned(c, spans) for c in node.children))
+
     rng = random.Random(18)
     for _ in range(1000):
-        tree = spanless(random_tree(rng))
-        assert innermost_leftmost_np(tree) is oracle_innermost_leftmost_np(tree)
+        tree = random_tree(rng)
+        if tree.token is not None:  # a shifted leaf numbers itself from its start
+            continue
+        count = tree.end
+        shift = rng.choice([-2, -1, 1, 2])
+        broken = [
+            spanless(tree),
+            respanned(tree, [(i + shift, i + shift + 1) for i in range(count)]),
+        ]
+        if count >= 2:
+            swapped = [(i, i + 1) for i in range(count)]
+            i, j = rng.sample(range(count), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            broken.append(respanned(tree, swapped))
+        for other in broken:
+            for min_start in (0, count):
+                with pytest.raises(ValueError):
+                    innermost_leftmost_np(other, min_start)
 
 
 def test_innermost_leftmost_np_on_parsed_trees_matches_oracle_at_every_start():
@@ -183,6 +204,25 @@ def test_innermost_leftmost_np_on_parsed_trees_matches_oracle_at_every_start():
         for min_start in range(tree.end + 1):
             expected = oracle_innermost_leftmost_np(tree, min_start)
             assert innermost_leftmost_np(tree, min_start) is expected
+
+
+def test_innermost_leftmost_np_on_copies_and_subtrees_matches_oracle_at_every_start():
+    # Neither a copy of a parsed root nor a subtree carries the leaf record,
+    # so both number their walked leaves from their own start.
+    rng = random.Random(29)
+    for _ in range(300):
+        tree = parse_bracketed(serialize(random_tree(rng)))
+        copies = [
+            pickle.loads(pickle.dumps(tree)),
+            copy.deepcopy(tree),
+            dataclasses.replace(tree),
+        ]
+        subtrees = [node for node in tree.subtrees() if node is not tree and node.token is None]
+        for other in copies + subtrees:
+            assert _recorded_leaves(other) is None
+            for min_start in range(other.end + 1):
+                expected = oracle_innermost_leftmost_np(other, min_start)
+                assert innermost_leftmost_np(other, min_start) is expected
 
 
 def test_constituents_after_end_is_empty():
