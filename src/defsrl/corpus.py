@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
-from .lexicon import NOUN, VERB
+from .lexicon import NOUN, VERB, _lines
 from .patterns import Pattern, pattern_of, render
 from .rolemodel import Annotation, Role, parse_gold, serialize_gold
 from .syntree import parse_bracketed
@@ -119,23 +118,6 @@ def _reject_surrogates(payload: dict) -> None:
                 raise ValueError(f"{name!r} holds an unpaired surrogate") from None
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, one at a time, broken only at "\\n", "\\r\\n"
-    and "\\r", none of which a JSON string holds raw. ``str.splitlines``
-    also breaks at U+0085, U+2028 and U+2029, which one may hold raw."""
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start)
-        if end < 0:
-            end = size
-        line = text[start:end]
-        start = end + 1
-        if "\r" in line:
-            yield from line.removesuffix("\r").split("\r")
-        else:
-            yield line
-
-
 def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
     """Parse a corpus file; bad lines become diagnostics.
 
@@ -218,21 +200,12 @@ def distribution(annotations: list[Annotation]) -> DistributionReport:
     Patterns occurring once are aggregated as singletons (the "Other" row);
     all counts, Other included, sum to the number of input annotations.
     """
-    by_string: dict[str, Pattern] = {}
-    counts: Counter[str] = Counter()
-    for annotation in annotations:
-        pattern = pattern_of(annotation)
-        key = render(pattern)
-        by_string.setdefault(key, pattern)
-        counts[key] += 1
-    rows = sorted(
-        ((key, count) for key, count in counts.items() if count >= 2),
-        key=lambda item: (-item[1], item[0]),
-    )
-    singletons = sorted(key for key, count in counts.items() if count == 1)
+    counts = Counter(map(pattern_of, annotations))
+    # ``render`` is injective on patterns, so it orders them totally.
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], render(item[0])))
     return DistributionReport(
-        tuple((by_string[key], count) for key, count in rows),
-        tuple(by_string[key] for key in singletons),
+        tuple((pattern, count) for pattern, count in ranked if count >= 2),
+        tuple(pattern for pattern, count in ranked if count == 1),
         len(annotations),
     )
 

@@ -49,11 +49,10 @@ def default_time_gazetteer() -> Gazetteer:
     return load_gazetteer(packaged_data_text("times.txt"), TIME)
 
 
-def default_config(instance_mode: bool = False) -> LabelerConfig:
+def default_config() -> LabelerConfig:
     return LabelerConfig(
         noun_lexicon=default_noun_lexicon(),
         verb_lexicon=default_verb_lexicon(),
         location_gazetteer=default_location_gazetteer(),
         time_gazetteer=default_time_gazetteer(),
-        instance_mode=instance_mode,
     )

@@ -184,7 +184,7 @@ class TraceEntry:
     reason: str
 
     def __init__(self, rule: str, start: int, end: int, reason: str) -> None:
-        # The slots' own setters, as in ``SynTree.__init__``.
+        # The slots' own setters, as in ``parse_bracketed``.
         _set_rule(self, rule)
         _set_start(self, start)
         _set_end(self, end)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "NOUN",
@@ -64,6 +64,9 @@ _NOUN_DETACHMENTS = (
     ("s", ""),
 )
 
+# ``_lines`` splits at least this many characters at once.
+_CHUNK = 1 << 16
+
 
 class LexiconFormatError(ValueError):
     """A source line violated the entry format. ``line_no`` is 1-based."""
@@ -71,6 +74,26 @@ class LexiconFormatError(ValueError):
     def __init__(self, message: str, line_no: int) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, one at a time, as every file defsrl reads
+    breaks them: only at "\\n", "\\r\\n" and "\\r", with no empty line
+    after a final break; U+0085, U+2028 and U+2029 stay inside their line.
+    Chunks of at least ``_CHUNK`` characters, each cut at a "\\n", are split
+    at C speed, so no list of all the lines is held."""
+    start, size = 0, len(text)
+    while start < size:
+        # Searching from the last character at the latest finds a final "\n".
+        end = text.find("\n", min(start + _CHUNK, size) - 1)
+        if end < 0:
+            end = size
+        # A "\r" that ends the chunk is half of a "\r\n" or the last break.
+        chunk = text[start:end].removesuffix("\r")
+        start = end + 1
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        yield from chunk.split("\n")
 
 
 def _normalize_entry(text: str, joiner: str) -> str:
@@ -153,7 +176,7 @@ def _wordlist_entries(text: str, joiner: str) -> list[str]:
     # A kept line has a word, so its entry is never empty.
     entries = [
         joiner.join(words).lower()
-        for words in map(str.split, text.splitlines())
+        for words in map(str.split, _lines(text))
         if words and not words[0].startswith("#")
     ]
     if joiner == "_":
@@ -168,7 +191,7 @@ def _wordlist_entries(text: str, joiner: str) -> list[str]:
 def _raise_underscore_error(text: str) -> None:
     """Raise the LexiconFormatError of the first line of ``text`` whose
     underscore-joined entry is malformed."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         words = line.split()
         if not words or words[0].startswith("#"):
             continue
@@ -190,7 +213,7 @@ def load_wndb_index(text: str, pos: str) -> Lexicon:
     separated with the (already underscore-joined) lemma as first field.
     """
     entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         if line.startswith("  "):
             continue
         fields = line.split()

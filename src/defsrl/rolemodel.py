@@ -103,7 +103,7 @@ class RoleSpan:
     def __init__(
         self, role: Role, start: int, end: int, parent: int | None = None
     ) -> None:
-        # The slots' own setters, as in ``SynTree.__init__``.
+        # The slots' own setters, as in ``parse_bracketed``.
         _set_role(self, role)
         _set_start(self, start)
         _set_end(self, end)

@@ -53,7 +53,7 @@ class _LeafRecord:
     __slots__ = ("_leaf_record",)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class SynTree(_LeafRecord):
     """A constituency-tree node over the half-open token span [start, end).
 
@@ -67,23 +67,6 @@ class SynTree(_LeafRecord):
     token: str | None = None
     start: int = 0
     end: int = 0
-
-    def __init__(
-        self,
-        label: str,
-        children: tuple["SynTree", ...] = (),
-        token: str | None = None,
-        start: int = 0,
-        end: int = 0,
-    ) -> None:
-        # The slots' own setters: the frozen ``__setattr__`` refuses every
-        # assignment, and ``object.__setattr__`` would look each slot up by
-        # name.
-        _set_label(self, label)
-        _set_children(self, children)
-        _set_token(self, token)
-        _set_start(self, start)
-        _set_end(self, end)
 
     def __eq__(self, other: object) -> bool:
         # The generated ``__eq__`` compares the field tuples, children
@@ -252,7 +235,8 @@ def parse_bracketed(text: str) -> SynTree:
     if lexemes[0] != "(":
         raise TreeParseError("expected '('", _offset(text, 0))
     labels = _STRIPPED  # a local name for the per-node lookups
-    # Nodes are built as ``SynTree.__init__`` builds them, without its call.
+    # Nodes are built by the slots' own setters, not by ``SynTree(...)``,
+    # whose ``object.__setattr__`` calls look each slot up by name.
     new, tree_class = object.__new__, SynTree
     set_label, set_children, set_token = _set_label, _set_children, _set_token
     set_start, set_end = _set_start, _set_end
@@ -365,13 +349,13 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
 
     The tree's spans must number its leaves ``tree.start, tree.start + 1,
     ...`` as ``parse_bracketed`` numbers them; ValueError is raised when they
-    do not (a tree built by hand without spans, say). Under such spans the
-    innermost qualifying NPs are disjoint, so the first qualifying NP met in
-    postorder is the answer. Nodes finish in postorder by growing end, so the
-    leaves before a node's end are scanned once, left to right, as the walk
-    needs them. A parsed root reads the leaves it recorded; any other tree (a
-    subtree, or a copy by ``pickle``, ``deepcopy`` or ``dataclasses.replace``)
-    walks for them.
+    do not (a tree built by hand without spans, say), and when an NP's span
+    reaches past the last leaf. Under such spans the innermost qualifying NPs
+    are disjoint, so the first qualifying NP met in postorder is the answer.
+    Nodes finish in postorder by growing end, so the leaves before a node's
+    end are scanned once, left to right, as the walk needs them. A parsed root
+    reads the leaves it recorded; any other tree (a subtree, or a copy by
+    ``pickle``, ``deepcopy`` or ``dataclasses.replace``) walks for them.
     """
     first = tree.start
     leaves = _recorded_leaves(tree)
@@ -383,6 +367,7 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
                     f"leaf spans do not number the leaves from {first}: "
                     f"leaf {leaf.token!r} has span {leaf.span}, not {(index, index + 1)}"
                 )
+    stop = first + len(leaves)
     scanned = max(min_start, first)
     last_noun = -1  # the last noun leaf in [min_start, scanned)
     stack = [tree] if tree.token is None else []  # internal nodes
@@ -401,6 +386,8 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
         entered.pop()
         if node.label == "NP" and node.start >= min_start:
             end = node.end
+            if end > stop:
+                raise ValueError(f"NP span {node.span} reaches past the last leaf, at {stop}")
             while scanned < end:
                 if leaves[scanned - first].label.startswith(NOUN_TAG_PREFIX):
                     last_noun = scanned

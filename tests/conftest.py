@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Iterator
 
 from defsrl.corpus import EvalReport, _metrics
 from defsrl.labeler import UNCOVERED_RULE, TraceEntry
@@ -312,11 +313,28 @@ def oracle_gazetteer_match(gazetteer, tokens) -> bool:
     return False
 
 
+def oracle_lines(text: str) -> Iterator[str]:
+    """``lexicon._lines`` one line at a time: a ``str.find`` loop over the
+    "\\n"s, each line then split at its "\\r"s (a "\\r" that ends it is half
+    of a "\\r\\n")."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        line = text[start:end]
+        start = end + 1
+        if "\r" in line:
+            yield from line.removesuffix("\r").split("\r")
+        else:
+            yield line
+
+
 def oracle_wordlist_entries(text: str, joiner: str) -> list[str]:
     """``lexicon._wordlist_entries`` as a loop over the lines, each stripped,
     skipped when blank or a comment, and normalized on its own."""
     entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(oracle_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

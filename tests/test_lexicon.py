@@ -7,7 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_gazetteer_match, oracle_longest_rightmost, oracle_wordlist_entries
+from conftest import (
+    oracle_gazetteer_match,
+    oracle_lines,
+    oracle_longest_rightmost,
+    oracle_wordlist_entries,
+)
+from defsrl import lexicon
 from defsrl.defaults import default_noun_lexicon
 from defsrl.lexicon import (
     Gazetteer,
@@ -22,6 +28,7 @@ from defsrl.lexicon import (
     load_wndb_index,
     load_wordlist,
     longest_rightmost_entry,
+    _lines,
     _wordlist_entries,
 )
 
@@ -287,6 +294,31 @@ _TEXT_PIECES = [
     "a_b", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x0c",
     "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\n", "\n", "\r\n", "\r",
 ]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join))
+def test_lines_equal_the_line_loop_at_every_chunk_size(text):
+    # Small chunks put a cut after nearly every "\n", including the "\n" of
+    # a "\r\n" and the last character of the text.
+    for chunk in (1, 2, 3, lexicon._CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexicon, "_CHUNK", chunk)
+            assert list(_lines(text)) == list(oracle_lines(text))
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_loaders_keep_a_unicode_line_separator_inside_its_line(separator):
+    assert load_wordlist(f"good{separator}more\n").entries == {"good_more"}
+    assert load_gazetteer(f"Lake{separator}District\n", LOCATION).entries == {"lake district"}
+    index = f"  header{separator}x\nsea_lion n 1{separator}n 1\n"
+    assert load_wndb_index(index, NOUN).entries == {"sea_lion"}
+
+
+def test_wordlist_error_counts_lines_by_the_corpus_rule():
+    with pytest.raises(LexiconFormatError, match="^line 2: ") as info:
+        load_wordlist("good\x85more\n_bad\n")
+    assert info.value.line_no == 2
 
 
 @settings(max_examples=1500, deadline=None)

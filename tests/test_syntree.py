@@ -193,6 +193,11 @@ def test_innermost_leftmost_np_rejects_spans_that_do_not_number_the_leaves():
             for min_start in (0, count):
                 with pytest.raises(ValueError):
                     innermost_leftmost_np(other, min_start)
+    # Leaves numbered right, but an NP whose span reaches past the last one.
+    dog, cat = SynTree("NN", (), "dog", 0, 1), SynTree("NN", (), "cat", 1, 2)
+    overlong = SynTree("S", (SynTree("NP", (dog, cat), None, 0, 5),), None, 0, 2)
+    with pytest.raises(ValueError, match="reaches past the last leaf"):
+        innermost_leftmost_np(overlong)
 
 
 def test_innermost_leftmost_np_on_parsed_trees_matches_oracle_at_every_start():
