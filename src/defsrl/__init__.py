@@ -78,7 +78,6 @@ from .rolemodel import (
 from .syntree import (
     SynTree,
     TreeParseError,
-    constituents_after,
     dominated_by,
     innermost_leftmost_np,
     parse_bracketed,

@@ -58,6 +58,7 @@ from .syntree import (
     NOUN_TAG_PREFIX,
     SynTree,
     _constituents_after_walk,
+    _numbered_leaves,
     _path,
     _seal,
     innermost_leftmost_np,
@@ -296,12 +297,18 @@ def detect_quality_modifier(
 
     Returns (modifier span, shrunk quality span), or None when the
     constituent is not an ADJP/ADVP or no premodifier precedes the head.
+    Raises ValueError when the constituent's spans break the span contract.
     """
-    if constituent.label not in ("ADJP", "ADVP"):
-        return None
     start, end = quality
-    inside = [l for l in constituent.leaves() if start <= l.start and l.end <= end]
-    if len(inside) < 2:
+    inside = [l for l in _numbered_leaves(constituent) if start <= l.start and l.end <= end]
+    return _premodifier(constituent.label, inside, end)
+
+
+def _premodifier(
+    label: str, inside: Sequence[SynTree], end: int
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    # ``detect_quality_modifier`` on the leaves inside the quality span.
+    if label not in ("ADJP", "ADVP") or len(inside) < 2:
         return None
     head, following = inside[0], inside[1]
     if head.label in ("RB", "JJ") and following.label in ("RB", "JJ"):
@@ -350,10 +357,14 @@ class _Engine:
     A node's leaves are ``self.leaves[node.start:node.end]``."""
 
     def __init__(self, tree: SynTree, pos: str, config: LabelerConfig) -> None:
+        if tree.token is None and not tree.children:
+            raise EmptyDefinitionError("tree has no tokens")
+        if tree.start != 0:
+            raise ValueError(f"the tree starts at {tree.start}, not at 0")
         self.tree = tree
         self.pos = pos
         self.config = config
-        self.leaves = tree.leaves()
+        self.leaves = _numbered_leaves(tree)
         self.tokens = tuple(l.token for l in self.leaves)
         self.work: list[_Span] = []
         self.trace: list[TraceEntry] = []
@@ -731,7 +742,7 @@ class _Engine:
         split = len(groups) > 1
         for group in groups:
             start, end = group[0].start, group[-1].end
-            carve = detect_quality_modifier(node, (start, end))
+            carve = _premodifier(node.label, self.leaves[start:end], end)
             if carve:
                 (mod_start, mod_end), (rest_start, rest_end) = carve
                 quality = _Span(Role.DIFFERENTIA_QUALITY, rest_start, rest_end)
@@ -840,6 +851,8 @@ class _Engine:
 
 # ---------------------------------------------------------------------------
 # Public entry points: each runs one rule, or the whole engine, on one gloss.
+# The gloss's ``tree`` must keep the span contract (``syntree``) and start at
+# 0; ValueError otherwise, and EmptyDefinitionError when it has no tokens.
 
 
 def detect_supertype_noun(
@@ -932,9 +945,6 @@ def label(
     if pos not in (NOUN, VERB):
         raise ValueError(f"pos must be {NOUN!r} or {VERB!r}, got {pos!r}")
     engine = _Engine(tree, pos, config)
-    if not engine.leaves:
-        raise EmptyDefinitionError("tree has no tokens")
-
     engine.detect_supertypes()
     if not engine.supertypes:
         engine._note(

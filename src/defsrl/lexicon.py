@@ -9,7 +9,7 @@ closed-class time patterns (years, Nth century, month names).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -232,14 +232,13 @@ class Gazetteer:
 
     ``first_words`` is derived from ``entries``: the text of each entry up
     to its first space, the index ``gazetteer_match`` prunes windows by.
-    It is built on construction, so it is left out of equality, hashing
-    and ``repr``.
+    It is built on construction and is no field, so equality, hashing,
+    ``repr`` and ``dataclasses.replace`` leave it out.
     """
 
     kind: str
     entries: frozenset[str]
     max_words: int
-    first_words: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(

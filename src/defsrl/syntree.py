@@ -6,6 +6,11 @@ is a surface token. Two normalizations are applied while parsing so query
 code only ever sees bare categories over surface tokens: functional
 annotations on labels ("NP-SBJ", "NP=2") are stripped, and trace leaves
 ("-NONE-") are dropped with spans recomputed.
+
+Every span query relies on one span contract, which ``parse_bracketed`` keeps:
+a tree's leaves span ``tree.start, tree.start + 1, ...`` in surface order, one
+token each, and each internal node has children and spans from its first
+child's start to its last child's end. The queries raise ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ __all__ = [
     "parse_bracketed",
     "serialize",
     "innermost_leftmost_np",
-    "constituents_after",
     "dominated_by",
 ]
 
@@ -106,24 +110,15 @@ class SynTree(_LeafRecord):
     def leaves(self) -> list["SynTree"]:
         """All leaf nodes in surface order.
 
-        Under the spans ``parse_bracketed`` assigns, which the span queries
-        require, a node's span indexes its root's leaves:
-        ``root.leaves()[node.start:node.end] == node.leaves()``. A root from
-        ``parse_bracketed`` returns the leaves it recorded; any other node
-        (a subtree, a copy, a tree built by hand) walks its subtree.
+        A root from ``parse_bracketed`` returns the leaves it recorded; any
+        other node (a subtree, a copy, a tree built by hand) walks its
+        subtree. Under the span contract (module docstring),
+        ``root.leaves()[node.start:node.end] == node.leaves()``.
         """
         record = _recorded_leaves(self)
         if record is not None:
             return list(record)
-        out: list[SynTree] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.token is not None:
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        return [node for node in self.subtrees() if node.token is not None]
 
     def tokens(self) -> list[str]:
         return [leaf.token for leaf in self.leaves()]
@@ -188,6 +183,26 @@ def _recorded_leaves(node: SynTree) -> tuple[SynTree, ...] | None:
     """The leaves ``parse_bracketed`` recorded on ``node``, or None when it
     is not a parsed root (or is a copy of one)."""
     return getattr(node, "_leaf_record", None)
+
+
+def _numbered_leaves(tree: SynTree) -> tuple[SynTree, ...]:
+    """The leaves of ``tree`` in surface order: a parsed root's record, or
+    else a walk that raises ValueError at a span breaking the contract."""
+    record = _recorded_leaves(tree)
+    if record is not None:
+        return record
+    leaves: list[SynTree] = []
+    for node in tree.subtrees():
+        children = node.children
+        if node.token is None:
+            if not children or node.start != children[0].start or node.end != children[-1].end:
+                raise ValueError(f"{node.label} node spans {node.span}, not its children")
+            continue
+        i = tree.start + len(leaves)
+        if children or node.start != i or node.end != i + 1:
+            raise ValueError(f"leaf {node.token!r} at {node.span}, not a bare leaf at {(i, i + 1)}")
+        leaves.append(node)
+    return tuple(leaves)
 
 
 # ``_strip_functional`` of the raw labels met so far. A corpus can carry any
@@ -345,29 +360,15 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
     Only NPs starting at or after ``min_start`` qualify. "Innermost" means
     the NP dominates no other qualifying NP; ties are broken by smallest
     start, then shortest span, then greatest depth. Returns None when no NP
-    qualifies.
+    qualifies. Raises ValueError when the spans break the span contract.
 
-    The tree's spans must number its leaves ``tree.start, tree.start + 1,
-    ...`` as ``parse_bracketed`` numbers them; ValueError is raised when they
-    do not (a tree built by hand without spans, say), and when an NP's span
-    reaches past the last leaf. Under such spans the innermost qualifying NPs
-    are disjoint, so the first qualifying NP met in postorder is the answer.
-    Nodes finish in postorder by growing end, so the leaves before a node's
-    end are scanned once, left to right, as the walk needs them. A parsed root
-    reads the leaves it recorded; any other tree (a subtree, or a copy by
-    ``pickle``, ``deepcopy`` or ``dataclasses.replace``) walks for them.
+    Under the contract the innermost qualifying NPs are disjoint, so the
+    first qualifying NP met in postorder is the answer. Nodes finish in
+    postorder by growing end, so the leaves before a node's end are scanned
+    once, left to right, as the walk needs them.
     """
     first = tree.start
-    leaves = _recorded_leaves(tree)
-    if leaves is None:
-        leaves = tree.leaves()
-        for index, leaf in enumerate(leaves, first):
-            if leaf.start != index or leaf.end != index + 1:
-                raise ValueError(
-                    f"leaf spans do not number the leaves from {first}: "
-                    f"leaf {leaf.token!r} has span {leaf.span}, not {(index, index + 1)}"
-                )
-    stop = first + len(leaves)
+    leaves = _numbered_leaves(tree)
     scanned = max(min_start, first)
     last_noun = -1  # the last noun leaf in [min_start, scanned)
     stack = [tree] if tree.token is None else []  # internal nodes
@@ -386,8 +387,6 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
         entered.pop()
         if node.label == "NP" and node.start >= min_start:
             end = node.end
-            if end > stop:
-                raise ValueError(f"NP span {node.span} reaches past the last leaf, at {stop}")
             while scanned < end:
                 if leaves[scanned - first].label.startswith(NOUN_TAG_PREFIX):
                     last_noun = scanned
@@ -397,22 +396,14 @@ def innermost_leftmost_np(tree: SynTree, min_start: int = 0) -> SynTree | None:
     return None
 
 
-def constituents_after(tree: SynTree, start: int) -> list[SynTree]:
-    """Maximal constituents whose spans lie at or after ``start``.
-
-    The returned nodes are in surface order, pairwise non-nested, and their
-    spans exactly cover [start, N) where N is the tree's end.
-    """
-    return [node for node, _ in _constituents_after_walk(tree, start)]
-
-
 def _constituents_after_walk(
     tree: SynTree, start: int
 ) -> list[tuple[SynTree, tuple[str, ...]]]:
-    """``constituents_after``, each node paired with the labels of its
+    """The maximal constituents at or after ``start``: in surface order, pairwise
+    non-nested and covering [start, tree.end). Each comes with the labels of its
     proper ancestors (the nodes the walk descended through), root first."""
-    if not 0 <= start <= tree.end:
-        raise ValueError(f"start {start} outside token range [0, {tree.end}]")
+    if not tree.start <= start <= tree.end:
+        raise ValueError(f"start {start} outside token range [{tree.start}, {tree.end}]")
     out: list[tuple[SynTree, tuple[str, ...]]] = []
     stack: list[tuple[SynTree, tuple[str, ...]]] = [(tree, ())]
     while stack:
@@ -429,9 +420,10 @@ def dominated_by(node: SynTree, ancestor_label: str, within: SynTree) -> bool:
     """True iff a proper ancestor of ``node`` inside ``within`` has the label.
 
     Nodes are located by identity along the spans, so ``node`` must be the
-    actual object taken from ``within``, spanned as ``parse_bracketed``
-    spans it. Raises ValueError when it is not found in the tree.
+    actual object taken from ``within``. Raises ValueError when it is not
+    found there, or when the spans of ``within`` break the span contract.
     """
+    _numbered_leaves(within)
     return any(ancestor.label == ancestor_label for ancestor in _path(within, node)[:-1])
 
 
@@ -439,8 +431,8 @@ def _path(root: SynTree, node: SynTree) -> list[SynTree]:
     """The nodes from ``root`` down to ``node``, both included.
 
     The descent takes, at each level, the child whose span holds
-    ``node.start``, so it relies on the spans ``parse_bracketed`` assigns.
-    Raises ValueError when ``node`` itself (by identity) is not reached.
+    ``node.start``, so ``root`` must keep the span contract; callers check
+    it. Raises ValueError when ``node`` itself (by identity) is not reached.
     """
     path = [root]
     current = root

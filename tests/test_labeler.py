@@ -516,6 +516,22 @@ def test_label_of_a_tree_without_tokens_is_signaled(config):
         label(SynTree("NP"), "noun", config)
 
 
+def test_a_subtree_not_starting_at_0_is_rejected(config):
+    # Annotation tokens are numbered from 0; a subtree keeps its root's spans.
+    tree = parse_bracketed(
+        "(S (NP (DT a) (NN trainer)) (NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS athletes)))))"
+    )
+    sub = tree.children[1]
+    with pytest.raises(ValueError, match="starts at 2"):
+        label(sub, "noun", config)
+    alone = label(parse_bracketed(serialize(sub)), "noun", config).annotation
+    assert (alone.spans[0].role, alone.spans[0].start) == (Role.SUPERTYPE, 1)
+    verbs = parse_bracketed("(S (NP (NNS dogs)) (VP (VB run) (CC or) (VB walk)))")
+    assert detect_supertype_verb(verbs, config) == [(1, 2), (3, 4)]
+    with pytest.raises(ValueError, match="starts at 1"):
+        detect_supertype_verb(verbs.children[1], config)
+
+
 def test_label_rejects_unknown_pos(config):
     with pytest.raises(ValueError):
         label(parse_bracketed("(NP (NN dog))"), "adjective", config)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -277,12 +278,15 @@ def test_gazetteer_replace_and_pickle_rebuild_first_words():
     moved = dataclasses.replace(gazetteer, entries=frozenset({"north america"}))
     assert moved.first_words == {"north"}
     assert gazetteer_match(moved, ["in", "North", "America"])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # no field, so no keyword of ``replace``
         dataclasses.replace(gazetteer, first_words=frozenset())
     loaded = pickle.loads(pickle.dumps(gazetteer))
     assert loaded == gazetteer
     assert loaded.first_words == {"lake"}
     assert gazetteer_match(loaded, ["the", "Lake", "District"])
+    for other in (copy.copy(gazetteer), copy.deepcopy(gazetteer)):
+        assert other == gazetteer and other.first_words == {"lake"}
+    assert [f.name for f in dataclasses.fields(Gazetteer)] == ["kind", "entries", "max_words"]
 
 
 # --- bulk loading -----------------------------------------------------------------

@@ -22,14 +22,23 @@ from conftest import (
 from defsrl.cli import main
 from defsrl.corpus import read_corpus
 from defsrl.defaults import default_config
-from defsrl.labeler import label
+from defsrl.labeler import (
+    classify_post_supertype,
+    detect_accessory_determiner,
+    detect_accessory_quality,
+    detect_instance_origin,
+    detect_quality_modifier,
+    detect_supertype_noun,
+    detect_supertype_verb,
+    label,
+)
 from defsrl import syntree
-from defsrl.rolemodel import Role, validate
+from defsrl.rolemodel import Annotation, Role, RoleSpan, validate
 from defsrl.syntree import (
     SynTree,
     TreeParseError,
+    _constituents_after_walk,
     _recorded_leaves,
-    constituents_after,
     dominated_by,
     innermost_leftmost_np,
     parse_bracketed,
@@ -193,11 +202,16 @@ def test_innermost_leftmost_np_rejects_spans_that_do_not_number_the_leaves():
             for min_start in (0, count):
                 with pytest.raises(ValueError):
                     innermost_leftmost_np(other, min_start)
-    # Leaves numbered right, but an NP whose span reaches past the last one.
+    # Leaves numbered right, but an NP whose span reaches past the last one,
+    # or an NP with no children; an NP starting before ``min_start`` is never
+    # a candidate, but its span still breaks the contract.
     dog, cat = SynTree("NN", (), "dog", 0, 1), SynTree("NN", (), "cat", 1, 2)
     overlong = SynTree("S", (SynTree("NP", (dog, cat), None, 0, 5),), None, 0, 2)
-    with pytest.raises(ValueError, match="reaches past the last leaf"):
-        innermost_leftmost_np(overlong)
+    childless = SynTree("S", (dog, SynTree("NP", (), None, 1, 1)), None, 0, 1)
+    for other in (overlong, childless):
+        for min_start in (0, 1):
+            with pytest.raises(ValueError, match="not its children"):
+                innermost_leftmost_np(other, min_start)
 
 
 def test_innermost_leftmost_np_on_parsed_trees_matches_oracle_at_every_start():
@@ -230,6 +244,12 @@ def test_innermost_leftmost_np_on_copies_and_subtrees_matches_oracle_at_every_st
                 assert innermost_leftmost_np(other, min_start) is expected
 
 
+def constituents_after(tree: SynTree, start: int) -> list[SynTree]:
+    """The constituents ``label()`` classifies after ``start``, without the
+    ancestor labels it pairs them with."""
+    return [node for node, _ in _constituents_after_walk(tree, start)]
+
+
 def test_constituents_after_end_is_empty():
     tree = parse_bracketed(COACH)
     assert constituents_after(tree, tree.end) == []
@@ -247,6 +267,9 @@ def test_constituents_after_out_of_range():
     tree = parse_bracketed(COACH)
     with pytest.raises(ValueError):
         constituents_after(tree, tree.end + 1)
+    pp = tree.children[1]  # a subtree's range starts at its own start
+    with pytest.raises(ValueError):
+        constituents_after(pp, pp.start - 1)
 
 
 def test_constituents_after_covers_suffix_disjointly():
@@ -396,6 +419,76 @@ def test_node_leaves_are_a_slice_of_the_root_leaves(shape):
 @given(st.one_of(_mutated(), st.text(alphabet="() \nNP-ONE=x*" + _SPACES, max_size=30)))
 def test_parse_matches_reference_parser_on_any_text(text):
     assert _outcome(parse_bracketed, text) == _outcome(oracle_parse_bracketed, text)
+
+
+# --- the span contract ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def config():
+    return default_config()
+
+
+def _nudged(tree: SynTree, target: int, field: str, delta: int) -> SynTree:
+    """``tree`` rebuilt by hand, with ``field`` of its ``target``-th preorder
+    node moved by ``delta``."""
+    counter = [-1]
+
+    def rebuild(node: SynTree) -> SynTree:
+        counter[0] += 1
+        changes = {field: getattr(node, field) + delta} if counter[0] == target else {}
+        children = tuple(rebuild(child) for child in node.children)
+        return dataclasses.replace(node, children=children, **changes)
+
+    return rebuild(tree)
+
+
+def _span_queries(tree: SynTree, config) -> dict:
+    """Every public query that reads spans, as calls on ``tree``."""
+    node = tree.children[0] if tree.children else tree
+    tokens = tuple(tree.tokens())
+    empty = Annotation("ctx", tokens, (), False)
+    quality = Annotation("ctx", tokens, (RoleSpan(Role.DIFFERENTIA_QUALITY, 0, 1),), False)
+    return {
+        "innermost_leftmost_np": lambda: innermost_leftmost_np(tree),
+        "innermost_leftmost_np at the end": lambda: innermost_leftmost_np(tree, tree.end),
+        "dominated_by": lambda: dominated_by(node, "NP", tree),
+        "label noun": lambda: label(tree, "noun", config),
+        "label verb": lambda: label(tree, "verb", config),
+        "classify_post_supertype": lambda: classify_post_supertype(tree, node, empty, config),
+        "detect_supertype_noun": lambda: detect_supertype_noun(tree, config),
+        "detect_supertype_verb": lambda: detect_supertype_verb(tree, config),
+        "detect_accessory_determiner": lambda: detect_accessory_determiner(tree, 1, config),
+        "detect_instance_origin": lambda: detect_instance_origin(tree, 1, config),
+        "detect_accessory_quality": lambda: detect_accessory_quality(quality, 0, tree, config),
+        "detect_quality_modifier": lambda: detect_quality_modifier(tree, tree.span),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANONICAL, st.data())
+def test_every_span_query_rejects_one_nudged_span(config, shape, data):
+    tree = parse_bracketed(_render(shape))
+    target = data.draw(st.integers(0, sum(1 for _ in tree.subtrees()) - 1))
+    field = data.draw(st.sampled_from(["start", "end"]))
+    delta = data.draw(st.sampled_from([-1, 1]))
+    # Rebuilt without the nudge, the tree keeps the contract.
+    for query in _span_queries(_nudged(tree, -1, field, delta), config).values():
+        query()
+    for name, query in _span_queries(_nudged(tree, target, field, delta), config).items():
+        with pytest.raises(ValueError):
+            query()
+            pytest.fail(f"{name} accepted the nudged span")
+
+
+def test_dominated_by_rejects_a_node_spanning_past_its_children():
+    # The NP's span covers token 1, the VP's: a descent trusting it would
+    # enter the NP and report "barks" as no descendant.
+    dog, barks = SynTree("NN", (), "dog", 0, 1), SynTree("VB", (), "barks", 1, 2)
+    np, vp = SynTree("NP", (dog,), None, 0, 2), SynTree("VP", (barks,), None, 1, 2)
+    tree = SynTree("S", (np, vp), None, 0, 2)
+    with pytest.raises(ValueError, match="NP node spans"):
+        dominated_by(barks, "VP", tree)
 
 
 # --- deep trees -------------------------------------------------------------------
