@@ -49,7 +49,6 @@ from .rolemodel import (
     Annotation,
     DIFFERENTIA_ROLES,
     ERROR,
-    PARENT_TARGETS,
     Role,
     RoleSpan,
     validate,
@@ -257,7 +256,7 @@ def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
     )
 
 
-def _has_differentia(spans: Sequence[_Span | RoleSpan], excluding: object = None) -> bool:
+def _has_differentia(spans: Sequence[_Span], excluding: _Span | None = None) -> bool:
     return any(s is not excluding and s.role in DIFFERENTIA_ROLES for s in spans)
 
 
@@ -323,9 +322,10 @@ def detect_accessory_quality(
 
     True only when the word is a configured accessory-quality word and the
     annotation keeps at least one other differentia quality or event.
+    ValueError when its tokens are not the tree's or a span lies outside them.
     """
-    span = annotation.spans[span_index]
-    return bool(_Engine(tree, NOUN, config).accessory_quality(span, annotation.spans))
+    engine = _Engine(tree, NOUN, config, annotation)
+    return bool(engine.accessory_quality(engine.work[span_index]))
 
 
 def _unwrap_clause(node: SynTree) -> SynTree:
@@ -354,9 +354,16 @@ def _leading_cue_match(tokens: Sequence[str]) -> bool:
 class _Engine:
     """The labeling state of one gloss: its tree, leaves and tokens, the
     spans and trace built so far, and the supertype spans once detected.
-    A node's leaves are ``self.leaves[node.start:node.end]``."""
+    A node's leaves are ``self.leaves[node.start:node.end]``.
 
-    def __init__(self, tree: SynTree, pos: str, config: LabelerConfig) -> None:
+    A ``context`` annotation of the same tokens starts the spans built so far
+    (without their parent links, which no rule reads); ValueError when its
+    tokens are not the tree's or one of its spans lies outside them."""
+
+    def __init__(
+        self, tree: SynTree, pos: str, config: LabelerConfig,
+        context: Annotation | None = None,
+    ) -> None:
         if tree.token is None and not tree.children:
             raise EmptyDefinitionError("tree has no tokens")
         if tree.start != 0:
@@ -369,6 +376,13 @@ class _Engine:
         self.work: list[_Span] = []
         self.trace: list[TraceEntry] = []
         self.supertypes: list[_Span] = []
+        if context is not None:
+            if context.tokens != self.tokens:
+                raise ValueError("the annotation's tokens are not the tree's")
+            if any(not 0 <= s.start < s.end <= len(self.tokens) for s in context.spans):
+                raise ValueError(f"an annotation span lies outside tokens [0, {len(self.tokens)})")
+            self.work = [_Span(s.role, s.start, s.end) for s in context.spans]
+            self.supertypes = [span for span in self.work if span.role is Role.SUPERTYPE]
         # The noun detection the supertypes came from; None for a verb's.
         self.noun_info: _NounDetection | None = None
 
@@ -463,8 +477,7 @@ class _Engine:
                 and supertype_start > 1
             ):
                 start = 1
-            if start < supertype_start:
-                return _DeterminerHit((start, supertype_start), None)
+            return _DeterminerHit((start, supertype_start), None)
 
         # Otherwise a configured phrase may reveal that the anchor NP itself is
         # a determiner expression ("a type of X"); the supertype is then
@@ -533,10 +546,8 @@ class _Engine:
             ]
         return matches
 
-    def accessory_quality(
-        self, span: _Span | RoleSpan, spans: Sequence[_Span | RoleSpan]
-    ) -> bool | None:
-        """The accessory-quality rule for ``span``, one of ``spans``.
+    def accessory_quality(self, span: _Span) -> bool | None:
+        """The accessory-quality rule for ``span``, one of ``self.work``.
 
         None when ``span`` is not a single-token JJ differentia quality holding
         a configured accessory-quality word; otherwise whether another
@@ -549,7 +560,7 @@ class _Engine:
             or self.tokens[span.start].lower() not in self.config.accessory_quality_words
         ):
             return None
-        return _has_differentia(spans, excluding=span)
+        return _has_differentia(self.work, excluding=span)
 
     # -- supertype anchoring ----------------------------------------------
 
@@ -767,8 +778,11 @@ class _Engine:
                           DIFFERENTIA_QUALITY_RULE, reason)
 
     def reclassify_accessory_qualities(self) -> None:
-        for span in sorted(self.work, key=lambda s: (s.start, s.end)):
-            accessory = self.accessory_quality(span, self.work)
+        """Apply the accessory-quality rule left to right; a quality modifier
+        whose quality turns accessory becomes a differentia quality itself."""
+        ordered = sorted(self.work, key=lambda s: (s.start, s.end))
+        for span in ordered:
+            accessory = self.accessory_quality(span)
             if accessory is None:
                 continue
             word = self.tokens[span.start]
@@ -784,48 +798,20 @@ class _Engine:
                     f"accessory word {word!r} kept as differentia quality "
                     f"(only identifying span); {DIVERGENCE_ACCESSORY_QUALITY}",
                 )
+        for span in reversed(ordered):
+            if span.role is Role.QUALITY_MODIFIER and span.parent.role is Role.ACCESSORY_QUALITY:
+                self._note(
+                    DEMOTED_RULE, span.start, span.end,
+                    "quality_modifier without a valid parent demoted",
+                )
+                span.role = Role.DIFFERENTIA_QUALITY
+                span.parent = None
 
     # -- assembly -----------------------------------------------------------
 
     def build(self, definition_id: str, ill_formed: bool) -> Annotation:
         self.work.sort(key=lambda s: (s.start, s.end))
         return Annotation(definition_id, self.tokens, _role_spans(self.work), ill_formed)
-
-    def enforce_valid(self, annotation: Annotation) -> Annotation:
-        """Demote structurally-broken sub-roles so the outcome validates."""
-        problems = [v for v in validate(annotation) if v.severity == ERROR]
-        if not problems:
-            return annotation
-        ordered = sorted(
-            (v for v in problems if v.span_index is not None),
-            key=lambda v: v.span_index,
-            reverse=True,
-        )
-        for violation in ordered:
-            span = self.work[violation.span_index]
-            if span.role not in PARENT_TARGETS:
-                continue
-            hosts = PARENT_TARGETS[span.role]
-            if hosts is None:  # a particle: any role may host it
-                self.work.remove(span)
-                self._note(
-                    DEMOTED_RULE, span.start, span.end,
-                    "particle without a host removed",
-                )
-            else:
-                self._note(
-                    DEMOTED_RULE, span.start, span.end,
-                    f"{span.role.value} without a valid parent demoted",
-                )
-                span.role = hosts[0]
-                span.parent = None
-        rebuilt = self.build(annotation.definition_id, annotation.ill_formed)
-        remaining = [v for v in validate(rebuilt) if v.severity == ERROR]
-        if remaining:
-            raise RuntimeError(
-                f"labeling produced an invalid annotation: {remaining}"
-            )
-        return rebuilt
 
     def fill_uncovered(self, annotation: Annotation) -> None:
         """Note each maximal run of tokens that no span and no trace entry
@@ -883,8 +869,13 @@ def detect_supertype_verb(
 def detect_accessory_determiner(
     tree: SynTree, supertype_start: int, config: LabelerConfig
 ) -> tuple[int, int] | None:
-    """The accessory-determiner span preceding the supertype, if any."""
+    """The accessory-determiner span preceding the supertype, if any.
+
+    ValueError when ``supertype_start`` lies outside ``[0, len(tokens)]``.
+    """
     engine = _Engine(tree, NOUN, config)
+    if not 0 <= supertype_start <= len(engine.tokens):
+        raise ValueError(f"supertype_start {supertype_start} outside [0, {len(engine.tokens)}]")
     detection = engine.noun_supertypes()
     hit = engine.determiner(supertype_start, detection.np) if detection else None
     return hit.span if hit else None
@@ -914,20 +905,15 @@ def classify_post_supertype(
     Returned spans extend ``context.spans`` in order; parent indices point
     into that extended list. Unmatchable constituents yield no spans (the
     full pipeline records them in the rule trace instead). ``constituent``
-    must be a node of ``tree``; ValueError otherwise.
+    must be a node of ``tree``, and ``context`` an annotation of the tree's
+    tokens whose spans lie inside them; ValueError otherwise.
     """
-    engine = _Engine(tree, pos, config)
-    placeholders = [_Span(s.role, s.start, s.end) for s in context.spans]
-    engine.work.extend(placeholders)
-    engine.supertypes = [p for p in placeholders if p.role is Role.SUPERTYPE][:1]
+    engine = _Engine(tree, pos, config, context)
+    known = len(engine.work)
     ancestors = [node.label for node in _path(tree, constituent)[:-1]]
     engine.classify(constituent, ancestors)
-    placeholder_ids = {id(p) for p in placeholders}
-    new_spans = sorted(
-        (s for s in engine.work if id(s) not in placeholder_ids),
-        key=lambda s: (s.start, s.end),
-    )
-    return list(_role_spans(placeholders + new_spans)[len(placeholders):])
+    new_spans = sorted(engine.work[known:], key=lambda s: (s.start, s.end))
+    return list(_role_spans(engine.work[:known] + new_spans)[known:])
 
 
 def label(
@@ -963,6 +949,8 @@ def label(
 
     engine.reclassify_accessory_qualities()
     annotation = engine.build(definition_id, False)
-    annotation = engine.enforce_valid(annotation)
+    errors = [v for v in validate(annotation) if v.severity == ERROR]
+    if errors:
+        raise RuntimeError(f"labeling produced an invalid annotation: {errors}")
     engine.fill_uncovered(annotation)
     return LabelOutcome(annotation, tuple(engine.trace))

@@ -58,8 +58,7 @@ class Role(str, Enum):
 
 _ROLE_BY_NAME = {role.value: role for role in Role}
 
-# Sub-role -> allowed parent roles, the first being the role a sub-role
-# without a valid parent falls back to; None means any role may host.
+# Sub-role -> allowed parent roles; None means any role may host.
 PARENT_TARGETS: dict[Role, tuple[Role, ...] | None] = {
     Role.QUALITY_MODIFIER: (Role.DIFFERENTIA_QUALITY,),
     Role.EVENT_TIME: (Role.DIFFERENTIA_EVENT,),

@@ -179,6 +179,14 @@ def test_accessory_determiner_bare_article_is_not_one(config):
     assert detect_accessory_determiner(tree, 1, config) is None
 
 
+def test_accessory_determiner_rejects_a_supertype_start_outside_the_tokens(config):
+    tree = parse_bracketed("(NP (NP (DT a) (NN type)) (PP (IN of) (NP (NN dog))))")
+    for supertype_start in (-3, -1, 5):
+        with pytest.raises(ValueError, match="supertype_start"):
+            detect_accessory_determiner(tree, supertype_start, config)
+    assert detect_accessory_determiner(tree, 4, config) is None
+
+
 def test_accessory_determiner_phrase_list_reassigns_supertype(config):
     tree = parse_bracketed("(NP (NP (DT a) (NN type)) (PP (IN of) (NP (NN dance))))")
     outcome = label(tree, "noun", config)
@@ -242,6 +250,24 @@ def test_classify_foreign_node_is_usage_error(config):
     for node in (parse_bracketed("(PP (IN of) (NP (NNS players)))"), twin):
         with pytest.raises(ValueError):
             classify_post_supertype(tree, node, ctx, config)
+
+
+def test_a_partial_annotation_must_span_the_trees_tokens(config):
+    tree = parse_bracketed("(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))")
+    pp = tree.children[1]
+    nine = tuple("a coach of baseball players of the major league".split())
+    quality = context(nine, RoleSpan(Role.DIFFERENTIA_QUALITY, 7, 8))
+    supertype = context(nine, RoleSpan(Role.SUPERTYPE, 7, 8))
+    with pytest.raises(ValueError, match="tokens are not the tree's"):
+        detect_accessory_quality(quality, 0, tree, config)
+    with pytest.raises(ValueError, match="tokens are not the tree's"):
+        classify_post_supertype(tree, pp, supertype, config)
+    for start, end in ((4, 6), (-1, 1), (2, 2)):
+        ctx = context(tree.tokens(), RoleSpan(Role.SUPERTYPE, start, end))
+        with pytest.raises(ValueError, match="outside tokens"):
+            classify_post_supertype(tree, pp, ctx, config)
+        with pytest.raises(ValueError, match="outside tokens"):
+            detect_accessory_quality(ctx, 0, tree, config)
 
 
 def test_classify_of_pp_is_quality(config):
@@ -921,8 +947,8 @@ def test_wide_glosses_label_through_the_cli(tmp_path):
 # Branches of the engine no other test reaches, each pinned by its exact
 # annotation and its trace as (rule, start, end).
 RARE_BRANCHES = {
-    # A quality modifier whose quality is reclassified as accessory loses its
-    # parent and is demoted by enforce_valid.
+    # A quality modifier whose quality is reclassified as accessory is demoted
+    # to a differentia quality by the accessory rule.
     "demoted-modifier": (
         "(NP (NP (DT a) (NN plant)) (ADJP (RB very) (JJ large)) (PP (IN of) (NP (NNS plants))))",
         "a {supertype|plant} {differentia_quality|very} {accessory_quality|large}"
@@ -930,6 +956,18 @@ RARE_BRANCHES = {
         [("supertype", 1, 2), ("leading-dt", 0, 1), ("quality-modifier", 2, 3),
          ("differentia-quality", 3, 4), ("differentia-quality", 4, 6),
          ("accessory-quality", 3, 4), ("demoted", 2, 3)],
+    ),
+    # Two orphaned modifiers are demoted last first.
+    "two-demoted-modifiers": (
+        "(NP (NP (DT a) (NN plant)) (ADJP (RB very) (JJ large)) (CC and)"
+        " (ADJP (RB so) (JJ large)) (PP (IN of) (NP (NNS plants))))",
+        "a {supertype|plant} {differentia_quality|very} {accessory_quality|large} and"
+        " {differentia_quality|so} {accessory_quality|large} {differentia_quality|of plants}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("quality-modifier", 2, 3),
+         ("differentia-quality", 3, 4), ("unlabeled", 4, 5), ("quality-modifier", 5, 6),
+         ("differentia-quality", 6, 7), ("differentia-quality", 7, 9),
+         ("accessory-quality", 3, 4), ("accessory-quality", 6, 7), ("demoted", 5, 6),
+         ("demoted", 2, 3)],
     ),
     # A noun-free determiner expression leaves its leading article out.
     "determiner-after-article": (
@@ -960,3 +998,56 @@ def test_rarely_reached_branches_give_their_pinned_annotation_and_trace(config, 
     assert serialize_gold(outcome.annotation) == expected
     assert not outcome.annotation.ill_formed
     assert [(t.rule, t.start, t.end) for t in outcome.rule_trace] == trace
+
+
+_QUALITY_WORDS = ["large", "small", "quickly"]
+# An ADJP/ADVP whose first two leaves are RB/JJ, so its first leaf is always
+# carved out as a quality modifier: a modifier, a head, and maybe one more leaf.
+_PREMODIFIED_QUALITY = st.tuples(
+    st.sampled_from(["ADJP", "ADVP"]),
+    st.sampled_from([("RB", "very"), ("JJ", "so")]),
+    st.sampled_from([("JJ", "large"), ("JJ", "small"), ("RB", "quickly")]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_PREMODIFIED_QUALITY, st.booleans()), min_size=1, max_size=4),
+    st.booleans(),
+    st.sets(st.sampled_from(_QUALITY_WORDS), min_size=1),
+)
+def test_accessory_rule_demotes_every_modifier_it_orphans(config, qualities, with_pp, words):
+    parts = ["(NP (DT a) (NN plant))"]
+    position = 2  # the next token
+    eligible: list[int] = []  # the modifier of each single-JJ accessory-word quality
+    others = int(with_pp)  # differentia qualities the rule never reclassifies
+    for (phrase, modifier, head, longer), joined in qualities:
+        if joined and position > 2:
+            parts.append("(CC and)")
+            position += 1
+        leaves = [modifier, head] + [("JJ", "green")] * longer
+        parts.append(f"({phrase} " + " ".join(f"({tag} {word})" for tag, word in leaves) + ")")
+        if head[0] == "JJ" and head[1] in words and not longer:
+            eligible.append(position)
+        else:
+            others += 1
+        position += len(leaves)
+    if with_pp:
+        parts.append("(PP (IN of) (NP (NNS plants)))")
+    tree = parse_bracketed("(NP " + " ".join(parts) + ")")
+    outcome = label(tree, "noun", replace(config, accessory_quality_words=frozenset(words)), "q")
+    _check_label_contract(outcome, "q")
+    spans = outcome.annotation.spans
+    for span in spans:
+        if span.role is Role.QUALITY_MODIFIER:
+            assert spans[span.parent].role is Role.DIFFERENTIA_QUALITY
+    # Left to right, each eligible quality turns accessory while another
+    # differentia quality remains; each one's modifier is then an orphan.
+    orphans = eligible if others else eligible[:-1]
+    by_span = {(span.start, span.end): span for span in spans}
+    assert [p for p in eligible if by_span[p + 1, p + 2].role is Role.ACCESSORY_QUALITY] == orphans
+    for p in orphans:
+        assert by_span[p, p + 1] == RoleSpan(Role.DIFFERENTIA_QUALITY, p, p + 1)
+    demoted = [(t.start, t.end) for t in outcome.rule_trace if t.rule == "demoted"]
+    assert demoted == [(p, p + 1) for p in reversed(orphans)]
