@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .lexicon import NOUN, VERB, _lines
 from .patterns import Pattern, pattern_of, render
-from .rolemodel import Annotation, Role, parse_gold, serialize_gold
+from .rolemodel import _RESERVED, Annotation, Role, parse_gold, serialize_gold
 from .syntree import parse_bracketed
 
 __all__ = [
@@ -79,14 +79,15 @@ def _parse_record(payload: dict) -> DefinitionRecord:
         if not isinstance(tree, str):
             raise ValueError("'tree' must be a string")
         parsed = parse_bracketed(tree)
-        # The inline annotation format cannot hold these characters, so a
-        # labeled record could not be written back; reject it here.
-        if "{" in tree or "}" in tree or "|" in tree:
+        # A labeled record whose token holds a character the inline
+        # annotation format reserves could not be written back; reject it.
+        if any(char in tree for char in _RESERVED):
             for token in parsed.tokens():
-                if "{" in token or "}" in token or "|" in token:
+                if any(char in token for char in _RESERVED):
+                    named = ", ".join(map(repr, _RESERVED[:-1])) + f" or {_RESERVED[-1]!r}"
                     raise ValueError(
-                        f"{record_id}: tree token {token!r} contains '{{', '}}' "
-                        "or '|', which the annotation format reserves"
+                        f"{record_id}: tree token {token!r} contains {named}, "
+                        "which the annotation format reserves"
                     )
     instance = payload.get("instance", False)
     if not isinstance(instance, bool):

@@ -322,8 +322,11 @@ def detect_accessory_quality(
 
     True only when the word is a configured accessory-quality word and the
     annotation keeps at least one other differentia quality or event.
-    ValueError when its tokens are not the tree's or a span lies outside them.
+    ValueError when its tokens are not the tree's, a span lies outside them
+    or ``span_index`` lies outside ``[0, len(annotation.spans))``.
     """
+    if not 0 <= span_index < len(annotation.spans):
+        raise ValueError(f"span_index {span_index} outside [0, {len(annotation.spans)})")
     engine = _Engine(tree, NOUN, config, annotation)
     return bool(engine.accessory_quality(engine.work[span_index]))
 
@@ -873,9 +876,7 @@ def detect_accessory_determiner(
 
     ValueError when ``supertype_start`` lies outside ``[0, len(tokens)]``.
     """
-    engine = _Engine(tree, NOUN, config)
-    if not 0 <= supertype_start <= len(engine.tokens):
-        raise ValueError(f"supertype_start {supertype_start} outside [0, {len(engine.tokens)}]")
+    engine = _supertype_start_engine(tree, supertype_start, config)
     detection = engine.noun_supertypes()
     hit = engine.determiner(supertype_start, detection.np) if detection else None
     return hit.span if hit else None
@@ -888,9 +889,21 @@ def detect_instance_origin(
 
     Fires only in instance mode, when the tokens before the supertype are an
     NP (or NP prefix) with a location-gazetteer hit. Takes precedence over
-    the pre-supertype differentia-quality leftover.
+    the pre-supertype differentia-quality leftover. ValueError when
+    ``supertype_start`` lies outside ``[0, len(tokens)]``, in any mode.
     """
-    return _Engine(tree, NOUN, config).instance_origin(supertype_start)
+    engine = _supertype_start_engine(tree, supertype_start, config)
+    return engine.instance_origin(supertype_start)
+
+
+def _supertype_start_engine(
+    tree: SynTree, supertype_start: int, config: LabelerConfig
+) -> _Engine:
+    # A noun engine, once ``supertype_start`` is known to lie in [0, len(tokens)].
+    engine = _Engine(tree, NOUN, config)
+    if not 0 <= supertype_start <= len(engine.tokens):
+        raise ValueError(f"supertype_start {supertype_start} outside [0, {len(engine.tokens)}]")
+    return engine
 
 
 def classify_post_supertype(

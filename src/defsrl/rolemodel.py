@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .syntree import _seal
 
@@ -83,7 +84,9 @@ KIND_SPANS_UNSORTED = "spans_unsorted"
 KIND_ILL_FORMED_FLAG = "ill_formed_flag_mismatch"
 KIND_FLOATING_COMPLEMENT = "floating_complement"
 
-_TOKEN_UNSAFE = re.compile(r"[{}|\s]")
+# The characters the inline format reserves: no token may hold one.
+_RESERVED = "{}|"
+_TOKEN_UNSAFE = re.compile(f"[{re.escape(_RESERVED)}\\s]")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -152,12 +155,32 @@ class GoldParseError(ValueError):
     pass
 
 
+def _subrole_breach(spans: Sequence[RoleSpan], index: int) -> tuple[str, str] | None:
+    """The kind and message of the sub-role rule that ``spans[index]``
+    breaks, or None. The rule: a sub-role's parent is another span, of a
+    role that may host it, and no other role names a parent."""
+    role, parent = spans[index].role, spans[index].parent
+    if role not in PARENT_REQUIRED_ROLES:
+        if parent is None:
+            return None
+        return KIND_UNEXPECTED_PARENT, f"role {role.value!r} does not take a parent reference"
+    if parent is None:
+        return KIND_ORPHAN_SUBROLE, f"{role.value} requires a parent reference"
+    if not 0 <= parent < len(spans) or parent == index:
+        return KIND_PARENT_OUT_OF_RANGE, f"parent index {parent} out of range"
+    allowed, target = PARENT_TARGETS[role], spans[parent].role
+    if allowed is not None and target not in allowed:
+        return KIND_PARENT_ROLE_MISMATCH, f"{role.value} cannot attach to {target.value}"
+    return None
+
+
 def validate(annotation: Annotation) -> list[Violation]:
     """All constraint breaches in the annotation; empty means valid.
 
     Violations are data, not exceptions: errors break structural
     invariants, warnings flag suspicious but representable content
-    (a purpose or associated fact with no identifying differentia).
+    (a purpose or associated fact with no identifying differentia). A
+    sub-role breach reads the same here as in ``parse_gold``'s error.
     """
     violations: list[Violation] = []
     n = len(annotation.tokens)
@@ -195,50 +218,10 @@ def validate(annotation: Annotation) -> list[Violation]:
                     )
                 )
 
-    for idx, span in enumerate(spans):
-        requires_parent = span.role in PARENT_REQUIRED_ROLES
-        if requires_parent and span.parent is None:
-            violations.append(
-                Violation(
-                    KIND_ORPHAN_SUBROLE,
-                    ERROR,
-                    idx,
-                    f"{span.role.value} requires a parent span",
-                )
-            )
-        elif not requires_parent and span.parent is not None:
-            violations.append(
-                Violation(
-                    KIND_UNEXPECTED_PARENT,
-                    ERROR,
-                    idx,
-                    f"{span.role.value} does not take a parent",
-                )
-            )
-        elif span.parent is not None:
-            if not 0 <= span.parent < len(spans) or span.parent == idx:
-                violations.append(
-                    Violation(
-                        KIND_PARENT_OUT_OF_RANGE,
-                        ERROR,
-                        idx,
-                        f"parent index {span.parent} out of range",
-                    )
-                )
-            else:
-                allowed = PARENT_TARGETS[span.role]
-                target = spans[span.parent].role
-                if allowed is not None and target not in allowed:
-                    expected = " or ".join(role.value for role in allowed)
-                    violations.append(
-                        Violation(
-                            KIND_PARENT_ROLE_MISMATCH,
-                            ERROR,
-                            idx,
-                            f"{span.role.value} must attach to {expected}, "
-                            f"not {target.value}",
-                        )
-                    )
+    for idx in range(len(spans)):
+        breach = _subrole_breach(spans, idx)
+        if breach is not None:
+            violations.append(Violation(breach[0], ERROR, idx, breach[1]))
 
     has_supertype = any(span.role is Role.SUPERTYPE for span in spans)
     if not annotation.ill_formed and not has_supertype:
@@ -281,8 +264,9 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
     segment is ill-formed by definition. A sub-role must name a parent of a
     role that may host it, and no token may hold ``|``; so every annotation
     returned is free of ``validate`` errors and ``serialize_gold`` can write
-    it back. An error's offset is the character position in ``text`` of the
-    offending ``{`` or ``}``.
+    it back. A sub-role breach raises the message of ``validate``'s error
+    for it, after the ``|`` check. An error's offset is the character
+    position in ``text`` of the offending ``{`` or ``}``.
     """
     # The text before the first '{' is untagged. Each piece after it opens
     # a segment, and its text after the segment's '}' is untagged again.
@@ -327,19 +311,10 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
     if text.count("|") != len(spans):
         raise GoldParseError("a token holds '|', which the format reserves")
 
-    for index, span in enumerate(spans):
-        role, parent = span.role, span.parent
-        if role not in PARENT_REQUIRED_ROLES:
-            if parent is not None:
-                raise GoldParseError(f"role {role.value!r} does not take a parent reference")
-        elif parent is None:
-            raise GoldParseError(f"{role.value} requires a parent reference")
-        elif not 0 <= parent < len(spans) or parent == index:
-            raise GoldParseError(f"parent index {parent} out of range")
-        else:
-            allowed, target = PARENT_TARGETS[role], spans[parent].role
-            if allowed is not None and target not in allowed:
-                raise GoldParseError(f"{role.value} cannot attach to {target.value}")
+    for index in range(len(spans)):
+        breach = _subrole_breach(spans, index)
+        if breach is not None:
+            raise GoldParseError(breach[1])
 
     ill_formed = Role.SUPERTYPE not in [span.role for span in spans]
     return Annotation(definition_id, tuple(tokens), tuple(spans), ill_formed)

@@ -8,6 +8,7 @@ agreement between the two is meaningful.
 from __future__ import annotations
 
 import random
+import warnings
 from collections import Counter
 from typing import Iterator
 
@@ -37,6 +38,20 @@ from defsrl.rolemodel import (
     validate,
 )
 from defsrl.syntree import SynTree, TreeParseError, _LEXEME, _strip_functional
+
+# When a property fails, hypothesis's report hook imports this module, which
+# imports libcst; where ``mypy_extensions`` is installed, libcst's import warns
+# that ``mypy_extensions.TypedDict`` is deprecated, and under ``-W error`` the
+# hook crashes and the falsifying example is lost. Import it once here with
+# that one warning ignored; every other warning stays an error.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 INTERNAL_LABELS = ["NP", "VP", "PP", "S", "SBAR", "ADJP", "ADVP", "X", "PRT"]
 LEAF_TAGS = ["NN", "NNS", "NNP", "DT", "JJ", "VB", "VBZ", "IN", "RB", "CC", "TO"]

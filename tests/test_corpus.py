@@ -77,6 +77,13 @@ REJECTED_LINES = {
     "lone-surrogate-in-gold": ('{"id": "b", "pos": "noun", "gloss": "x", '
                                '"gold": "{supertype|\\ud800}"}',
                                "'gold' holds an unpaired surrogate"),
+    "reserved-in-a-tree-token": ('{"id": "b", "pos": "noun", "gloss": "x", '
+                                 '"tree": "(NP (DT a) (NN b}c))"}',
+                                 "b: tree token 'b}c' contains '{', '}' or '|', "
+                                 "which the annotation format reserves"),
+    "sub-role-on-a-wrong-host": ('{"id": "b", "pos": "noun", "gloss": "x", '
+                                 '"gold": "{event_time@1|x} {supertype|y}"}',
+                                 "event_time cannot attach to supertype"),
     "duplicate-id": ('{"id": "a", "pos": "verb", "gloss": "y"}',
                      "duplicate id 'a' (first on line 1)"),
 }

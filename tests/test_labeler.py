@@ -405,6 +405,17 @@ def test_instance_origin_gated_by_mode(config):
     assert detect_instance_origin(tree, 2, config) is None
 
 
+def test_instance_origin_rejects_a_supertype_start_outside_the_tokens(config):
+    tree = parse_bracketed("(NP (NP (NNP Morocco)) (NN city))")
+    instance_config = replace(config, instance_mode=True)
+    for cfg in (config, instance_config):
+        for supertype_start in (-1, 3, 7):
+            with pytest.raises(ValueError, match="supertype_start"):
+                detect_instance_origin(tree, supertype_start, cfg)
+    assert detect_instance_origin(tree, 2, config) is None
+    assert detect_instance_origin(tree, 1, instance_config) == (0, 1)
+
+
 def test_instance_origin_united_states_general(config):
     tree = parse_bracketed("(NP (NNP United) (NNPS States) (NN general))")
     instance_config = replace(config, instance_mode=True)
@@ -459,6 +470,9 @@ def test_detect_accessory_quality_direct(config):
     )
     assert detect_accessory_quality(annotation, 0, tree, config)
     assert not detect_accessory_quality(annotation, 2, tree, config)
+    for span_index in (-1, -3, len(annotation.spans)):
+        with pytest.raises(ValueError, match="span_index"):
+            detect_accessory_quality(annotation, span_index, tree, config)
 
 
 # --- full pipeline ---------------------------------------------------------------------

@@ -96,6 +96,24 @@ def test_load_wndb_index_blank_line_is_error():
     assert info.value.line_no == 2
 
 
+def test_load_wndb_index_bad_underscore_names_its_line():
+    with pytest.raises(LexiconFormatError, match="^line 3: bad underscore placement") as info:
+        load_wndb_index("  1 header line\ncoach n 1\nsea__lion n 1\n", NOUN)
+    assert info.value.line_no == 3
+
+
+def test_from_entries_rejects_a_blank_entry():
+    with pytest.raises(ValueError, match="empty entry"):
+        Lexicon.from_entries(NOUN, ["coach", " \t "])
+    with pytest.raises(ValueError, match="empty entry"):
+        Gazetteer.from_entries(LOCATION, ["frontier", ""])
+
+
+def test_gazetteer_match_rejects_no_tokens():
+    with pytest.raises(ValueError, match="tokens must be non-empty"):
+        gazetteer_match(Gazetteer.from_entries(LOCATION, ["frontier"]), [])
+
+
 def test_longest_rightmost_sandpiper():
     lexicon = Lexicon.from_entries(NOUN, ["sandpiper"])
     result = longest_rightmost_entry(lexicon, ["large", "plover-like", "sandpiper"])

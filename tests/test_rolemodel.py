@@ -27,6 +27,10 @@ def kinds(violations, severity=None):
     return [v.kind for v in violations if severity is None or v.severity == severity]
 
 
+def errors(violations):
+    return [(v.kind, v.message) for v in violations if v.severity == ERROR]
+
+
 # --- validate -----------------------------------------------------------------
 
 
@@ -47,7 +51,9 @@ def test_validate_orphan_event_time():
         ["x", "y", "z"],
         [RoleSpan(Role.SUPERTYPE, 0, 1), RoleSpan(Role.EVENT_TIME, 1, 3)],
     )
-    assert kinds(validate(annotation)) == ["orphan_subrole"]
+    assert errors(validate(annotation)) == [
+        ("orphan_subrole", "event_time requires a parent reference")
+    ]
 
 
 def test_validate_missing_supertype():
@@ -94,7 +100,9 @@ def test_validate_parent_role_mismatch():
             RoleSpan(Role.EVENT_TIME, 1, 3, parent=0),
         ],
     )
-    assert kinds(validate(annotation)) == ["parent_role_mismatch"]
+    assert errors(validate(annotation)) == [
+        ("parent_role_mismatch", "event_time cannot attach to supertype")
+    ]
 
 
 def test_validate_unexpected_parent():
@@ -102,7 +110,9 @@ def test_validate_unexpected_parent():
         ["a", "b"],
         [RoleSpan(Role.SUPERTYPE, 0, 1), RoleSpan(Role.DIFFERENTIA_QUALITY, 1, 2, parent=0)],
     )
-    assert kinds(validate(annotation)) == ["unexpected_parent"]
+    assert errors(validate(annotation)) == [
+        ("unexpected_parent", "role 'differentia_quality' does not take a parent reference")
+    ]
 
 
 def test_validate_parent_out_of_range():
@@ -110,7 +120,9 @@ def test_validate_parent_out_of_range():
         ["a", "b"],
         [RoleSpan(Role.SUPERTYPE, 0, 1), RoleSpan(Role.PARTICLE, 1, 2, parent=7)],
     )
-    assert kinds(validate(annotation)) == ["parent_out_of_range"]
+    assert errors(validate(annotation)) == [
+        ("parent_out_of_range", "parent index 7 out of range")
+    ]
 
 
 def test_validate_floating_purpose_is_warning():
@@ -219,6 +231,74 @@ def _outcome(parse, text):
 @given(_GOLD_TEXT)
 def test_parse_gold_matches_the_character_loop(text):
     assert _outcome(parse_gold, text) == _outcome(oracle_parse_gold, text)
+
+
+# The roles each sub-role may attach to, stated apart from ``PARENT_TARGETS``.
+_HOSTS = {
+    Role.QUALITY_MODIFIER: {Role.DIFFERENTIA_QUALITY},
+    Role.EVENT_TIME: {Role.DIFFERENTIA_EVENT},
+    Role.EVENT_LOCATION: {Role.DIFFERENTIA_EVENT},
+    Role.PARTICLE: set(Role),
+}
+
+
+@st.composite
+def _segment_lists(draw):
+    """Inline text rendered by hand from drawn segments, with untagged words
+    between them, and the annotation built from the same segments. Each
+    parent reference fits, names a segment of a role that cannot host it, or
+    is absent, the segment itself, out of range or any segment."""
+    roles = draw(st.lists(st.sampled_from(list(Role)), min_size=1, max_size=6))
+    count = len(roles)
+    parts: list[str] = []
+    tokens: list[str] = []
+    spans: list[RoleSpan] = []
+    for index, role in enumerate(roles):
+        hosts = [i for i in range(count) if i != index and roles[i] in _HOSTS.get(role, ())]
+        others = [i for i in range(count) if i != index and i not in hosts]
+        # Three pools in eight fit: a host, or None for a role that takes none.
+        pools = [hosts or [None]] * 3 + [
+            others or [None], [None], [index], [-1, count, count + 2], list(range(count))
+        ]
+        parent = draw(st.sampled_from(draw(st.sampled_from(pools))))
+        if draw(st.booleans()):
+            parts.append(f"u{index}")
+            tokens.append(f"u{index}")
+        words = [f"w{index}"] * draw(st.integers(1, 2))
+        head = role.value if parent is None else f"{role.value}@{parent}"
+        parts.append("{" + head + "|" + " ".join(words) + "}")
+        spans.append(RoleSpan(role, len(tokens), len(tokens) + len(words), parent))
+        tokens += words
+    ill_formed = Role.SUPERTYPE not in roles
+    return " ".join(parts), Annotation("s", tuple(tokens), tuple(spans), ill_formed)
+
+
+def _breaks_subrole_rule(spans, index):
+    span = spans[index]
+    if span.role not in _HOSTS:
+        return span.parent is not None
+    return (
+        span.parent is None
+        or not 0 <= span.parent < len(spans)
+        or span.parent == index
+        or spans[span.parent].role not in _HOSTS[span.role]
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(_segment_lists())
+def test_a_subrole_breach_reads_the_same_from_parse_gold_and_validate(drawn):
+    text, annotation = drawn
+    found = errors(validate(annotation))
+    spans = annotation.spans
+    breaks = any(_breaks_subrole_rule(spans, i) for i in range(len(spans)))
+    assert bool(found) == breaks
+    if breaks:
+        with pytest.raises(GoldParseError) as info:
+            parse_gold(text, "s")
+        assert str(info.value) == found[0][1]
+    else:
+        assert parse_gold(text, "s") == annotation
 
 
 def test_serialize_single_span():
