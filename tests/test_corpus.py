@@ -81,9 +81,6 @@ REJECTED_LINES = {
                                  '"tree": "(NP (DT a) (NN b}c))"}',
                                  "b: tree token 'b}c' contains '{', '}' or '|', "
                                  "which the annotation format reserves"),
-    "sub-role-on-a-wrong-host": ('{"id": "b", "pos": "noun", "gloss": "x", '
-                                 '"gold": "{event_time@1|x} {supertype|y}"}',
-                                 "event_time cannot attach to supertype"),
     "duplicate-id": ('{"id": "a", "pos": "verb", "gloss": "y"}',
                      "duplicate id 'a' (first on line 1)"),
 }

@@ -27,6 +27,10 @@ def kinds(violations, severity=None):
     return [v.kind for v in violations if severity is None or v.severity == severity]
 
 
+def findings(violations):
+    return [(v.kind, v.message) for v in violations]
+
+
 def errors(violations):
     return [(v.kind, v.message) for v in violations if v.severity == ERROR]
 
@@ -51,7 +55,7 @@ def test_validate_orphan_event_time():
         ["x", "y", "z"],
         [RoleSpan(Role.SUPERTYPE, 0, 1), RoleSpan(Role.EVENT_TIME, 1, 3)],
     )
-    assert errors(validate(annotation)) == [
+    assert findings(validate(annotation)) == [
         ("orphan_subrole", "event_time requires a parent reference")
     ]
 
@@ -100,7 +104,7 @@ def test_validate_parent_role_mismatch():
             RoleSpan(Role.EVENT_TIME, 1, 3, parent=0),
         ],
     )
-    assert errors(validate(annotation)) == [
+    assert findings(validate(annotation)) == [
         ("parent_role_mismatch", "event_time cannot attach to supertype")
     ]
 
@@ -110,7 +114,7 @@ def test_validate_unexpected_parent():
         ["a", "b"],
         [RoleSpan(Role.SUPERTYPE, 0, 1), RoleSpan(Role.DIFFERENTIA_QUALITY, 1, 2, parent=0)],
     )
-    assert errors(validate(annotation)) == [
+    assert findings(validate(annotation)) == [
         ("unexpected_parent", "role 'differentia_quality' does not take a parent reference")
     ]
 
@@ -120,7 +124,7 @@ def test_validate_parent_out_of_range():
         ["a", "b"],
         [RoleSpan(Role.SUPERTYPE, 0, 1), RoleSpan(Role.PARTICLE, 1, 2, parent=7)],
     )
-    assert errors(validate(annotation)) == [
+    assert findings(validate(annotation)) == [
         ("parent_out_of_range", "parent index 7 out of range")
     ]
 
