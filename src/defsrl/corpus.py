@@ -78,11 +78,12 @@ def _parse_record(payload: dict) -> DefinitionRecord:
     if tree is not None:
         if not isinstance(tree, str):
             raise ValueError("'tree' must be a string")
-        parsed = parse_bracketed(tree)
+        # The record keeps the text; the tree is only checked, not built.
+        tokens = parse_bracketed(tree, build=False)
         # A labeled record whose token holds a character the inline
         # annotation format reserves could not be written back; reject it.
         if any(char in tree for char in _RESERVED):
-            for token in parsed.tokens():
+            for token in tokens:
                 if any(char in token for char in _RESERVED):
                     named = ", ".join(map(repr, _RESERVED[:-1])) + f" or {_RESERVED[-1]!r}"
                     raise ValueError(
@@ -283,6 +284,8 @@ def evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
             f"gold has {len(gold)} annotations, predicted has {len(predicted)}"
         )
     for g, p in zip(gold, predicted):
+        if p is g:
+            continue
         if g.definition_id != p.definition_id:
             raise AlignmentError(
                 f"id mismatch: gold {g.definition_id!r} vs predicted "
@@ -302,6 +305,21 @@ def evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
 
     for g, p in zip(gold, predicted):
         g_groups = _spans_by_role(g)
+        if p is g:
+            # A pair that shares one annotation agrees with itself: every
+            # count is the gold's, and both hit counters score.
+            for role, g_list in g_groups.items():
+                spans = len(set(g_list))
+                exact_tp[role] += spans
+                exact_gold[role] += spans
+                exact_pred[role] += spans
+                tokens = len(_token_positions(g_list))
+                token_tp[role] += tokens
+                token_gold[role] += tokens
+                token_pred[role] += tokens
+            supertype_hits += 1
+            flag_hits += 1
+            continue
         p_groups = _spans_by_role(p)
         # A role absent from both sides adds nothing to any count.
         for role in g_groups.keys() | p_groups.keys():

@@ -98,14 +98,11 @@ def _lines(text: str) -> Iterator[str]:
 
 def _normalize_entry(text: str, joiner: str) -> str:
     entry = joiner.join(text.split()).lower()
-    if joiner == "_":
-        # WNDB lemmas arrive pre-joined; validate rather than re-join.
-        if not entry:
-            raise ValueError("empty entry")
-        if entry.startswith("_") or entry.endswith("_") or "__" in entry:
-            raise ValueError(f"bad underscore placement in {entry!r}")
-    elif not entry:
+    if not entry:
         raise ValueError("empty entry")
+    # WNDB lemmas arrive pre-joined; validate rather than re-join.
+    if joiner == "_" and (entry.startswith("_") or entry.endswith("_") or "__" in entry):
+        raise ValueError(f"bad underscore placement in {entry!r}")
     return entry
 
 

@@ -119,7 +119,7 @@ _set_parent = RoleSpan.parent.__set__
 _seal(RoleSpan)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Annotation:
     """An ordered set of disjoint role spans over a definition's tokens.
 
@@ -133,6 +133,19 @@ class Annotation:
     spans: tuple[RoleSpan, ...]
     ill_formed: bool = False
 
+    def __init__(
+        self,
+        definition_id: str,
+        tokens: tuple[str, ...],
+        spans: tuple[RoleSpan, ...],
+        ill_formed: bool = False,
+    ) -> None:
+        # The slots' own setters, as in ``RoleSpan``.
+        _set_definition_id(self, definition_id)
+        _set_tokens(self, tokens)
+        _set_spans(self, spans)
+        _set_ill_formed(self, ill_formed)
+
     def covered(self) -> set[int]:
         out: set[int] = set()
         for span in self.spans:
@@ -141,6 +154,13 @@ class Annotation:
 
     def spans_of(self, role: Role) -> list[RoleSpan]:
         return [span for span in self.spans if span.role == role]
+
+
+_set_definition_id = Annotation.definition_id.__set__
+_set_tokens = Annotation.tokens.__set__
+_set_spans = Annotation.spans.__set__
+_set_ill_formed = Annotation.ill_formed.__set__
+_seal(Annotation)
 
 
 @dataclass(frozen=True)

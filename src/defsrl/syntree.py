@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Literal, overload
 
 __all__ = [
     "SynTree",
@@ -234,12 +234,18 @@ def _offset(text: str, index: int) -> int:
     return next(islice(_LEXEME.finditer(text), index, None)).start()
 
 
-def parse_bracketed(text: str) -> SynTree:
+@overload
+def parse_bracketed(text: str, *, build: Literal[True] = ...) -> SynTree: ...
+@overload
+def parse_bracketed(text: str, *, build: Literal[False]) -> list[str]: ...
+def parse_bracketed(text: str, *, build: bool = True) -> SynTree | list[str]:
     """Parse one bracketed tree, tolerating arbitrary whitespace.
 
     Raises TreeParseError (with a character offset) on unbalanced
     parentheses, missing labels, mixed token/subtree constituents, trailing
-    content, or a tree with no surface tokens.
+    content, or a tree with no surface tokens. With ``build=False`` the same
+    walk only checks the text: it raises the same errors, builds no node and
+    returns the surface tokens in order, ``parse_bracketed(text).tokens()``.
     """
     # The same lexemes as ``_LEXEME.findall(text)``: both split on exactly
     # the ``str.isspace()`` characters.
@@ -260,7 +266,7 @@ def parse_bracketed(text: str) -> SynTree:
     # constituents left empty by dropping them are not kept, so spans count
     # surface tokens only.
     frames: list[tuple[str, list[SynTree]]] = []
-    found: list[SynTree] = []  # the surface leaves, in order
+    found: list = []  # the surface leaves (tokens when not building), in order
     leaf_count = 0
     pos = 1  # just past a "(": a label comes next
     try:
@@ -284,19 +290,24 @@ def parse_bracketed(text: str) -> SynTree:
                     )
                 raise TreeParseError("unexpected token", _offset(text, pos))
             pos += 1
+            # Left None when not building, so no frame keeps a child and
+            # no constituent is built either.
             node: SynTree | None = None
             if raw != "-NONE-":
-                label = labels.get(raw)
-                if label is None:
-                    label = _stripped(raw)
-                node = new(tree_class)
-                set_label(node, label)
-                set_children(node, ())
-                set_token(node, lexeme)
-                set_start(node, leaf_count)
-                set_end(node, leaf_count + 1)
-                found.append(node)
-                leaf_count += 1
+                if not build:
+                    found.append(lexeme)
+                else:
+                    label = labels.get(raw)
+                    if label is None:
+                        label = _stripped(raw)
+                    node = new(tree_class)
+                    set_label(node, label)
+                    set_children(node, ())
+                    set_token(node, lexeme)
+                    set_start(node, leaf_count)
+                    set_end(node, leaf_count + 1)
+                    found.append(node)
+                    leaf_count += 1
             # Close constituents up to the next "(" or the end of the tree.
             while frames:
                 if node is not None:
@@ -326,8 +337,10 @@ def parse_bracketed(text: str) -> SynTree:
         raise TreeParseError("unbalanced parentheses", len(text)) from None
     if pos < count:
         raise TreeParseError("trailing content after tree", _offset(text, pos))
-    if node is None:
+    if not found:
         raise TreeParseError("tree has no surface tokens", 0)
+    if not build:
+        return found
     _set_leaf_record(node, tuple(found))
     return node
 

@@ -141,6 +141,29 @@ def test_label_rejects_reserved_characters_in_tree_tokens(tmp_path, capsys, toke
     assert records[0].predicted is not None
 
 
+@pytest.mark.parametrize("char", ["{", "}", "|"])
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_read_commands_reject_reserved_characters_in_tree_tokens(tmp_path, capsys, command, char):
+    token = f"a{char}b"
+    bad = {"id": "bad", "pos": "noun", "gloss": f"a {token}",
+           "tree": f"(NP (DT a) (NN {token}))",
+           "gold": "a {supertype|coach}", "predicted": "a {supertype|coach}"}
+    good = {"id": "good", "pos": "noun", "gloss": "a coach",
+            "tree": "(NP (DT a) (NN coach))",
+            "gold": "a {supertype|coach}", "predicted": "{supertype|a} coach"}
+    clean = _write(tmp_path / "clean.jsonl", json.dumps(good) + "\n")
+    path = _write(tmp_path / "corpus.jsonl", json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+    assert main([command, "--input", str(clean)]) == 0
+    expected = capsys.readouterr().out
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"{path}:1: bad: tree token {token!r} contains '{{', '}}' or '|', "
+        "which the annotation format reserves"
+    ]
+    assert captured.out == expected
+
+
 FORM_OF_COACH = {"id": "form_of_coach", "pos": "noun", "gloss": "a form of coach",
                  "tree": "(NP (NP (DT a) (NN form)) (PP (IN of) (NP (NN coach))))"}
 _ALLIUM_REST = "{supertype|genus} {differentia_quality|of perennial and biennial pungent bulbous plants}"

@@ -400,8 +400,11 @@ def test_evaluate_alignment_errors_name_the_id():
         evaluate(gold, predicted[:1])
 
 
-def _edited(rng: random.Random, annotation: Annotation) -> Annotation:
-    """The same tokens with some spans dropped and some re-roled."""
+def _edited(rng: random.Random, annotation: Annotation, shared: float = 0.0) -> Annotation:
+    """The same tokens with some spans dropped and some re-roled; with
+    probability ``shared``, ``annotation`` itself."""
+    if shared and rng.random() < shared:
+        return annotation
     spans = []
     for span in annotation.spans:
         roll = rng.random()
@@ -421,6 +424,29 @@ def test_evaluate_matches_per_role_oracle():
         if rng.random() < 0.5:
             gold, predicted = predicted, gold
         assert evaluate(gold, predicted).to_dict() == oracle_evaluate(gold, predicted).to_dict()
+
+
+def test_evaluate_scores_a_shared_pair_as_the_per_role_oracle_does():
+    # ``read_corpus`` shares one Annotation between a gold and an equal
+    # prediction; such a pair is scored from its gold alone. Some annotations
+    # repeat a span or overlap two, which ``evaluate`` does not reject.
+    rng = random.Random(37)
+    shared_pairs = unshared_pairs = 0
+    for _ in range(300):
+        gold = []
+        for i in range(rng.randint(0, 6)):
+            annotation = random_annotation(rng, f"d{i}")
+            if rng.random() < 0.2:
+                extra = rng.choice(annotation.spans)
+                if rng.random() < 0.5:
+                    extra = RoleSpan(extra.role, extra.start, extra.end + 1)
+                annotation = replace(annotation, spans=annotation.spans + (extra,))
+            gold.append(annotation)
+        predicted = [_edited(rng, annotation, shared=0.6) for annotation in gold]
+        shared_pairs += sum(p is g for g, p in zip(gold, predicted))
+        unshared_pairs += sum(p is not g for g, p in zip(gold, predicted))
+        assert evaluate(gold, predicted).to_dict() == oracle_evaluate(gold, predicted).to_dict()
+    assert shared_pairs > 100 and unshared_pairs > 100
 
 
 def test_format_eval_report_has_six_decimal_metrics():

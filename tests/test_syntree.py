@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,15 +86,20 @@ def test_functional_tag_memo_stays_bounded():
 
 
 def test_none_traces_dropped_and_spans_recomputed():
-    tree = parse_bracketed("(S (NP-SBJ (-NONE- *T*-1)) (VP (VB run) (NP (NN home))))")
+    text = "(S (NP-SBJ (-NONE- *T*-1)) (VP (VB run) (NP (NN home))))"
+    tree = parse_bracketed(text)
     assert tree.tokens() == ["run", "home"]
+    assert parse_bracketed(text, build=False) == ["run", "home"]
     assert tree.span == (0, 2)
     assert all(leaf.span == (i, i + 1) for i, leaf in enumerate(tree.leaves()))
 
 
 def test_all_trace_tree_is_an_error():
-    with pytest.raises(TreeParseError):
-        parse_bracketed("(S (NP (-NONE- *)))")
+    for text in ("(S (NP (-NONE- *)))", "(S (NP-SBJ (-NONE- *T*)) (VP (-NONE- *)))"):
+        for build in (True, False):
+            with pytest.raises(TreeParseError) as info:
+                parse_bracketed(text, build=build)
+            assert (str(info.value), info.value.offset) == ("tree has no surface tokens (offset 0)", 0)
 
 
 @pytest.mark.parametrize(
@@ -419,6 +425,19 @@ def test_node_leaves_are_a_slice_of_the_root_leaves(shape):
 @given(st.one_of(_mutated(), st.text(alphabet="() \nNP-ONE=x*" + _SPACES, max_size=30)))
 def test_parse_matches_reference_parser_on_any_text(text):
     assert _outcome(parse_bracketed, text) == _outcome(oracle_parse_bracketed, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        _RAW.map(_render), _mutated(), st.text(alphabet="() \nNP-ONE=x*" + _SPACES, max_size=30)
+    )
+)
+def test_the_check_mode_matches_the_reference_tokens_on_any_text(text):
+    expected = _outcome(oracle_parse_bracketed, text)
+    if expected[0] == "tree":
+        expected = ("tree", expected[1].tokens())
+    assert _outcome(partial(parse_bracketed, build=False), text) == expected
 
 
 # --- the span contract ------------------------------------------------------------
