@@ -4,9 +4,11 @@ Exit codes follow one contract everywhere: 0 success, 1 fatal error,
 2 partial success (per-record problems were reported but the batch ran).
 Every command reports a bad input line as ``path:line: message`` and a
 record it could not handle as ``id: message``: ``label``, ``stats`` and
-``eval`` on stderr, ``lint`` on stdout among its findings. A fatal error is
-one ``error: ...`` line on stderr; a malformed knowledge file is named in it.
-All commands are deterministic: identical inputs produce identical bytes.
+``eval`` on stderr, ``lint`` on stdout among its findings; the bad lines
+come first. A fatal error is one ``error: ...`` line on stderr; a malformed
+knowledge file is named in it. Every command reads its corpus one line at a
+time and keeps no list of records. All commands are deterministic:
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -20,14 +22,17 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import (
     DefinitionRecord,
+    Diagnostic,
+    _corpus_items,
+    _decoded_blocks,
+    _record_line,
+    _Tally,
     distribution,
-    evaluate,
     format_eval_report,
-    read_corpus,
-    record_line,
 )
 from .defaults import default_config
 from .labeler import UNLABELED_RULE, EmptyDefinitionError, LabelerConfig, LabelOutcome, label
@@ -40,7 +45,7 @@ from .lexicon import (
     load_wordlist,
 )
 from .patterns import render
-from .rolemodel import ERROR, validate
+from .rolemodel import ERROR, Annotation, validate
 from .syntree import parse_bracketed
 
 OK = 0
@@ -54,15 +59,50 @@ def _fail(message: str) -> int:
 
 
 class _Problems:
-    """A command's per-record problem sink: prints each one and counts it."""
+    """A command's problem sink. It holds each problem as one line and
+    prints them when its ``with`` block ends: first the bad lines of the
+    corpora read, in the order read, then the per-record messages in the
+    order they arose."""
 
     def __init__(self, stream) -> None:
         self.stream = stream
-        self.count = 0
+        self.bad_lines: list[str] = []
+        self.messages: list[str] = []
+
+    def __enter__(self) -> _Problems:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for line in self.bad_lines + self.messages:
+            print(line, file=self.stream)
 
     def __call__(self, where: str, message: str) -> None:
-        self.count += 1
-        print(f"{where}: {message}", file=self.stream)
+        self.messages.append(f"{where}: {message}")
+
+    def records(self, source, path: str) -> Iterator[DefinitionRecord]:
+        """The records of the corpus file ``path``, open as binary
+        ``source``, one line at a time; each bad line is held here.
+
+        A file that turns out unreadable (not UTF-8, or no record) ends the
+        command as if no record had been handled: its bad lines and every
+        per-record message are dropped, and its fatal error follows the bad
+        lines of the files read before it.
+        """
+        start = len(self.bad_lines)
+        try:
+            for item in _corpus_items(_decoded_blocks(source, path)):
+                if isinstance(item, Diagnostic):
+                    self.bad_lines.append(f"{path}:{item.line_no}: {item.message}")
+                else:
+                    yield item
+        except (OSError, ValueError):
+            del self.bad_lines[start:]
+            self.messages.clear()
+            raise
+
+    @property
+    def count(self) -> int:
+        return len(self.bad_lines) + len(self.messages)
 
     @property
     def exit_code(self) -> int:
@@ -144,14 +184,6 @@ def _configs_by_mode(config: LabelerConfig) -> dict[bool, LabelerConfig]:
     return {config.instance_mode: config, other.instance_mode: other}
 
 
-def _read_records(path: str, problems: _Problems) -> list[DefinitionRecord]:
-    """The records of a corpus file; each bad line goes to ``problems``."""
-    records, diagnostics = read_corpus(_read_text(path))
-    for diagnostic in diagnostics:
-        problems(f"{path}:{diagnostic.line_no}", diagnostic.message)
-    return records
-
-
 def _label_record(
     record: DefinitionRecord, configs: dict[bool, LabelerConfig]
 ) -> LabelOutcome | str:
@@ -224,40 +256,40 @@ def _trace_line(record_id: str, outcome: LabelOutcome) -> str:
 def run_label(args: argparse.Namespace) -> int:
     """Label a corpus into ``--output`` (and ``--output.trace``).
 
-    Records are labeled, written and dropped one at a time, so memory grows
-    with the input and not with the output. Each file is written to a
+    Records are read, labeled, written and dropped one at a time, so memory
+    grows with neither the input nor the output, beyond each record's id
+    (the duplicate-id rule) and the problem lines held. Each file is written to a
     temporary file in its own directory and renamed over it at the end
     (``_replacing``): a fatal error or an interrupt leaves any earlier
-    output untouched.
+    output untouched. The reader and ``label()`` have checked every
+    annotation written, so it is not checked again.
     """
-    problems = _Problems(sys.stderr)
-    records = _read_records(args.input, problems)
-    configs = _configs_by_mode(_load_config(args))
-    with _replacing(args.output) as output, (
-        _replacing(args.output + ".trace") if args.trace else nullcontext()
-    ) as trace:
-        for record in records:
-            if record.tree is None:
-                outcome = "no parse tree; record passed through"
-            else:
-                outcome = _label_record(record, configs)
-            if isinstance(outcome, str):
-                problems(record.id, outcome)
-                output.write(record_line(record) + "\n")
-                continue
-            output.write(record_line(record, outcome.annotation) + "\n")
-            if trace is not None:
-                trace.write(_trace_line(record.id, outcome) + "\n")
+    with _Problems(sys.stderr) as problems, Path(args.input).open("rb") as source:
+        configs = _configs_by_mode(_load_config(args))
+        with _replacing(args.output) as output, (
+            _replacing(args.output + ".trace") if args.trace else nullcontext()
+        ) as trace:
+            for record in problems.records(source, args.input):
+                if record.tree is None:
+                    outcome = "no parse tree; record passed through"
+                else:
+                    outcome = _label_record(record, configs)
+                if isinstance(outcome, str):
+                    problems(record.id, outcome)
+                    output.write(_record_line(record, None, checked=False) + "\n")
+                    continue
+                output.write(_record_line(record, outcome.annotation, checked=False) + "\n")
+                if trace is not None:
+                    trace.write(_trace_line(record.id, outcome) + "\n")
     return problems.exit_code
 
 
 def run_stats(args: argparse.Namespace) -> int:
-    problems = _Problems(sys.stderr)
-    records = _read_records(args.input, problems)
-    annotations = [r.gold or r.predicted for r in records if r.gold or r.predicted]
-    if not annotations:
-        return _fail("no annotations in corpus")
-    report = distribution(annotations)
+    with _Problems(sys.stderr) as problems, Path(args.input).open("rb") as source:
+        records = problems.records(source, args.input)
+        report = distribution(filter(None, (r.gold or r.predicted for r in records)))
+        if not report.total:
+            raise ValueError("no annotations in corpus")
 
     def name(pattern) -> str:
         rendered = render(pattern)
@@ -278,35 +310,52 @@ def run_eval(args: argparse.Namespace) -> int:
     if len(paths) > 2:
         return _fail("eval takes one annotated corpus or two corpora")
     threshold = _config_threshold(args) if args.strict else None
-    problems = _Problems(sys.stderr)
-    records = _read_records(paths[0], problems)
-    if len(paths) == 1:
-        # (id, gold, predicted) of each record.
-        scored = [(r.id, r.gold, r.predicted) for r in records]
-        needed = "gold or predicted annotations"
-    else:
-        others = {r.id: r for r in _read_records(paths[1], problems)}
-        odd = sorted({r.id for r in records} ^ set(others))
-        if odd:
-            return _fail("ids not aligned across files: " + ", ".join(odd))
-        scored = [
-            (r.id, r.gold or r.predicted, others[r.id].predicted or others[r.id].gold)
-            for r in records
-        ]
-        needed = "annotations"
-    missing = [record_id for record_id, g, p in scored if g is None or p is None]
-    if missing:
-        return _fail(f"records missing {needed}: " + ", ".join(missing))
+    tally = _Tally()
+    missing: list[str] = []  # ids of records that lack an annotation
+    differ: list[str] = []  # ids of pairs whose tokens differ
 
-    aligned = []
-    for record_id, g, p in scored:
-        if g.tokens == p.tokens:
-            aligned.append((g, p))
+    def score(record_id: str, g: Annotation | None, p: Annotation | None) -> None:
+        if g is None or p is None:
+            missing.append(record_id)
+        elif g.tokens != p.tokens:
+            differ.append(record_id)
         else:
+            tally.add(g, p)
+
+    with _Problems(sys.stderr) as problems, Path(paths[0]).open("rb") as source:
+        records = problems.records(source, paths[0])
+        if len(paths) == 1:
+            needed = "gold or predicted annotations"
+            for r in records:
+                score(r.id, r.gold, r.predicted)
+        else:
+            # The first file is held by id and the second streamed against
+            # it, so both are read in order; the ids then go back into the
+            # first file's order.
+            needed = "annotations"
+            golds = {r.id: r.gold or r.predicted for r in records}
+            seen: set[str] = set()
+            odd: list[str] = []
+            with Path(paths[1]).open("rb") as second:
+                for r in problems.records(second, paths[1]):
+                    if r.id in golds:
+                        seen.add(r.id)
+                        score(r.id, golds[r.id], r.predicted or r.gold)
+                    else:
+                        odd.append(r.id)
+            odd += golds.keys() - seen
+            if odd:
+                raise ValueError("ids not aligned across files: " + ", ".join(sorted(odd)))
+            order = {record_id: n for n, record_id in enumerate(golds)}
+            missing.sort(key=order.__getitem__)
+            differ.sort(key=order.__getitem__)
+        if missing:
+            raise ValueError(f"records missing {needed}: " + ", ".join(missing))
+        for record_id in differ:
             problems(record_id, "gold and predicted tokens differ")
-    if not aligned:
-        return _fail("no pair of gold and predicted annotations has the same tokens")
-    report = evaluate([g for g, _ in aligned], [p for _, p in aligned])
+        if not tally.pairs:
+            raise ValueError("no pair of gold and predicted annotations has the same tokens")
+    report = tally.report()
     print(format_eval_report(report))
     if args.output:
         Path(args.output).write_text(
@@ -340,39 +389,38 @@ def _is_circular(definition_id: str, tokens: list[str]) -> bool:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    report = _Problems(sys.stdout)
-    records = _read_records(args.input, report)
-    configs = _configs_by_mode(_load_config(args))
-    for record in records:
-        annotation = record.gold or record.predicted
-        residue = []
-        if annotation is None and record.tree is not None:
-            outcome = _label_record(record, configs)
-            if isinstance(outcome, str):
-                report(record.id, outcome)
+    with _Problems(sys.stdout) as report, Path(args.input).open("rb") as source:
+        configs = _configs_by_mode(_load_config(args))
+        for record in report.records(source, args.input):
+            annotation = record.gold or record.predicted
+            residue = []
+            if annotation is None and record.tree is not None:
+                outcome = _label_record(record, configs)
+                if isinstance(outcome, str):
+                    report(record.id, outcome)
+                    continue
+                annotation = outcome.annotation
+                residue = [t for t in outcome.rule_trace if t.rule == UNLABELED_RULE]
+            if annotation is None:
+                report(record.id, "nothing to lint: no annotation and no tree")
                 continue
-            annotation = outcome.annotation
-            residue = [t for t in outcome.rule_trace if t.rule == UNLABELED_RULE]
-        if annotation is None:
-            report(record.id, "nothing to lint: no annotation and no tree")
-            continue
-        if annotation.ill_formed:
-            report(record.id, "ill-formed definition: no supertype")
-        for violation in validate(annotation):
-            if violation.severity == ERROR or args.strict:
+            if annotation.ill_formed:
+                report(record.id, "ill-formed definition: no supertype")
+            for violation in validate(annotation):
+                if violation.severity == ERROR or args.strict:
+                    report(
+                        record.id,
+                        f"validation {violation.severity}: {violation.kind}"
+                        f" ({violation.message})",
+                    )
+            tokens = list(annotation.tokens) if annotation.tokens else record.gloss.split()
+            if _is_circular(record.id, tokens):
+                report(record.id, "circular definition: definiendum occurs in its gloss")
+            for entry in residue:
                 report(
                     record.id,
-                    f"validation {violation.severity}: {violation.kind}"
-                    f" ({violation.message})",
+                    f"unlabeled residue [{entry.start}, {entry.end}): {entry.reason}",
                 )
-        tokens = list(annotation.tokens) if annotation.tokens else record.gloss.split()
-        if _is_circular(record.id, tokens):
-            report(record.id, "circular definition: definiendum occurs in its gloss")
-        for entry in residue:
-            report(
-                record.id,
-                f"unlabeled residue [{entry.start}, {entry.end}): {entry.reason}",
-            )
 
     print(f"{report.count} finding(s)" if report.count else "clean")
     return report.exit_code

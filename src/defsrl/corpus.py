@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from typing import BinaryIO, Iterable, Iterator
 
 from .lexicon import NOUN, VERB, _lines
 from .patterns import Pattern, pattern_of, render
-from .rolemodel import _RESERVED, Annotation, Role, parse_gold, serialize_gold
+from .rolemodel import _RESERVED, Annotation, Role, _inline, parse_gold, serialize_gold
 from .syntree import parse_bracketed
 
 __all__ = [
@@ -120,36 +121,85 @@ def _reject_surrogates(payload: dict) -> None:
                 raise ValueError(f"{name!r} holds an unpaired surrogate") from None
 
 
+# ``_decoded_blocks`` reads this many bytes at a time.
+_BLOCK = 1 << 16
+
+
+def _decoded_blocks(stream: BinaryIO, name: str) -> Iterator[str]:
+    """The text of the binary ``stream``, one block of whole lines at a time.
+
+    Each block read is cut just after its last "\\n" and the rest goes with
+    the next one, so no line and no UTF-8 character is split. A byte that is
+    not UTF-8 raises ValueError naming ``name`` and the byte's file offset.
+    """
+    offset = 0
+    held: list[bytes] = []
+    while True:
+        block = stream.read(_BLOCK)
+        cut = block.rfind(b"\n") + 1 if block else 0
+        if block and not cut:
+            held.append(block)
+            continue
+        held.append(block[:cut])
+        data = b"".join(held)
+        held = [block[cut:]]
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name}: not UTF-8 text (byte {offset + exc.start})") from None
+        offset += len(data)
+        if text:
+            yield text
+        if not block:
+            return
+
+
+def _corpus_items(pieces: Iterable[str]) -> Iterator[Diagnostic | DefinitionRecord]:
+    """Per non-blank line of the text ``pieces``, each a run of whole lines,
+    its record or, for a bad line, its diagnostic.
+
+    A record whose id an earlier record holds is a bad line; the first one
+    is kept. Raises CorpusError at the end when no record parsed at all.
+    """
+    first_line: dict[str, int] = {}  # record id -> the line that holds it
+    line_no = 0
+    for piece in pieces:
+        for line in _lines(piece):
+            line_no += 1
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError("line is not a JSON object")
+                # Text read as UTF-8 can hold a lone surrogate only through
+                # a JSON escape.
+                if "\\u" in line:
+                    _reject_surrogates(payload)
+                record = _parse_record(payload)
+                first = first_line.setdefault(record.id, line_no)
+                if first != line_no:
+                    raise ValueError(f"duplicate id {record.id!r} (first on line {first})")
+            except ValueError as exc:
+                yield Diagnostic(line_no, str(exc))
+                continue
+            yield record
+    if not first_line:
+        raise CorpusError("zero records parsed from corpus")
+
+
 def read_corpus(text: str) -> tuple[list[DefinitionRecord], list[Diagnostic]]:
     """Parse a corpus file; bad lines become diagnostics.
 
     A record whose id an earlier record holds is a bad line; the first one
     is kept. Raises CorpusError only when no record parses at all
-    (including an empty file).
+    (including an empty file). The commands read a corpus file through the
+    same per-line reader, one block at a time, and keep no list.
     """
     records: list[DefinitionRecord] = []
     diagnostics: list[Diagnostic] = []
-    first_line: dict[str, int] = {}  # record id -> the line that holds it
-    for line_no, line in enumerate(_lines(text), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError("line is not a JSON object")
-            # Text read as UTF-8 can hold a lone surrogate only through a
-            # JSON escape.
-            if "\\u" in line:
-                _reject_surrogates(payload)
-            record = _parse_record(payload)
-            first = first_line.setdefault(record.id, line_no)
-            if first != line_no:
-                raise ValueError(f"duplicate id {record.id!r} (first on line {first})")
-            records.append(record)
-        except ValueError as exc:
-            diagnostics.append(Diagnostic(line_no, str(exc)))
-    if not records:
-        raise CorpusError("zero records parsed from corpus")
+    for item in _corpus_items((text,)):
+        (diagnostics if isinstance(item, Diagnostic) else records).append(item)
     return records, diagnostics
 
 
@@ -158,18 +208,29 @@ def record_line(record: DefinitionRecord, predicted: Annotation | None = None) -
 
     ``predicted``, when given, is written in place of ``record.predicted``,
     so a caller that labels a record need not build a new one to write it.
+    Each annotation is written by ``serialize_gold``, which checks it.
     """
+    return _record_line(record, predicted, checked=True)
+
+
+def _record_line(
+    record: DefinitionRecord, predicted: Annotation | None, checked: bool
+) -> str:
+    """``record_line``; unless ``checked``, the annotations skip
+    ``serialize_gold``'s checks. ``defsrl label`` writes its records so:
+    the reader's ``parse_gold`` and ``label()`` have made those checks."""
+    inline = serialize_gold if checked else _inline
     payload: dict = {"id": record.id, "pos": record.pos, "gloss": record.gloss}
     if record.tree is not None:
         payload["tree"] = record.tree
     if record.instance:
         payload["instance"] = True
     if record.gold is not None:
-        payload["gold"] = serialize_gold(record.gold)
+        payload["gold"] = inline(record.gold)
     if predicted is None:
         predicted = record.predicted
     if predicted is not None:
-        payload["predicted"] = serialize_gold(predicted)
+        payload["predicted"] = inline(predicted)
     return json.dumps(payload, ensure_ascii=False)
 
 
@@ -196,11 +257,12 @@ class DistributionReport:
         return len(self.singletons)
 
 
-def distribution(annotations: list[Annotation]) -> DistributionReport:
+def distribution(annotations: Iterable[Annotation]) -> DistributionReport:
     """Canonical-pattern counts, descending then lexicographic by rendering.
 
     Patterns occurring once are aggregated as singletons (the "Other" row);
     all counts, Other included, sum to the number of input annotations.
+    ``annotations`` is read once, so it may be a stream.
     """
     counts = Counter(map(pattern_of, annotations))
     # ``render`` is injective on patterns, so it orders them totally.
@@ -208,7 +270,7 @@ def distribution(annotations: list[Annotation]) -> DistributionReport:
     return DistributionReport(
         tuple((pattern, count) for pattern, count in ranked if count >= 2),
         tuple(pattern for pattern, count in ranked if count == 1),
-        len(annotations),
+        sum(counts.values()),
     )
 
 
@@ -273,6 +335,79 @@ def _token_positions(spans: list[tuple[int, int]]) -> set[int]:
     return {i for start, end in spans for i in range(start, end)}
 
 
+class _Tally:
+    """Exact-span and token-level counts per role, and the two hit counts,
+    over the pairs added so far; ``report`` scores them. The caller aligns
+    each pair: same id, same tokens."""
+
+    def __init__(self) -> None:
+        self.exact_tp: Counter[Role] = Counter()
+        self.exact_gold: Counter[Role] = Counter()
+        self.exact_pred: Counter[Role] = Counter()
+        self.token_tp: Counter[Role] = Counter()
+        self.token_gold: Counter[Role] = Counter()
+        self.token_pred: Counter[Role] = Counter()
+        self.supertype_hits = 0
+        self.flag_hits = 0
+        self.pairs = 0
+
+    def add(self, g: Annotation, p: Annotation) -> None:
+        self.pairs += 1
+        g_groups = _spans_by_role(g)
+        if p is g:
+            # A pair that shares one annotation agrees with itself: every
+            # count is the gold's, and both hit counters score.
+            for role, g_list in g_groups.items():
+                spans = len(set(g_list))
+                self.exact_tp[role] += spans
+                self.exact_gold[role] += spans
+                self.exact_pred[role] += spans
+                tokens = len(_token_positions(g_list))
+                self.token_tp[role] += tokens
+                self.token_gold[role] += tokens
+                self.token_pred[role] += tokens
+            self.supertype_hits += 1
+            self.flag_hits += 1
+            return
+        p_groups = _spans_by_role(p)
+        # A role absent from both sides adds nothing to any count.
+        for role in g_groups.keys() | p_groups.keys():
+            g_list = g_groups.get(role, [])
+            p_list = p_groups.get(role, [])
+            g_spans = set(g_list)
+            p_spans = set(p_list)
+            self.exact_tp[role] += len(g_spans & p_spans)
+            self.exact_gold[role] += len(g_spans)
+            self.exact_pred[role] += len(p_spans)
+            g_tokens = _token_positions(g_list)
+            p_tokens = _token_positions(p_list)
+            self.token_tp[role] += len(g_tokens & p_tokens)
+            self.token_gold[role] += len(g_tokens)
+            self.token_pred[role] += len(p_tokens)
+        g_supertype = _token_positions(g_groups.get(Role.SUPERTYPE, []))
+        p_supertype = _token_positions(p_groups.get(Role.SUPERTYPE, []))
+        self.supertype_hits += g_supertype == p_supertype
+        self.flag_hits += g.ill_formed == p.ill_formed
+
+    def report(self) -> EvalReport:
+        pairs = self.pairs
+        return EvalReport(
+            exact={
+                role: _metrics(self.exact_tp[role], self.exact_pred[role], self.exact_gold[role])
+                for role in Role
+            },
+            token={
+                role: _metrics(self.token_tp[role], self.token_pred[role], self.token_gold[role])
+                for role in Role
+            },
+            supertype_accuracy=self.supertype_hits / pairs if pairs else 1.0,
+            ill_formed_agreement=self.flag_hits / pairs if pairs else 1.0,
+            gold_support={role: self.exact_gold[role] for role in Role},
+            predicted_support={role: self.exact_pred[role] for role in Role},
+            pairs=pairs,
+        )
+
+
 def evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
     """Exact-span and token-level P/R/F1 per role over aligned annotations.
 
@@ -293,69 +428,10 @@ def evaluate(gold: list[Annotation], predicted: list[Annotation]) -> EvalReport:
             )
         if g.tokens != p.tokens:
             raise AlignmentError(f"token mismatch for id {g.definition_id!r}")
-
-    exact_tp: Counter[Role] = Counter()
-    exact_gold: Counter[Role] = Counter()
-    exact_pred: Counter[Role] = Counter()
-    token_tp: Counter[Role] = Counter()
-    token_gold: Counter[Role] = Counter()
-    token_pred: Counter[Role] = Counter()
-    supertype_hits = 0
-    flag_hits = 0
-
+    tally = _Tally()
     for g, p in zip(gold, predicted):
-        g_groups = _spans_by_role(g)
-        if p is g:
-            # A pair that shares one annotation agrees with itself: every
-            # count is the gold's, and both hit counters score.
-            for role, g_list in g_groups.items():
-                spans = len(set(g_list))
-                exact_tp[role] += spans
-                exact_gold[role] += spans
-                exact_pred[role] += spans
-                tokens = len(_token_positions(g_list))
-                token_tp[role] += tokens
-                token_gold[role] += tokens
-                token_pred[role] += tokens
-            supertype_hits += 1
-            flag_hits += 1
-            continue
-        p_groups = _spans_by_role(p)
-        # A role absent from both sides adds nothing to any count.
-        for role in g_groups.keys() | p_groups.keys():
-            g_list = g_groups.get(role, [])
-            p_list = p_groups.get(role, [])
-            g_spans = set(g_list)
-            p_spans = set(p_list)
-            exact_tp[role] += len(g_spans & p_spans)
-            exact_gold[role] += len(g_spans)
-            exact_pred[role] += len(p_spans)
-            g_tokens = _token_positions(g_list)
-            p_tokens = _token_positions(p_list)
-            token_tp[role] += len(g_tokens & p_tokens)
-            token_gold[role] += len(g_tokens)
-            token_pred[role] += len(p_tokens)
-        g_supertype = _token_positions(g_groups.get(Role.SUPERTYPE, []))
-        p_supertype = _token_positions(p_groups.get(Role.SUPERTYPE, []))
-        supertype_hits += g_supertype == p_supertype
-        flag_hits += g.ill_formed == p.ill_formed
-
-    pairs = len(gold)
-    return EvalReport(
-        exact={
-            role: _metrics(exact_tp[role], exact_pred[role], exact_gold[role])
-            for role in Role
-        },
-        token={
-            role: _metrics(token_tp[role], token_pred[role], token_gold[role])
-            for role in Role
-        },
-        supertype_accuracy=supertype_hits / pairs if pairs else 1.0,
-        ill_formed_agreement=flag_hits / pairs if pairs else 1.0,
-        gold_support={role: exact_gold[role] for role in Role},
-        predicted_support={role: exact_pred[role] for role in Role},
-        pairs=pairs,
-    )
+        tally.add(g, p)
+    return tally.report()
 
 
 def format_eval_report(report: EvalReport) -> str:

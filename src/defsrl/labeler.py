@@ -245,7 +245,8 @@ class _Span:
 def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
     """``ordered`` as RoleSpans, each parent resolved to its index in ``ordered``."""
     index = {id(span): i for i, span in enumerate(ordered)}
-    return tuple(
+    # From a list, not a generator: see ``_Engine.tokens``.
+    return tuple([
         RoleSpan(
             span.role,
             span.start,
@@ -253,7 +254,7 @@ def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
             index[id(span.parent)] if span.parent is not None else None,
         )
         for span in ordered
-    )
+    ])
 
 
 def _has_differentia(spans: Sequence[_Span], excluding: _Span | None = None) -> bool:
@@ -375,7 +376,10 @@ class _Engine:
         self.pos = pos
         self.config = config
         self.leaves = _numbered_leaves(tree)
-        self.tokens = tuple(l.token for l in self.leaves)
+        # A tuple built from a generator is allocated for ten items and then
+        # shrunk, so CPython's per-size tuple free lists drift and fill over
+        # a long run; one built from a list is allocated at its size.
+        self.tokens = tuple([l.token for l in self.leaves])
         self.work: list[_Span] = []
         self.trace: list[TraceEntry] = []
         self.supertypes: list[_Span] = []

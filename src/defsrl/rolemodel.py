@@ -349,7 +349,13 @@ def serialize_gold(annotation: Annotation) -> str:
     for token in annotation.tokens:
         if not token or _TOKEN_UNSAFE.search(token):
             raise ValueError(f"token {token!r} cannot be represented inline")
+    return _inline(annotation)
 
+
+def _inline(annotation: Annotation) -> str:
+    """``serialize_gold``'s text, for an annotation known to pass its checks:
+    one ``parse_gold`` returned, or one ``label()`` made over a tree whose
+    tokens hold no reserved character."""
     parts: list[str] = []
     position = 0
     for span in annotation.spans:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_evaluate, random_annotation, random_tree
+from defsrl import corpus
 from defsrl.cli import main
 from defsrl.corpus import (
     AlignmentError,
@@ -17,6 +21,7 @@ from defsrl.corpus import (
     evaluate,
     format_eval_report,
     read_corpus,
+    record_line,
     write_corpus,
 )
 from defsrl.defaults import BUNDLED_CORPUS, packaged_data_text
@@ -146,6 +151,98 @@ def test_read_zero_records_is_fatal():
         read_corpus("garbage\n")
 
 
+# --- the streamed reader -----------------------------------------------------------
+
+
+def _record_text(record_id: str, gloss: str, **fields) -> str:
+    return json.dumps({"id": record_id, "pos": "noun", "gloss": gloss, **fields},
+                      ensure_ascii=False)
+
+
+# Lines of every kind the reader meets: records (a few ids, so some repeat;
+# glosses with U+0085, U+2028 and multibyte characters held raw), records
+# that fail their checks, lines that are no record, and blank lines.
+_LINES = st.one_of(
+    st.builds(
+        _record_text,
+        st.sampled_from(["a", "b", "c", "d\u2028e"]),
+        st.sampled_from(["x", "x\x85y", "x\u2028y", "caf\u00e9", "\U0001f600 dog", "a " * 30]),
+    ),
+    st.sampled_from([
+        _record_text("t", "a coach", tree="(NP (DT a) (NN coach))"),
+        _record_text("u", "a coach", tree="(NP (DT a) (NN coach)"),
+        _record_text("g", "a coach", gold="a {supertype|coach}"),
+        _record_text("h", "a coach", gold="a {supertype|coach"),
+        '{"id": "p", "pos": "adj", "gloss": "x"}',
+        '["not", "a", "record"]',
+        "{not json",
+        "",
+        "   ",
+        "\t",
+    ]),
+)
+
+
+@st.composite
+def _corpus_files(draw) -> bytes:
+    lines = draw(st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+    data = "".join(line + break_ for line, break_ in lines).encode("utf-8")
+    if data and draw(st.booleans()):
+        data = data.removesuffix(b"\n").removesuffix(b"\r")  # no final break
+    if draw(st.integers(0, 4)) == 0:
+        # A byte sequence that is not UTF-8: a stray byte, a truncated
+        # character, an encoded surrogate, a lone continuation byte.
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def _streamed(data: bytes, block: int) -> tuple[list, str | None]:
+    """The streamed reader's items over ``data`` read ``block`` bytes at a
+    time, and the error that ended it, if any."""
+    items: list = []
+    with patch.object(corpus, "_BLOCK", block):
+        try:
+            for item in corpus._corpus_items(corpus._decoded_blocks(io.BytesIO(data), "f.jsonl")):
+                items.append(item)
+        except ValueError as exc:
+            return items, f"{type(exc).__name__}: {exc}"
+    return items, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpus_files(), st.integers(1, 48))
+def test_the_streamed_reader_matches_read_corpus_on_any_file(data, block):
+    items, error = _streamed(data, block)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        assert error == f"ValueError: f.jsonl: not UTF-8 text (byte {exc.start})"
+        return
+    try:
+        records, diagnostics = read_corpus(text)
+    except CorpusError as exc:
+        assert error == f"CorpusError: {exc}"
+        assert all(isinstance(item, Diagnostic) for item in items)
+        return
+    assert error is None
+    assert [item for item in items if isinstance(item, Diagnostic)] == diagnostics
+    assert [item for item in items if not isinstance(item, Diagnostic)] == records
+    # One item per non-blank line, in the file's order.
+    assert len(items) == sum(1 for line in corpus._lines(text) if line.strip())
+
+
+def test_a_bad_byte_after_the_first_block_is_named_by_its_file_offset():
+    line = _record_text("a", "x").encode("utf-8") + b"\n"
+    data = line * (2 * corpus._BLOCK // len(line)) + b'{"id": "\xff"}\n'
+    offset = data.index(b"\xff")
+    assert offset > corpus._BLOCK
+    with pytest.raises(ValueError) as info:
+        list(corpus._corpus_items(corpus._decoded_blocks(io.BytesIO(data), "big.jsonl")))
+    assert str(info.value) == f"big.jsonl: not UTF-8 text (byte {offset})"
+
+
 def test_bundled_corpus_round_trips_byte_identically():
     text = packaged_data_text(BUNDLED_CORPUS)
     records, diagnostics = read_corpus(text)
@@ -253,6 +350,34 @@ def test_random_record_round_trip():
     assert write_corpus(parsed) == text
 
 
+def test_record_line_still_checks_a_hand_built_annotation():
+    tokens = ("a", "coach")
+    overlapping = make_annotation(
+        "x", tokens, [RoleSpan(Role.SUPERTYPE, 0, 2), RoleSpan(Role.DIFFERENTIA_QUALITY, 1, 2)]
+    )
+    reserved = make_annotation("x", ("a|b", "coach"), [RoleSpan(Role.SUPERTYPE, 1, 2)])
+    for annotation in (overlapping, reserved):
+        record = DefinitionRecord("x", "noun", "a coach", gold=annotation)
+        with pytest.raises(ValueError):
+            record_line(record)
+        with pytest.raises(ValueError):
+            write_corpus([record])
+        with pytest.raises(ValueError):
+            record_line(replace(record, gold=None), annotation)
+
+
+def test_the_unchecked_line_writes_what_record_line_writes():
+    text = packaged_data_text(BUNDLED_CORPUS)
+    records, _ = read_corpus(text)
+    rng = random.Random(5)
+    for record in records:
+        predicted = random_annotation(rng, record.id)
+        assert corpus._record_line(record, None, checked=False) == record_line(record)
+        assert corpus._record_line(record, predicted, checked=False) == record_line(
+            record, predicted
+        )
+
+
 # --- distribution -----------------------------------------------------------------
 
 
@@ -288,6 +413,13 @@ def test_distribution_empty():
     report = distribution([])
     assert report.rows == ()
     assert report.total == 0
+
+
+def test_distribution_reads_a_stream_once_and_counts_it():
+    annotations = [quality_annotation(i) for i in range(3)] + [event_annotation(0)]
+    streamed = distribution(iter(annotations))
+    assert streamed == distribution(annotations)
+    assert streamed.total == 4 and streamed.other == 1
 
 
 def test_distribution_counts_sum_to_input_size():
