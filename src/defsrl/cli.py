@@ -28,7 +28,9 @@ from .corpus import (
     DefinitionRecord,
     Diagnostic,
     _corpus_items,
+    _decoded,
     _decoded_blocks,
+    _json_loads,
     _record_line,
     _Tally,
     distribution,
@@ -110,17 +112,16 @@ class _Problems:
 
 
 def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    """The text of the file ``path``, by the corpus reader's UTF-8 rule."""
+    return _decoded(Path(path).read_bytes(), path)
 
 
 def _config_payload(path: str) -> dict:
     """The JSON object in a ``--config`` file, its list-valued keys checked."""
+    text = _read_text(path)
     try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        payload = _json_loads(text)
+    except ValueError as exc:
         raise ValueError(f"config {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"config {path}: not a JSON object")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
 from .lexicon import NOUN, VERB, _lines
-from .patterns import Pattern, pattern_of, render
+from .patterns import Pattern, _pattern, _pattern_key, render
 from .rolemodel import _RESERVED, Annotation, Role, _inline, parse_gold, serialize_gold
-from .syntree import parse_bracketed
+from .syntree import _seal, parse_bracketed
 
 __all__ = [
     "DefinitionRecord",
@@ -54,7 +54,7 @@ class Diagnostic:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DefinitionRecord:
     id: str
     pos: str
@@ -63,6 +63,38 @@ class DefinitionRecord:
     instance: bool = False
     gold: Annotation | None = None
     predicted: Annotation | None = None
+
+    def __init__(
+        self,
+        id: str,
+        pos: str,
+        gloss: str,
+        tree: str | None = None,
+        instance: bool = False,
+        gold: Annotation | None = None,
+        predicted: Annotation | None = None,
+    ) -> None:
+        # The slots' own setters, as in ``Annotation``.
+        _set_id(self, id)
+        _set_pos(self, pos)
+        _set_gloss(self, gloss)
+        _set_tree(self, tree)
+        _set_instance(self, instance)
+        _set_gold(self, gold)
+        _set_predicted(self, predicted)
+
+
+_set_id = DefinitionRecord.id.__set__
+_set_pos = DefinitionRecord.pos.__set__
+_set_gloss = DefinitionRecord.gloss.__set__
+_set_tree = DefinitionRecord.tree.__set__
+_set_instance = DefinitionRecord.instance.__set__
+_set_gold = DefinitionRecord.gold.__set__
+_set_predicted = DefinitionRecord.predicted.__set__
+_seal(DefinitionRecord)
+
+# An optional text field holds a string or nothing.
+_OPTIONAL_TEXT = (str, type(None))
 
 
 def _parse_record(payload: dict) -> DefinitionRecord:
@@ -74,7 +106,7 @@ def _parse_record(payload: dict) -> DefinitionRecord:
         raise ValueError(f"'pos' must be one of {_POS_VALUES}, got {pos!r}")
     gloss = payload.get("gloss")
     if not isinstance(gloss, str):
-        raise ValueError("missing 'gloss'")
+        raise ValueError("'gloss' must be a string" if "gloss" in payload else "missing 'gloss'")
     tree = payload.get("tree")
     if tree is not None:
         if not isinstance(tree, str):
@@ -83,9 +115,9 @@ def _parse_record(payload: dict) -> DefinitionRecord:
         tokens = parse_bracketed(tree, build=False)
         # A labeled record whose token holds a character the inline
         # annotation format reserves could not be written back; reject it.
-        if any(char in tree for char in _RESERVED):
+        if any(map(tree.__contains__, _RESERVED)):
             for token in tokens:
-                if any(char in token for char in _RESERVED):
+                if any(map(token.__contains__, _RESERVED)):
                     named = ", ".join(map(repr, _RESERVED[:-1])) + f" or {_RESERVED[-1]!r}"
                     raise ValueError(
                         f"{record_id}: tree token {token!r} contains {named}, "
@@ -96,9 +128,10 @@ def _parse_record(payload: dict) -> DefinitionRecord:
         raise ValueError("'instance' must be a boolean")
     gold = payload.get("gold")
     predicted = payload.get("predicted")
-    for name, value in (("gold", gold), ("predicted", predicted)):
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{name!r} must be a string")
+    if not isinstance(gold, _OPTIONAL_TEXT):
+        raise ValueError("'gold' must be a string")
+    if not isinstance(predicted, _OPTIONAL_TEXT):
+        raise ValueError("'predicted' must be a string")
     gold_annotation = parse_gold(gold, record_id) if gold is not None else None
     # A prediction that repeats its gold text shares the gold's Annotation.
     predicted_annotation = gold_annotation if predicted == gold else (
@@ -121,6 +154,24 @@ def _reject_surrogates(payload: dict) -> None:
                 raise ValueError(f"{name!r} holds an unpaired surrogate") from None
 
 
+def _json_loads(text: str):
+    """``json.loads``; JSON nested too deeply to decode raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
+def _decoded(data: bytes, name: str, offset: int = 0) -> str:
+    """``data`` as UTF-8 text. A byte that is not UTF-8 raises ValueError
+    naming ``name`` and the byte's file offset, ``data`` starting at
+    ``offset`` in the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name}: not UTF-8 text (byte {offset + exc.start})") from None
+
+
 # ``_decoded_blocks`` reads this many bytes at a time.
 _BLOCK = 1 << 16
 
@@ -130,7 +181,7 @@ def _decoded_blocks(stream: BinaryIO, name: str) -> Iterator[str]:
 
     Each block read is cut just after its last "\\n" and the rest goes with
     the next one, so no line and no UTF-8 character is split. A byte that is
-    not UTF-8 raises ValueError naming ``name`` and the byte's file offset.
+    not UTF-8 raises ValueError, as in ``_decoded``.
     """
     offset = 0
     held: list[bytes] = []
@@ -143,10 +194,7 @@ def _decoded_blocks(stream: BinaryIO, name: str) -> Iterator[str]:
         held.append(block[:cut])
         data = b"".join(held)
         held = [block[cut:]]
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{name}: not UTF-8 text (byte {offset + exc.start})") from None
+        text = _decoded(data, name, offset)
         offset += len(data)
         if text:
             yield text
@@ -166,10 +214,10 @@ def _corpus_items(pieces: Iterable[str]) -> Iterator[Diagnostic | DefinitionReco
     for piece in pieces:
         for line in _lines(piece):
             line_no += 1
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
-                payload = json.loads(line)
+                payload = _json_loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("line is not a JSON object")
                 # Text read as UTF-8 can hold a lone surrogate only through
@@ -264,9 +312,13 @@ def distribution(annotations: Iterable[Annotation]) -> DistributionReport:
     all counts, Other included, sum to the number of input annotations.
     ``annotations`` is read once, so it may be a stream.
     """
-    counts = Counter(map(pattern_of, annotations))
-    # ``render`` is injective on patterns, so it orders them totally.
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], render(item[0])))
+    counts = Counter(map(_pattern_key, annotations))
+    # One Pattern per distinct pattern; ``render`` is injective on patterns,
+    # so it orders them totally.
+    ranked = sorted(
+        ((_pattern(key), count) for key, count in counts.items()),
+        key=lambda item: (-item[1], render(item[0])),
+    )
     return DistributionReport(
         tuple((pattern, count) for pattern, count in ranked if count >= 2),
         tuple(pattern for pattern, count in ranked if count == 1),
@@ -347,6 +399,10 @@ class _Tally:
         self.token_tp: Counter[Role] = Counter()
         self.token_gold: Counter[Role] = Counter()
         self.token_pred: Counter[Role] = Counter()
+        # A pair that shares one annotation agrees with itself, so each of
+        # its spans and tokens counts once here for all three of its kind.
+        self.shared_spans: Counter[Role] = Counter()
+        self.shared_tokens: Counter[Role] = Counter()
         self.supertype_hits = 0
         self.flag_hits = 0
         self.pairs = 0
@@ -355,17 +411,9 @@ class _Tally:
         self.pairs += 1
         g_groups = _spans_by_role(g)
         if p is g:
-            # A pair that shares one annotation agrees with itself: every
-            # count is the gold's, and both hit counters score.
             for role, g_list in g_groups.items():
-                spans = len(set(g_list))
-                self.exact_tp[role] += spans
-                self.exact_gold[role] += spans
-                self.exact_pred[role] += spans
-                tokens = len(_token_positions(g_list))
-                self.token_tp[role] += tokens
-                self.token_gold[role] += tokens
-                self.token_pred[role] += tokens
+                self.shared_spans[role] += len(set(g_list))
+                self.shared_tokens[role] += len(_token_positions(g_list))
             self.supertype_hits += 1
             self.flag_hits += 1
             return
@@ -391,19 +439,27 @@ class _Tally:
 
     def report(self) -> EvalReport:
         pairs = self.pairs
+        # The shared pairs' counts folded in, into new counters.
+        spans, tokens = self.shared_spans, self.shared_tokens
+        exact_tp, exact_gold, exact_pred = (
+            counts + spans for counts in (self.exact_tp, self.exact_gold, self.exact_pred)
+        )
+        token_tp, token_gold, token_pred = (
+            counts + tokens for counts in (self.token_tp, self.token_gold, self.token_pred)
+        )
         return EvalReport(
             exact={
-                role: _metrics(self.exact_tp[role], self.exact_pred[role], self.exact_gold[role])
+                role: _metrics(exact_tp[role], exact_pred[role], exact_gold[role])
                 for role in Role
             },
             token={
-                role: _metrics(self.token_tp[role], self.token_pred[role], self.token_gold[role])
+                role: _metrics(token_tp[role], token_pred[role], token_gold[role])
                 for role in Role
             },
             supertype_accuracy=self.supertype_hits / pairs if pairs else 1.0,
             ill_formed_agreement=self.flag_hits / pairs if pairs else 1.0,
-            gold_support={role: self.exact_gold[role] for role in Role},
-            predicted_support={role: self.exact_pred[role] for role in Role},
+            gold_support={role: exact_gold[role] for role in Role},
+            predicted_support={role: exact_pred[role] for role in Role},
             pairs=pairs,
         )
 

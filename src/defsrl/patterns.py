@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .rolemodel import Annotation, Role
 
@@ -66,6 +67,7 @@ class PatternParseError(ValueError):
 
 
 _EXCLUDED = frozenset((Role.PARTICLE, Role.QUALITY_MODIFIER))
+_START = attrgetter("start")
 
 _ELEMENT = re.compile(
     r"OR\((?P<orname>[a-z][a-z ]*)\)\+|\((?P<name>[a-z][a-z ]*)\)(?P<plus>\+)?"
@@ -77,6 +79,11 @@ def render(pattern: Pattern) -> str:
     return pattern.render()
 
 
+# A pattern as ``distribution`` counts it: a (role, repetition) pair per
+# element, which hashes and compares far more cheaply than a Pattern.
+_PatternKey = tuple[tuple[Role, Repetition], ...]
+
+
 def pattern_of(annotation: Annotation) -> Pattern:
     """The canonical pattern of an annotation.
 
@@ -84,29 +91,30 @@ def pattern_of(annotation: Annotation) -> Pattern:
     collapses to one plus element, marked OR when any of the tokens between
     consecutive run members is "or".
     """
+    return _pattern(_pattern_key(annotation))
+
+
+def _pattern(key: _PatternKey) -> Pattern:
+    return Pattern(tuple(PatternElement(role, repetition) for role, repetition in key))
+
+
+def _pattern_key(annotation: Annotation) -> _PatternKey:
+    """The elements of ``pattern_of(annotation)`` as (role, repetition) pairs."""
     items = sorted(
-        (span for span in annotation.spans if span.role not in _EXCLUDED),
-        key=lambda span: span.start,
+        (span for span in annotation.spans if span.role not in _EXCLUDED), key=_START
     )
-    elements: list[PatternElement] = []
-    i = 0
-    while i < len(items):
-        j = i + 1
-        or_joined = False
-        while j < len(items) and items[j].role is items[i].role:
-            gap = annotation.tokens[items[j - 1].end : items[j].start]
-            if any(token.lower() == "or" for token in gap):
-                or_joined = True
-            j += 1
-        if j - i == 1:
-            repetition = Repetition.SINGLE
-        elif or_joined:
-            repetition = Repetition.OR_PLUS
-        else:
-            repetition = Repetition.PLUS
-        elements.append(PatternElement(items[i].role, repetition))
-        i = j
-    return Pattern(tuple(elements))
+    tokens = annotation.tokens
+    key: list[tuple[Role, Repetition]] = []
+    role = end = None  # the current run's role, and where its last span ends
+    for span in items:
+        if span.role is not role:
+            role = span.role
+            key.append((role, Repetition.SINGLE))
+        elif key[-1][1] is not Repetition.OR_PLUS:
+            or_joined = "or" in map(str.lower, tokens[end : span.start])
+            key[-1] = (role, Repetition.OR_PLUS if or_joined else Repetition.PLUS)
+        end = span.end
+    return tuple(key)
 
 
 def parse_pattern(text: str) -> Pattern:

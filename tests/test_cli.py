@@ -1179,6 +1179,49 @@ def test_a_corpus_of_bad_lines_only_prints_only_the_fatal_error(
     assert sorted(tmp_path.rglob("*")) == entries
 
 
+# Deep enough to exhaust the JSON decoder's recursion on every supported Python.
+DEEP_JSON = '{"a":' * 100_000
+TOO_DEEP = "JSON nested too deeply to decode"
+
+
+@pytest.mark.parametrize("command", ["label", "lint", "stats", "eval"])
+def test_a_line_of_deeply_nested_json_is_a_bad_line(tmp_path, capsys, command):
+    good = json.dumps(dict(GOOD_RECORD, predicted=GOOD_RECORD["gold"])) + "\n"
+    outputs = []
+    for name, text in (("clean", good), ("deep", good + DEEP_JSON + "\n")):
+        path = _write(tmp_path / f"{name}.jsonl", text)
+        out = tmp_path / f"{name}.out.jsonl"
+        argv = {
+            "label": _label_argv(Path(path), out),
+            "lint": ["lint", "--input", path],
+            "stats": ["stats", "--input", path],
+            "eval": ["eval", "--input", path],
+        }[command]
+        outputs.append((main(argv), capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    (clean_code, clean, clean_file), (code, deep, deep_file) = outputs
+    bad_line = f"{tmp_path / 'deep.jsonl'}:2: {TOO_DEEP}"
+    assert clean_code == 0 and code == 2
+    assert deep_file == clean_file
+    if command == "lint":
+        assert (clean.out, clean.err) == ("clean\n", "")
+        assert (deep.out, deep.err) == (f"{bad_line}\n1 finding(s)\n", "")
+    else:
+        assert clean.err == ""
+        assert (deep.out, deep.err) == (clean.out, bad_line + "\n")
+
+
+@pytest.mark.parametrize("command", ["label", "eval-strict"])
+def test_a_config_of_deeply_nested_json_is_one_fatal_error(corpus_path, tmp_path, capsys, command):
+    config = _write(tmp_path / "config.json", "[" * 100_000)
+    argv = {
+        "label": _label_argv(corpus_path, tmp_path / "out.jsonl", "--config", config),
+        "eval-strict": ["eval", "--input", str(corpus_path), str(corpus_path), "--strict",
+                        "--config", config],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: config {config}: {TOO_DEEP}\n")
+
+
 def test_a_bad_byte_after_the_first_block_leaves_the_earlier_output_untouched(
     earlier_output, capsys
 ):

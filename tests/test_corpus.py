@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -17,6 +18,7 @@ from defsrl.corpus import (
     CorpusError,
     DefinitionRecord,
     Diagnostic,
+    DistributionReport,
     distribution,
     evaluate,
     format_eval_report,
@@ -25,7 +27,7 @@ from defsrl.corpus import (
     write_corpus,
 )
 from defsrl.defaults import BUNDLED_CORPUS, packaged_data_text
-from defsrl.patterns import render
+from defsrl.patterns import Pattern, PatternElement, Repetition, pattern_of, render
 from defsrl.rolemodel import Annotation, Role, RoleSpan
 from defsrl.syntree import serialize
 
@@ -66,6 +68,9 @@ def test_read_isolates_bad_lines():
 REJECTED_LINES = {
     "empty-id": ('{"id": "", "pos": "noun", "gloss": "x"}', "missing or empty 'id'"),
     "missing-gloss": ('{"id": "b", "pos": "noun"}', "missing 'gloss'"),
+    "gloss-not-a-string": ('{"id": "b", "pos": "noun", "gloss": NaN}',
+                           "'gloss' must be a string"),
+    "gloss-null": ('{"id": "b", "pos": "noun", "gloss": null}', "'gloss' must be a string"),
     "tree-not-a-string": ('{"id": "b", "pos": "noun", "gloss": "x", "tree": 5}',
                           "'tree' must be a string"),
     "instance-not-a-boolean": ('{"id": "b", "pos": "noun", "gloss": "x", "instance": "yes"}',
@@ -75,6 +80,8 @@ REJECTED_LINES = {
     "predicted-not-a-string": ('{"id": "b", "pos": "noun", "gloss": "x", "predicted": ["a"]}',
                                "'predicted' must be a string"),
     "line-not-an-object": ('["a"]', "line is not a JSON object"),
+    # Deep enough to exhaust the decoder's recursion on every supported Python.
+    "json-nested-too-deeply": ('{"a":' * 100_000, "JSON nested too deeply to decode"),
     "lone-surrogate": ('{"id": "b", "pos": "noun", "gloss": "x \\ud800 dog"}',
                        "'gloss' holds an unpaired surrogate"),
     "lone-surrogate-in-id": ('{"id": "b\\udfff", "pos": "noun", "gloss": "x"}',
@@ -430,6 +437,79 @@ def test_distribution_counts_sum_to_input_size():
     assert report.other == 1
 
 
+def _pattern_of_oracle(annotation: Annotation) -> Pattern:
+    """``pattern_of`` as it was written when it built every pattern itself."""
+    items = sorted(
+        (span for span in annotation.spans
+         if span.role not in (Role.PARTICLE, Role.QUALITY_MODIFIER)),
+        key=lambda span: span.start,
+    )
+    elements: list[PatternElement] = []
+    i = 0
+    while i < len(items):
+        j = i + 1
+        or_joined = False
+        while j < len(items) and items[j].role is items[i].role:
+            gap = annotation.tokens[items[j - 1].end : items[j].start]
+            if any(token.lower() == "or" for token in gap):
+                or_joined = True
+            j += 1
+        if j - i == 1:
+            repetition = Repetition.SINGLE
+        elif or_joined:
+            repetition = Repetition.OR_PLUS
+        else:
+            repetition = Repetition.PLUS
+        elements.append(PatternElement(items[i].role, repetition))
+        i = j
+    return Pattern(tuple(elements))
+
+
+def _distribution_oracle(annotations: list[Annotation]) -> DistributionReport:
+    """``distribution`` as it was written, counting one Pattern per annotation."""
+    counts = Counter(map(_pattern_of_oracle, annotations))
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], render(item[0])))
+    return DistributionReport(
+        tuple((pattern, count) for pattern, count in ranked if count >= 2),
+        tuple(pattern for pattern, count in ranked if count == 1),
+        sum(counts.values()),
+    )
+
+
+_PATTERN_ROLES = (
+    Role.SUPERTYPE, Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT,
+    Role.EVENT_LOCATION, Role.PARTICLE, Role.QUALITY_MODIFIER,
+)
+_GAP_TOKENS = ("or", "Or", "OR", "and", ",", "the", "x")
+
+
+@st.composite
+def _pattern_annotations(draw) -> Annotation:
+    """An annotation of runs of roles, some joined by "or" or "and", with
+    particles and quality modifiers among them; its spans in any order."""
+    tokens: list[str] = []
+    spans: list[RoleSpan] = []
+    for _ in range(draw(st.integers(0, 7))):
+        tokens += draw(st.lists(st.sampled_from(_GAP_TOKENS), max_size=2))
+        start = len(tokens)
+        tokens += ["w"] * draw(st.integers(1, 2))
+        spans.append(RoleSpan(draw(st.sampled_from(_PATTERN_ROLES)), start, len(tokens)))
+    spans = draw(st.permutations(spans))
+    return Annotation("p", tuple(tokens), tuple(spans))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_pattern_annotations(), min_size=1, max_size=6),
+    st.lists(st.integers(0, 5), max_size=30),
+)
+def test_distribution_ranks_and_counts_as_one_pattern_per_annotation_did(pool, picks):
+    annotations = [pool[i % len(pool)] for i in picks]
+    assert distribution(annotations) == _distribution_oracle(annotations)
+    for annotation in pool:
+        assert pattern_of(annotation) == _pattern_of_oracle(annotation)
+
+
 # --- evaluation --------------------------------------------------------------------
 
 
@@ -579,6 +659,26 @@ def test_evaluate_scores_a_shared_pair_as_the_per_role_oracle_does():
         unshared_pairs += sum(p is not g for g, p in zip(gold, predicted))
         assert evaluate(gold, predicted).to_dict() == oracle_evaluate(gold, predicted).to_dict()
     assert shared_pairs > 100 and unshared_pairs > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8))
+def test_a_shared_pair_scores_as_an_equal_pair_of_two_annotations(rng, count):
+    # The tally folds a shared pair's counts in when it reports; an equal
+    # copy of the gold takes the general path through every count.
+    golds = [random_annotation(rng, f"d{i}") for i in range(count)]
+    copies = [replace(annotation) for annotation in golds]
+    assert all(c == g and c is not g for c, g in zip(copies, golds))
+    assert evaluate(golds, golds) == evaluate(golds, copies)
+    # Shared pairs among pairs that differ, so that no ratio is 1 by default.
+    predicted = [_edited(rng, annotation, shared=0.5) for annotation in golds]
+    unshared = [replace(p) if p is g else p for g, p in zip(golds, predicted)]
+    expected = evaluate(golds, unshared)
+    assert evaluate(golds, predicted) == expected
+    tally = corpus._Tally()
+    for g, p in zip(golds, predicted):
+        tally.add(g, p)
+    assert tally.report() == tally.report() == expected
 
 
 def test_format_eval_report_has_six_decimal_metrics():

@@ -813,6 +813,15 @@ def test_a_deep_event_with_no_gazetteer_hit_tries_only_its_outer_pp(config, monk
     assert spans_by_role(outcome.annotation, Role.DIFFERENTIA_EVENT) == [(2, tree.end)]
 
 
+# A record with every field set: a tree, an instance, and a prediction that
+# differs from its gold.
+_FULL_RECORD = DefinitionRecord(
+    "d", "noun", "a dog", "(NP (DT a) (NN dog))", True,
+    Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 1, 2),)),
+    Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 0, 2),)),
+)
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -821,8 +830,13 @@ def test_a_deep_event_with_no_gazetteer_hit_tries_only_its_outer_pp(config, monk
         RoleSpan(Role.EVENT_TIME, 2, 4, 1),
         Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 1, 2),)),
         Annotation("", (), (), True),
+        DefinitionRecord("d", "noun", "a dog"),
+        _FULL_RECORD,
     ],
-    ids=["trace-entry", "role-span", "role-span-with-parent", "annotation", "empty-annotation"],
+    ids=[
+        "trace-entry", "role-span", "role-span-with-parent", "annotation", "empty-annotation",
+        "definition-record", "definition-record-with-tree-and-annotations",
+    ],
 )
 def test_slotted_records_behave_as_frozen_dataclasses(record):
     cls = record.__class__
@@ -876,8 +890,13 @@ class _DictStatePickle:
         RoleSpan(Role.EVENT_TIME, 2, 4, 1),
         parse_bracketed("(NP (DT a) (NN dog))"),
         Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 1, 2),)),
+        DefinitionRecord("d", "noun", "a dog"),
+        _FULL_RECORD,
     ],
-    ids=["trace-entry", "role-span", "role-span-with-parent", "syntree", "annotation"],
+    ids=[
+        "trace-entry", "role-span", "role-span-with-parent", "syntree", "annotation",
+        "definition-record", "definition-record-with-tree-and-annotations",
+    ],
 )
 def test_slotted_records_unpickle_a_dict_or_a_sequence_state(record):
     cls = record.__class__
