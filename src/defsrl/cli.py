@@ -30,6 +30,7 @@ from .corpus import (
     _corpus_items,
     _decoded,
     _decoded_blocks,
+    _json_line,
     _json_loads,
     _record_line,
     _Tally,
@@ -251,7 +252,7 @@ def _trace_line(record_id: str, outcome: LabelOutcome) -> str:
         {"rule": t.rule, "start": t.start, "end": t.end, "reason": t.reason}
         for t in outcome.rule_trace
     ]
-    return json.dumps({"id": record_id, "trace": entries}, ensure_ascii=False)
+    return _json_line({"id": record_id, "trace": entries})
 
 
 def run_label(args: argparse.Namespace) -> int:

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _POS_VALUES = (NOUN, VERB)
+# ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
+# call: the one encoding of every JSON line defsrl writes.
+_json_line = json.JSONEncoder(ensure_ascii=False).encode
 # The string fields a record keeps, and so writes back.
 _TEXT_FIELDS = ("id", "gloss", "tree", "gold", "predicted")
 
@@ -279,7 +282,7 @@ def _record_line(
         predicted = record.predicted
     if predicted is not None:
         payload["predicted"] = inline(predicted)
-    return json.dumps(payload, ensure_ascii=False)
+    return _json_line(payload)
 
 
 def write_corpus(records: list[DefinitionRecord]) -> str:

@@ -42,7 +42,9 @@ from .lexicon import (
     Lexicon,
     NOUN,
     VERB,
-    gazetteer_match,
+    # The engine hands the gazetteers tokens it has lowercased once; the
+    # matcher keeps the public name, under which its calls are traced.
+    _gazetteer_match_lowered as gazetteer_match,
     longest_rightmost_entry,
 )
 from .rolemodel import (
@@ -398,6 +400,12 @@ class _Engine:
     def _note(self, rule: str, start: int, end: int, reason: str) -> None:
         self.trace.append(TraceEntry(rule, start, end, reason))
 
+    def _lowered(self, start: int, end: int) -> list[str]:
+        """The tokens ``[start, end)`` lowercased, as the gazetteers take them.
+        Only the windows tried are lowercased: lowering a whole long gloss
+        once cost more, since many glosses try no window or short ones."""
+        return [t.lower() for t in self.tokens[start:end]]
+
     def _text(self, start: int, end: int) -> str:
         return " ".join(self.tokens[start:end])
 
@@ -513,7 +521,7 @@ class _Engine:
             for node in _path(self.tree, self.leaves[0])
         )
         if covers_prefix and gazetteer_match(
-            self.config.location_gazetteer, self.tokens[:supertype_start]
+            self.config.location_gazetteer, self._lowered(0, supertype_start)
         ):
             return (0, supertype_start)
         return None
@@ -528,7 +536,6 @@ class _Engine:
         """
         location = self.config.location_gazetteer
         time = self.config.time_gazetteer
-        tokens = self.tokens
         start, end = event_node.start, event_node.end
         matches: list[tuple[SynTree, Role]] = []
         stack = [event_node]
@@ -539,10 +546,11 @@ class _Engine:
                 and node is not event_node
                 and (node.start != start or node.end != end)
             ):
-                pp_tokens = tokens[node.start : node.end]
-                if gazetteer_match(location, pp_tokens):
+                # One lowering serves both gazetteers.
+                pp_lowered = self._lowered(node.start, node.end)
+                if gazetteer_match(location, pp_lowered):
                     matches.append((node, Role.EVENT_LOCATION))
-                elif gazetteer_match(time, pp_tokens):
+                elif gazetteer_match(time, pp_lowered):
                     matches.append((node, Role.EVENT_TIME))
                 continue
             # Only a PP can match, and a leaf has nothing inside it.
@@ -693,7 +701,7 @@ class _Engine:
             node.label == "PP"
             and "SBAR" not in ancestors
             and "VP" not in ancestors
-            and gazetteer_match(self.config.location_gazetteer, self.tokens[start:end])
+            and gazetteer_match(self.config.location_gazetteer, self._lowered(start, end))
         ):
             self._add(
                 Role.ORIGIN_LOCATION, start, end, ORIGIN_LOCATION_RULE,

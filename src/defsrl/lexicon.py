@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -64,7 +65,7 @@ _NOUN_DETACHMENTS = (
     ("s", ""),
 )
 
-# ``_lines`` splits at least this many characters at once.
+# ``_chunks`` cuts text into pieces of at least this many characters.
 _CHUNK = 1 << 16
 
 
@@ -76,12 +77,10 @@ class LexiconFormatError(ValueError):
         self.line_no = line_no
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, one at a time, as every file defsrl reads
-    breaks them: only at "\\n", "\\r\\n" and "\\r", with no empty line
-    after a final break; U+0085, U+2028 and U+2029 stay inside their line.
-    Chunks of at least ``_CHUNK`` characters, each cut at a "\\n", are split
-    at C speed, so no list of all the lines is held."""
+def _chunks(text: str) -> Iterator[str]:
+    """``text`` in chunks of at least ``_CHUNK`` characters, each cut at a
+    "\\n" and with its "\\r\\n" and "\\r" breaks made "\\n": the lines of
+    ``text`` are those of ``chunk.split("\\n")`` over the chunks in order."""
     start, size = 0, len(text)
     while start < size:
         # Searching from the last character at the latest finds a final "\n".
@@ -93,6 +92,16 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
         if "\r" in chunk:
             chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        yield chunk
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, one at a time, as every file defsrl reads
+    breaks them: only at "\\n", "\\r\\n" and "\\r", with no empty line
+    after a final break; U+0085, U+2028 and U+2029 stay inside their line.
+    Each of ``_chunks(text)`` is split at C speed, so no list of all the
+    lines is held."""
+    for chunk in _chunks(text):
         yield from chunk.split("\n")
 
 
@@ -104,6 +113,11 @@ def _normalize_entry(text: str, joiner: str) -> str:
     if joiner == "_" and (entry.startswith("_") or entry.endswith("_") or "__" in entry):
         raise ValueError(f"bad underscore placement in {entry!r}")
     return entry
+
+
+def _check_choice(name: str, value: str, choices: tuple[str, str]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be {choices[0]!r} or {choices[1]!r}, got {value!r}")
 
 
 def _max_words(entries: Iterable[str], joiner: str) -> int:
@@ -131,14 +145,15 @@ class Lexicon:
 
     @classmethod
     def from_entries(cls, pos: str, entries: Iterable[str]) -> "Lexicon":
-        return cls._from_normalized(pos, (_normalize_entry(e, "_") for e in entries))
+        _check_choice("pos", pos, (NOUN, VERB))
+        return cls._from_normalized(pos, [_normalize_entry(e, "_") for e in entries])
 
     @classmethod
-    def _from_normalized(cls, pos: str, entries: Iterable[str]) -> "Lexicon":
-        if pos not in (NOUN, VERB):
-            raise ValueError(f"pos must be {NOUN!r} or {VERB!r}, got {pos!r}")
-        normalized = frozenset(entries)
-        return cls(pos, normalized, _max_words(normalized, "_"))
+    def _from_normalized(cls, pos: str, entries: list[str]) -> "Lexicon":
+        _check_choice("pos", pos, (NOUN, VERB))
+        # Words are counted over the list, in the order the entries were
+        # made: that reads memory faster than the set's hash order.
+        return cls(pos, frozenset(entries), _max_words(entries, "_"))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -167,21 +182,33 @@ class Lexicon:
         return None
 
 
+# ``_wordlist_entries`` lowercases a whole chunk at once, which equals
+# lowercasing each entry on its own: the one context rule of ``str.lower``
+# (a final capital sigma) looks past case-ignorable characters only, and no
+# whitespace character or "_" is cased or case-ignorable, so the breaks
+# between lines and words stop it as an entry's ends do. Whitespace, "#" and
+# "_" lowercase to themselves and no other character lowercases into them,
+# so the words, comments and underscores of a lowered chunk are those of the
+# chunk. tests/test_lexicon.py checks these facts over every code point.
+
+
 def _wordlist_entries(text: str, joiner: str) -> list[str]:
     """The normalized entries of line-oriented text, one per line; blank
     lines and # comments are skipped."""
-    # A kept line has a word, so its entry is never empty.
-    entries = [
-        joiner.join(words).lower()
-        for words in map(str.split, _lines(text))
-        if words and not words[0].startswith("#")
-    ]
-    if joiner == "_":
-        # No entry holds a newline, so a misplaced underscore in any entry
-        # shows in the entries framed and joined by newlines.
-        framed = "\n" + "\n".join(entries) + "\n"
-        if "__" in framed or "\n_" in framed or "_\n" in framed:
-            _raise_underscore_error(text)
+    entries: list[str] = []
+    for chunk in _chunks(text):
+        lowered = chunk.lower()
+        # A blank line joins to "", and only a comment's entry starts with "#".
+        kept = list(filter(None, map(joiner.join, map(str.split, lowered.split("\n")))))
+        if "#" in lowered:
+            kept = [entry for entry in kept if entry[0] != "#"]
+        if joiner == "_":
+            # No entry holds a newline, so a misplaced underscore in any
+            # entry shows in the entries framed and joined by newlines.
+            framed = "\n" + "\n".join(kept) + "\n"
+            if "__" in framed or "\n_" in framed or "_\n" in framed:
+                _raise_underscore_error(text)
+        entries += kept
     return entries
 
 
@@ -239,19 +266,20 @@ class Gazetteer:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "first_words", frozenset(e.partition(" ")[0] for e in self.entries)
+            self,
+            "first_words",
+            frozenset(map(itemgetter(0), map(str.partition, self.entries, repeat(" ")))),
         )
 
     @classmethod
     def from_entries(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
-        return cls._from_normalized(kind, (_normalize_entry(e, " ") for e in entries))
+        _check_choice("kind", kind, (LOCATION, TIME))
+        return cls._from_normalized(kind, [_normalize_entry(e, " ") for e in entries])
 
     @classmethod
-    def _from_normalized(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
-        if kind not in (LOCATION, TIME):
-            raise ValueError(f"kind must be {LOCATION!r} or {TIME!r}, got {kind!r}")
-        normalized = frozenset(entries)
-        return cls(kind, normalized, _max_words(normalized, " "))
+    def _from_normalized(cls, kind: str, entries: list[str]) -> "Gazetteer":
+        _check_choice("kind", kind, (LOCATION, TIME))
+        return cls(kind, frozenset(entries), _max_words(entries, " "))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -296,9 +324,13 @@ def gazetteer_match(gazetteer: Gazetteer, tokens: Sequence[str]) -> bool:
     adjacent pair. The labeler relies on this to skip the PPs nested in a
     PP that missed.
     """
-    if not tokens:
+    return _gazetteer_match_lowered(gazetteer, [t.lower() for t in tokens])
+
+
+def _gazetteer_match_lowered(gazetteer: Gazetteer, lowered: Sequence[str]) -> bool:
+    """``gazetteer_match`` over tokens that are lowercased already."""
+    if not lowered:
         raise ValueError("tokens must be non-empty")
-    lowered = [t.lower() for t in tokens]
     n = len(lowered)
     if gazetteer.max_words > 0:
         first_words = gazetteer.first_words

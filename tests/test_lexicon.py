@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,3 +359,47 @@ def test_wordlist_loaders_equal_the_line_loop(text):
         loaded = load(text)
         assert loaded.entries == frozenset(expected)
         assert loaded.max_words == max((e.count(joiner) + 1 for e in expected), default=0)
+
+
+# Pieces whose lowercasing reaches past one character: a final capital
+# sigma, which the bulk loaders lowercase with its neighbours, and İ, which
+# lowercases to two characters.
+_CASED_PIECES = _TEXT_PIECES + ["ΟΔΟΣ", "Σ", "ΑΣ_Α", "Σ#", "İ", "_İ", "i\u0307"]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_CASED_PIECES), max_size=40).map("".join))
+def test_lowering_a_chunk_loads_as_the_line_loop(text):
+    # Small chunks put a chunk boundary after nearly every "\n".
+    for chunk in (3, lexicon._CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexicon, "_CHUNK", chunk)
+            for joiner in ("_", " "):
+                try:
+                    expected = oracle_wordlist_entries(text, joiner)
+                except LexiconFormatError as exc:
+                    with pytest.raises(LexiconFormatError) as info:
+                        _wordlist_entries(text, joiner)
+                    assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
+                else:
+                    assert _wordlist_entries(text, joiner) == expected
+
+
+def test_lowering_a_chunk_equals_lowering_each_entry():
+    # The facts the bulk loaders rely on, checked against this Python's
+    # Unicode tables. A whitespace character or "_" between a capital sigma
+    # and a letter stops the final-sigma rule's look-behind and look-ahead,
+    # so it is neither cased nor case-ignorable.
+    characters = list(map(chr, range(sys.maxunicode + 1)))
+    spaces = [c for c in characters if c.isspace()]
+    for c in spaces + ["_"]:
+        assert ("Α" + c + "Σ").lower().endswith("σ"), ascii(c)
+        assert ("ΑΣ" + c + "Α").lower().startswith("ας"), ascii(c)
+    # Whitespace, "#" and "_" lowercase to themselves.
+    for c in spaces + ["#", "_"]:
+        assert c.lower() == c, ascii(c)
+    # No character lowercases into whitespace, "#" or "_".
+    for c in characters:
+        lowered = c.lower()
+        if lowered != c:
+            assert not any(ch.isspace() or ch in "#_" for ch in lowered), ascii(c)
