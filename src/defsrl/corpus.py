@@ -53,12 +53,17 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """A corpus line that gave no record: its 1-based number and why."""
+
     line_no: int
     message: str
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class DefinitionRecord:
+    """One corpus line: a definition and, when present, its tree and its gold
+    and predicted annotations."""
+
     id: str
     pos: str
     gloss: str
@@ -331,6 +336,8 @@ def distribution(annotations: Iterable[Annotation]) -> DistributionReport:
 
 @dataclass(frozen=True)
 class RoleMetrics:
+    """Precision, recall and F1 of one role."""
+
     precision: float
     recall: float
     f1: float
@@ -353,6 +360,10 @@ def _metrics(tp: int, predicted: int, gold: int) -> RoleMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Scores of predicted against gold annotations: per-role metrics on
+    exact spans and on tokens, the supporting span counts, and the agreement
+    on supertypes and ill-formed flags over ``pairs`` pairs."""
+
     exact: dict[Role, RoleMetrics]
     token: dict[Role, RoleMetrics]
     supertype_accuracy: float

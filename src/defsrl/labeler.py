@@ -34,7 +34,7 @@ rules before being declared ill-formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .lexicon import (
@@ -178,8 +178,11 @@ class LabelerConfig:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class TraceEntry:
+    """One step of a rule trace: the rule (one of ``TRACE_RULES``) that acted
+    on the tokens [start, end), and why."""
+
     rule: str
     start: int
     end: int
@@ -202,6 +205,8 @@ _seal(TraceEntry)
 
 @dataclass(frozen=True)
 class LabelOutcome:
+    """An annotation and the trace of the rules that made it, in order."""
+
     annotation: Annotation
     rule_trace: tuple[TraceEntry, ...]
 
@@ -236,12 +241,14 @@ def preprocess_gloss(gloss: str) -> str:
 # parents by object so indices can be resolved once, after final ordering.
 
 
-@dataclass
 class _Span:
-    role: Role
-    start: int
-    end: int
-    parent: "_Span | None" = None
+    __slots__ = ("role", "start", "end", "parent")
+
+    def __init__(self, role: Role, start: int, end: int, parent: _Span | None = None) -> None:
+        self.role = role
+        self.start = start
+        self.end = end
+        self.parent = parent
 
 
 def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
@@ -263,17 +270,23 @@ def _has_differentia(spans: Sequence[_Span], excluding: _Span | None = None) -> 
     return any(s is not excluding and s.role in DIFFERENTIA_ROLES for s in spans)
 
 
-@dataclass
 class _NounDetection:
-    np: SynTree
-    hits: list[tuple[tuple[int, int], tuple[int, int] | None]]
-    dropped_determiners: list[tuple[int, int]] = field(default_factory=list)
+    __slots__ = ("np", "hits", "dropped_determiners")
+
+    def __init__(
+        self, np: SynTree, hits: list[tuple[tuple[int, int], tuple[int, int] | None]]
+    ) -> None:
+        self.np = np
+        self.hits = hits
+        self.dropped_determiners: list[tuple[int, int]] = []
 
 
-@dataclass(frozen=True)
 class _DeterminerHit:
-    span: tuple[int, int]
-    redetect_from: int | None
+    __slots__ = ("span", "redetect_from")
+
+    def __init__(self, span: tuple[int, int], redetect_from: int | None) -> None:
+        self.span = span
+        self.redetect_from = redetect_from
 
 
 def _split_on_cc(node: SynTree) -> list[list[SynTree]]:

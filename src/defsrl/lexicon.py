@@ -8,6 +8,7 @@ closed-class time patterns (years, Nth century, month names).
 
 from __future__ import annotations
 
+import copyreg
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -75,6 +76,11 @@ class LexiconFormatError(ValueError):
     def __init__(self, message: str, line_no: int) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+    def __reduce__(self) -> tuple:
+        # As ``TreeParseError.__reduce__``: ``args`` holds only the formatted
+        # message, so rebuild through ``__new__`` and restore ``line_no``.
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
 def _chunks(text: str) -> Iterator[str]:

@@ -34,6 +34,8 @@ class Repetition(str, Enum):
 
 @dataclass(frozen=True)
 class PatternElement:
+    """One position of a pattern: a role and how often it repeats there."""
+
     role: Role
     repetition: Repetition = Repetition.SINGLE
 
@@ -48,6 +50,9 @@ class PatternElement:
 
 @dataclass(frozen=True)
 class Pattern:
+    """The canonical role sequence of an annotation, runs collapsed: no two
+    adjacent elements share a role."""
+
     elements: tuple[PatternElement, ...]
 
     def __post_init__(self) -> None:

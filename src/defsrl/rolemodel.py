@@ -89,7 +89,7 @@ _RESERVED = "{}|"
 _TOKEN_UNSAFE = re.compile(f"[{re.escape(_RESERVED)}\\s]")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class RoleSpan:
     """A role over the half-open token interval [start, end).
 
@@ -119,7 +119,7 @@ _set_parent = RoleSpan.parent.__set__
 _seal(RoleSpan)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class Annotation:
     """An ordered set of disjoint role spans over a definition's tokens.
 
@@ -165,6 +165,10 @@ _seal(Annotation)
 
 @dataclass(frozen=True)
 class Violation:
+    """One breach that ``validate`` found: its ``KIND_*`` kind, its severity
+    (``ERROR`` or ``WARNING``), the index of the span at fault (None for the
+    whole annotation) and a message."""
+
     kind: str
     severity: str
     span_index: int | None

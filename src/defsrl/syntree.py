@@ -15,9 +15,12 @@ child's start to its last child's end. The queries raise ValueError otherwise.
 
 from __future__ import annotations
 
+import copyreg
 import re
 from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import islice
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Iterator, Literal, overload
 
 __all__ = [
@@ -43,6 +46,12 @@ class TreeParseError(ValueError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
+    def __reduce__(self) -> tuple:
+        # ``args`` holds only the formatted message, which ``__init__`` does
+        # not take: ``pickle`` and ``copy`` rebuild through ``__new__`` and
+        # restore ``offset`` from the instance dict.
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
+
 
 class _LeafRecord:
     """The slot of a parsed root's leaves, in surface order.
@@ -57,7 +66,7 @@ class _LeafRecord:
     __slots__ = ("_leaf_record",)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class SynTree(_LeafRecord):
     """A constituency-tree node over the half-open token span [start, end).
 
@@ -72,8 +81,23 @@ class SynTree(_LeafRecord):
     start: int = 0
     end: int = 0
 
+    def __init__(
+        self,
+        label: str,
+        children: tuple["SynTree", ...] = (),
+        token: str | None = None,
+        start: int = 0,
+        end: int = 0,
+    ) -> None:
+        # The slots' own setters, as in ``parse_bracketed``.
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_token(self, token)
+        _set_start(self, start)
+        _set_end(self, end)
+
     def __eq__(self, other: object) -> bool:
-        # The generated ``__eq__`` compares the field tuples, children
+        # A frozen dataclass's ``__eq__`` compares the field tuples, children
         # pairwise; this walks the node pairs with a stack instead of one
         # nested call per tree level.
         if other.__class__ is not self.__class__:
@@ -99,6 +123,54 @@ class SynTree(_LeafRecord):
         # Equal trees serialize alike; trees that differ only in their spans
         # just share a hash. ``serialize`` walks without recursing.
         return hash(serialize(self))
+
+    def __repr__(self) -> str:
+        # A frozen dataclass's ``__repr__``, written with a stack instead of
+        # one nested call per tree level. A child whose class writes its own
+        # ``__repr__`` is written by it.
+        parts: list[str] = []
+        stack: list[SynTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            children = item.children
+            parts.append(f"{item.__class__.__qualname__}(label={item.label!r}, children=(")
+            stack.append(
+                f"{',' if len(children) == 1 else ''}), token={item.token!r}, "
+                f"start={item.start!r}, end={item.end!r})"
+            )
+            for index in range(len(children) - 1, -1, -1):
+                child = children[index]
+                writes_itself = child.__class__.__repr__ is SynTree.__repr__
+                stack.append(child if writes_itself else repr(child))
+                if index:
+                    stack.append(", ")
+        return "".join(parts)
+
+    def __copy__(self) -> "SynTree":
+        # A new node over the same children; ``__reduce__`` would rebuild
+        # them all.
+        copied = object.__new__(self.__class__)
+        copied.__setstate__(self.__getstate__())
+        return copied
+
+    def __reduce__(self) -> tuple:
+        # ``pickle`` and ``copy.deepcopy`` get the nodes as one flat preorder
+        # tuple, each with its class, its fields but the children, and its
+        # child count, and ``_rebuilt_tree`` puts them together again; so
+        # neither recurses once per tree level.
+        nodes = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            nodes.append(
+                (node.__class__, node.label, node.token, node.start, node.end, len(children))
+            )
+            stack.extend(reversed(children))
+        return _rebuilt_tree, (tuple(nodes),)
 
     @property
     def span(self) -> tuple[int, int]:
@@ -143,11 +215,26 @@ _set_end = SynTree.end.__set__
 _set_leaf_record = _LeafRecord._leaf_record.__set__
 
 
-# The ``__setattr__`` and ``__delattr__`` of a frozen dataclass with
-# ``slots=True`` refuse the fields, but meet any other name (here the leaf
-# record) with a TypeError from a ``super()`` over the class as it was
-# before ``slots=True`` rebuilt it (Python 3.10 to 3.13). These refuse
-# every name alike.
+def _rebuilt_tree(nodes: tuple) -> SynTree:
+    """The tree that ``SynTree.__reduce__`` flattened into ``nodes``."""
+    built: list[SynTree] = []
+    # Backwards through the preorder, each node's children are the last
+    # ones built, first child on top.
+    for cls, label, token, start, end, arity in reversed(nodes):
+        node = object.__new__(cls)
+        children = built[len(built) - arity:]
+        del built[len(built) - arity:]
+        children.reverse()
+        _set_label(node, label)
+        _set_children(node, tuple(children))
+        _set_token(node, token)
+        _set_start(node, start)
+        _set_end(node, end)
+        built.append(node)
+    (root,) = built
+    return root
+
+
 def _refuse_assignment(self: object, name: str, value: object) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -156,24 +243,65 @@ def _refuse_deletion(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-# The generated ``__setstate__`` zips the fields with any state, so the dict
-# pickled by a version whose records had a ``__dict__`` would fill each field
-# with its own name. This one reads such a dict by field name.
-def _set_state(self: object, state: object) -> None:
-    names = [field.name for field in fields(self)]
-    if isinstance(state, dict):
-        if state.keys() != set(names):
-            raise TypeError(f"cannot unpickle {type(self).__name__} from {list(state)}")
-        state = map(state.__getitem__, names)
-    for name, value in zip(names, state):
-        object.__setattr__(self, name, value)
-
-
 def _seal(cls: type) -> None:
-    """Fit a slotted frozen record class with the three methods above."""
+    """Give a slotted record class the methods of a frozen dataclass.
+
+    ``cls`` is declared ``@dataclass(slots=True, init=False, repr=False,
+    eq=False)`` with two or more fields, so ``dataclasses`` writes none of
+    its methods and its ``__dataclass_params__`` reads ``frozen=False``,
+    ``eq=False`` and ``repr=False``. This writes them once, from the field
+    list, read through one ``attrgetter``:
+
+    - ``__repr__``, ``==`` and ``hash`` as a frozen dataclass has them, over
+      the tuple of field values, except where ``cls`` defines its own (as
+      ``SynTree`` does);
+    - ``__getstate__`` and ``__setstate__``, which ``pickle`` and ``copy``
+      use. A dict state, as pickled by a version whose records had a
+      ``__dict__``, is read by field name and refused unless its keys are
+      the fields;
+    - ``__setattr__`` and ``__delattr__``, which raise
+      ``FrozenInstanceError`` for every name, not only the fields (a tree's
+      leaf record too).
+
+    A subclass declared ``@dataclass(frozen=True)`` is refused by
+    ``dataclasses`` itself, as a frozen dataclass over a non-frozen one.
+    """
+    names = tuple(field.name for field in fields(cls))
+    values = attrgetter(*names)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        items = ", ".join(map("{}={!r}".format, names, values(self)))
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __getstate__(self) -> list:
+        return list(values(self))
+
+    def __setstate__(self, state: object) -> None:
+        if isinstance(state, dict):
+            if state.keys() != set(names):
+                raise TypeError(f"cannot unpickle {type(self).__name__} from {list(state)}")
+            state = map(state.__getitem__, names)
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
-    cls.__setstate__ = _set_state
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = __repr__
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
 
 
 _seal(SynTree)

@@ -858,8 +858,8 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
         changed = dataclasses.replace(record, **{name: marker})
         assert getattr(changed, name) is marker and changed != record
     assert cls(**dict(zip(names, values))) == record
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        copied = pickle.loads(pickle.dumps(record, protocol))
+    copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies + [copy.copy(record), copy.deepcopy(record)]:
         assert copied == record and copied.__class__ is cls
     for name in names + ["other"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -869,6 +869,16 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
     assert [getattr(record, name) for name in names] == values
     with pytest.raises(TypeError):
         vars(record)
+
+
+@pytest.mark.parametrize("cls", [SynTree, RoleSpan, Annotation, TraceEntry, DefinitionRecord])
+def test_slotted_records_generate_no_dataclass_methods(cls):
+    # Their methods come from ``syntree._seal``, not from ``dataclasses``.
+    params = cls.__dataclass_params__
+    assert (params.init, params.repr, params.eq, params.frozen) == (False, False, False, False)
+    # So a frozen dataclass cannot extend one.
+    with pytest.raises(TypeError, match="frozen"):
+        dataclasses.dataclass(frozen=True)(type("Sub", (cls,), {}))
 
 
 class _DictStatePickle:

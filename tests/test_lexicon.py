@@ -103,6 +103,17 @@ def test_load_wndb_index_bad_underscore_names_its_line():
     assert info.value.line_no == 3
 
 
+def test_format_errors_pickle_and_copy():
+    with pytest.raises(LexiconFormatError) as info:
+        load_wordlist("clothing\nfoo__bar\n")
+    error = info.value
+    copies = [copy.copy(error), copy.deepcopy(error)]
+    copies += [pickle.loads(pickle.dumps(error, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other.__class__ is LexiconFormatError
+        assert (str(other), other.line_no) == (str(error), 2)
+
+
 def test_from_entries_rejects_a_blank_entry():
     with pytest.raises(ValueError, match="empty entry"):
         Lexicon.from_entries(NOUN, ["coach", " \t "])

@@ -113,6 +113,17 @@ def test_parse_errors_carry_offsets(text):
     assert isinstance(info.value.offset, int)
 
 
+def test_parse_errors_pickle_and_copy():
+    with pytest.raises(TreeParseError) as info:
+        parse_bracketed("(NP (NN dog)")
+    error = info.value
+    copies = [copy.copy(error), copy.deepcopy(error)]
+    copies += [pickle.loads(pickle.dumps(error, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other.__class__ is TreeParseError
+        assert (str(other), other.offset) == ("unbalanced parentheses (offset 12)", 12)
+
+
 def test_round_trip_on_random_trees():
     rng = random.Random(11)
     for _ in range(1000):
@@ -550,6 +561,32 @@ def test_deep_tree_serializes_and_parses_back():
     assert _preorder(parse_bracketed(serialize(tree))) == _preorder(tree)
 
 
+_LEAF_REPR = "SynTree(label='NN', children=(), token={!r}, start={}, end={})"
+
+
+def test_very_deep_and_very_wide_trees_pickle_copy_and_print():
+    depth, width = 5_000, 50_000
+    deep = parse_bracketed("(NP " * (depth - 1) + "(NN dog)" + ")" * (depth - 1))
+    wide = parse_bracketed("(S " + " ".join(f"(NN w{i})" for i in range(width)) + ")")
+    deep_text = (
+        "SynTree(label='NP', children=(" * (depth - 1)
+        + _LEAF_REPR.format("dog", 0, 1)
+        + ",), token=None, start=0, end=1)" * (depth - 1)
+    )
+    wide_text = (
+        "SynTree(label='S', children=("
+        + ", ".join(_LEAF_REPR.format(f"w{i}", i, i + 1) for i in range(width))
+        + f"), token=None, start=0, end={width})"
+    )
+    for tree, text in ((deep, deep_text), (wide, wide_text)):
+        assert repr(tree) == text
+        copies = [copy.copy(tree), copy.deepcopy(tree)] + [
+            pickle.loads(pickle.dumps(tree, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert other.__class__ is SynTree and other == tree
+
+
 def test_deep_trees_compare_and_hash():
     first, second = parse_bracketed(_DEEP), parse_bracketed(_DEEP)
     assert first is not second
@@ -690,6 +727,52 @@ def test_node_repr_is_the_dataclass_repr():
     )
     assert SynTree("X") == SynTree("X", (), None, 0, 0)
     assert repr(SynTree("X")) == "SynTree(label='X', children=(), token=None, start=0, end=0)"
+
+
+def test_copy_shares_the_children_and_deepcopy_rebuilds_them():
+    tree = parse_bracketed(COACH)
+    shallow = copy.copy(tree)
+    assert shallow == tree and shallow is not tree and shallow.children is tree.children
+    deep = copy.deepcopy(tree)
+    assert deep == tree
+    assert not any(a is b for a, b in zip(deep.subtrees(), tree.subtrees()))
+
+
+class _Tagged(SynTree):
+    pass
+
+
+def test_subclass_nodes_keep_their_class_through_copies_and_repr():
+    dog = _Tagged("NN", (), "dog", 1, 2)
+    tree = SynTree("NP", (SynTree("DT", (), "a", 0, 1), dog), None, 0, 2)
+    for other in [copy.copy(tree), copy.deepcopy(tree)] + [
+        pickle.loads(pickle.dumps(tree, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]:
+        assert other == tree
+        assert [n.__class__ for n in other.subtrees()] == [SynTree, SynTree, _Tagged]
+    assert repr(tree).endswith(
+        "_Tagged(label='NN', children=(), token='dog', start=1, end=2)), token=None, start=0, end=2)"
+    )
+
+
+# ``parse_bracketed("(NP (NN dog))")`` as pickled (protocols 0 and 2) by the
+# version whose nodes pickled as their field lists.
+_FIELD_LIST_PICKLES = (
+    b"ccopy_reg\n_reconstructor\np0\n(cdefsrl.syntree\nSynTree\np1\nc__builtin__\nobject\n"
+    b"p2\nNtp3\nRp4\n(lp5\nVNP\np6\na(g0\n(g1\ng2\nNtp7\nRp8\n(lp9\nVNN\np10\na(taVdog\n"
+    b"p11\naI0\naI1\nabtp12\naNaI0\naI1\nab.",
+    b"\x80\x02cdefsrl.syntree\nSynTree\nq\x00)\x81q\x01]q\x02(X\x02\x00\x00\x00NPq\x03h\x00)"
+    b"\x81q\x04]q\x05(X\x02\x00\x00\x00NNq\x06)X\x03\x00\x00\x00dogq\x07K\x00K\x01eb\x85q"
+    b"\x08NK\x00K\x01eb.",
+)
+
+
+def test_trees_pickled_as_field_lists_still_load():
+    tree = parse_bracketed("(NP (NN dog))")
+    for data in _FIELD_LIST_PICKLES:
+        loaded = pickle.loads(data)
+        assert loaded == tree and repr(loaded) == repr(tree)
+        assert loaded.children[0].__class__ is SynTree
 
 
 # --- the leaf record of a parsed root ---------------------------------------------
