@@ -20,6 +20,7 @@ from .corpus import (
     evaluate,
     format_eval_report,
     read_corpus,
+    record_line,
     write_corpus,
 )
 from .defaults import (
@@ -36,13 +37,6 @@ from .labeler import (
     LabelOutcome,
     LabelerConfig,
     TraceEntry,
-    classify_post_supertype,
-    detect_accessory_determiner,
-    detect_accessory_quality,
-    detect_instance_origin,
-    detect_quality_modifier,
-    detect_supertype_noun,
-    detect_supertype_verb,
     label,
     preprocess_gloss,
 )
@@ -78,7 +72,6 @@ from .rolemodel import (
 from .syntree import (
     SynTree,
     TreeParseError,
-    dominated_by,
     innermost_leftmost_np,
     parse_bracketed,
     serialize,

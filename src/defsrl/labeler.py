@@ -75,13 +75,6 @@ __all__ = [
     "DEFAULT_ACCESSORY_DETERMINER_PHRASES",
     "DEFAULT_ACCESSORY_QUALITY_WORDS",
     "preprocess_gloss",
-    "detect_supertype_noun",
-    "detect_supertype_verb",
-    "detect_accessory_determiner",
-    "detect_instance_origin",
-    "detect_quality_modifier",
-    "detect_accessory_quality",
-    "classify_post_supertype",
     "label",
 ]
 
@@ -305,46 +298,18 @@ def _split_on_cc(node: SynTree) -> list[list[SynTree]]:
     return groups
 
 
-def detect_quality_modifier(
-    constituent: SynTree, quality: tuple[int, int]
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Carve a leading RB/JJ premodifier out of an ADJP/ADVP quality span.
-
-    Returns (modifier span, shrunk quality span), or None when the
-    constituent is not an ADJP/ADVP or no premodifier precedes the head.
-    Raises ValueError when the constituent's spans break the span contract.
-    """
-    start, end = quality
-    inside = [l for l in _numbered_leaves(constituent) if start <= l.start and l.end <= end]
-    return _premodifier(constituent.label, inside, end)
-
-
 def _premodifier(
     label: str, inside: Sequence[SynTree], end: int
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    # ``detect_quality_modifier`` on the leaves inside the quality span.
+    # The quality-modifier rule for a quality of constituent ``label`` over
+    # the leaves ``inside``, ending at ``end``: the (modifier, shrunk quality)
+    # spans when a leading RB/JJ precedes an RB/JJ head in an ADJP/ADVP.
     if label not in ("ADJP", "ADVP") or len(inside) < 2:
         return None
     head, following = inside[0], inside[1]
     if head.label in ("RB", "JJ") and following.label in ("RB", "JJ"):
         return ((head.start, head.end), (head.end, end))
     return None
-
-
-def detect_accessory_quality(
-    annotation: Annotation, span_index: int, tree: SynTree, config: LabelerConfig
-) -> bool:
-    """Whether a single-token JJ differentia quality is merely accessory.
-
-    True only when the word is a configured accessory-quality word and the
-    annotation keeps at least one other differentia quality or event.
-    ValueError when its tokens are not the tree's, a span lies outside them
-    or ``span_index`` lies outside ``[0, len(annotation.spans))``.
-    """
-    if not 0 <= span_index < len(annotation.spans):
-        raise ValueError(f"span_index {span_index} outside [0, {len(annotation.spans)})")
-    engine = _Engine(tree, NOUN, config, annotation)
-    return bool(engine.accessory_quality(engine.work[span_index]))
 
 
 def _unwrap_clause(node: SynTree) -> SynTree:
@@ -373,16 +338,9 @@ def _leading_cue_match(tokens: Sequence[str]) -> bool:
 class _Engine:
     """The labeling state of one gloss: its tree, leaves and tokens, the
     spans and trace built so far, and the supertype spans once detected.
-    A node's leaves are ``self.leaves[node.start:node.end]``.
+    A node's leaves are ``self.leaves[node.start:node.end]``."""
 
-    A ``context`` annotation of the same tokens starts the spans built so far
-    (without their parent links, which no rule reads); ValueError when its
-    tokens are not the tree's or one of its spans lies outside them."""
-
-    def __init__(
-        self, tree: SynTree, pos: str, config: LabelerConfig,
-        context: Annotation | None = None,
-    ) -> None:
+    def __init__(self, tree: SynTree, pos: str, config: LabelerConfig) -> None:
         if tree.token is None and not tree.children:
             raise EmptyDefinitionError("tree has no tokens")
         if tree.start != 0:
@@ -398,13 +356,6 @@ class _Engine:
         self.work: list[_Span] = []
         self.trace: list[TraceEntry] = []
         self.supertypes: list[_Span] = []
-        if context is not None:
-            if context.tokens != self.tokens:
-                raise ValueError("the annotation's tokens are not the tree's")
-            if any(not 0 <= s.start < s.end <= len(self.tokens) for s in context.spans):
-                raise ValueError(f"an annotation span lies outside tokens [0, {len(self.tokens)})")
-            self.work = [_Span(s.role, s.start, s.end) for s in context.spans]
-            self.supertypes = [span for span in self.work if span.role is Role.SUPERTYPE]
         # The noun detection the supertypes came from; None for a verb's.
         self.noun_info: _NounDetection | None = None
 
@@ -667,12 +618,11 @@ class _Engine:
 
     def classify(self, constituent: SynTree, ancestors: Sequence[str]) -> None:
         """Label one post-supertype constituent; ``ancestors`` are the labels
-        of its proper ancestors in the tree. A PRT matches no rule when there
-        is no supertype for it to complete."""
+        of its proper ancestors in the tree."""
         node = _unwrap_clause(constituent)
         start, end = node.start, node.end
 
-        if node.label == "PRT" and self.supertypes:
+        if node.label == "PRT":
             self._add(
                 Role.PARTICLE, start, end, PARTICLE_RULE,
                 "PRT completes the supertype", parent=self.supertypes[0],
@@ -863,97 +813,6 @@ class _Engine:
                 reach = end
 
 
-# ---------------------------------------------------------------------------
-# Public entry points: each runs one rule, or the whole engine, on one gloss.
-# The gloss's ``tree`` must keep the span contract (``syntree``) and start at
-# 0; ValueError otherwise, and EmptyDefinitionError when it has no tokens.
-
-
-def detect_supertype_noun(
-    tree: SynTree, config: LabelerConfig
-) -> list[tuple[tuple[int, int], tuple[int, int] | None]] | None:
-    """Supertype spans for a noun gloss, each with an optional leftover span.
-
-    The leftover covers tokens left of the matched entry inside the anchor
-    NP; it is labeled differentia quality downstream. None when no NP
-    qualifies or no lexicon entry matches inside it.
-    """
-    detection = _Engine(tree, NOUN, config).noun_supertypes()
-    return detection.hits if detection else None
-
-
-def detect_supertype_verb(
-    tree: SynTree, config: LabelerConfig
-) -> list[tuple[int, int]] | None:
-    """Supertype spans for a verb gloss: the leftmost VB plus conjoined VBs.
-
-    A later VB joins only when the nearest preceding non-supertype leaf is
-    an "or"/"and" CC and the VB sits in the same VP chain as the first.
-    None when the tree has no VB leaf at all.
-    """
-    return _Engine(tree, VERB, config).verb_supertypes()
-
-
-def detect_accessory_determiner(
-    tree: SynTree, supertype_start: int, config: LabelerConfig
-) -> tuple[int, int] | None:
-    """The accessory-determiner span preceding the supertype, if any.
-
-    ValueError when ``supertype_start`` lies outside ``[0, len(tokens)]``.
-    """
-    engine = _supertype_start_engine(tree, supertype_start, config)
-    detection = engine.noun_supertypes()
-    hit = engine.determiner(supertype_start, detection.np) if detection else None
-    return hit.span if hit else None
-
-
-def detect_instance_origin(
-    tree: SynTree, supertype_start: int, config: LabelerConfig
-) -> tuple[int, int] | None:
-    """Pre-supertype origin location for instance definienda.
-
-    Fires only in instance mode, when the tokens before the supertype are an
-    NP (or NP prefix) with a location-gazetteer hit. Takes precedence over
-    the pre-supertype differentia-quality leftover. ValueError when
-    ``supertype_start`` lies outside ``[0, len(tokens)]``, in any mode.
-    """
-    engine = _supertype_start_engine(tree, supertype_start, config)
-    return engine.instance_origin(supertype_start)
-
-
-def _supertype_start_engine(
-    tree: SynTree, supertype_start: int, config: LabelerConfig
-) -> _Engine:
-    # A noun engine, once ``supertype_start`` is known to lie in [0, len(tokens)].
-    engine = _Engine(tree, NOUN, config)
-    if not 0 <= supertype_start <= len(engine.tokens):
-        raise ValueError(f"supertype_start {supertype_start} outside [0, {len(engine.tokens)}]")
-    return engine
-
-
-def classify_post_supertype(
-    tree: SynTree,
-    constituent: SynTree,
-    context: Annotation,
-    config: LabelerConfig,
-    pos: str = NOUN,
-) -> list[RoleSpan]:
-    """Classify one post-supertype constituent against a partial annotation.
-
-    Returned spans extend ``context.spans`` in order; parent indices point
-    into that extended list. Unmatchable constituents yield no spans (the
-    full pipeline records them in the rule trace instead). ``constituent``
-    must be a node of ``tree``, and ``context`` an annotation of the tree's
-    tokens whose spans lie inside them; ValueError otherwise.
-    """
-    engine = _Engine(tree, pos, config, context)
-    known = len(engine.work)
-    ancestors = [node.label for node in _path(tree, constituent)[:-1]]
-    engine.classify(constituent, ancestors)
-    new_spans = sorted(engine.work[known:], key=lambda s: (s.start, s.end))
-    return list(_role_spans(engine.work[:known] + new_spans)[known:])
-
-
 def label(
     tree: SynTree,
     pos: str,
@@ -964,7 +823,9 @@ def label(
 
     Every token ends up either inside a role span or inside a trace entry;
     glosses with no detectable supertype come back flagged ill-formed with
-    no spans.
+    no spans. ``tree`` must keep the span contract (``syntree``) and start
+    at 0; ValueError otherwise, and EmptyDefinitionError when it has no
+    tokens.
     """
     if pos not in (NOUN, VERB):
         raise ValueError(f"pos must be {NOUN!r} or {VERB!r}, got {pos!r}")

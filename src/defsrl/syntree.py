@@ -29,7 +29,6 @@ __all__ = [
     "parse_bracketed",
     "serialize",
     "innermost_leftmost_np",
-    "dominated_by",
 ]
 
 _FUNC_SPLIT = re.compile(r"[-=]")
@@ -542,9 +541,8 @@ def _constituents_after_walk(
 ) -> list[tuple[SynTree, tuple[str, ...]]]:
     """The maximal constituents at or after ``start``: in surface order, pairwise
     non-nested and covering [start, tree.end). Each comes with the labels of its
-    proper ancestors (the nodes the walk descended through), root first."""
-    if not tree.start <= start <= tree.end:
-        raise ValueError(f"start {start} outside token range [{tree.start}, {tree.end}]")
+    proper ancestors (the nodes the walk descended through), root first.
+    ``start`` must lie in [tree.start, tree.end]."""
     out: list[tuple[SynTree, tuple[str, ...]]] = []
     stack: list[tuple[SynTree, tuple[str, ...]]] = [(tree, ())]
     while stack:
@@ -555,17 +553,6 @@ def _constituents_after_walk(
             inner = above + (node.label,)
             stack.extend((child, inner) for child in reversed(node.children))
     return out
-
-
-def dominated_by(node: SynTree, ancestor_label: str, within: SynTree) -> bool:
-    """True iff a proper ancestor of ``node`` inside ``within`` has the label.
-
-    Nodes are located by identity along the spans, so ``node`` must be the
-    actual object taken from ``within``. Raises ValueError when it is not
-    found there, or when the spans of ``within`` break the span contract.
-    """
-    _numbered_leaves(within)
-    return any(ancestor.label == ancestor_label for ancestor in _path(within, node)[:-1])
 
 
 def _path(root: SynTree, node: SynTree) -> list[SynTree]:

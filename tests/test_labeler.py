@@ -29,13 +29,6 @@ from defsrl.labeler import (
     EmptyDefinitionError,
     TraceEntry,
     _Engine,
-    classify_post_supertype,
-    detect_accessory_determiner,
-    detect_accessory_quality,
-    detect_instance_origin,
-    detect_quality_modifier,
-    detect_supertype_noun,
-    detect_supertype_verb,
     label,
     preprocess_gloss,
 )
@@ -98,64 +91,99 @@ def test_preprocess_empty_is_signaled():
 # --- noun supertype ---------------------------------------------------------------
 
 
+def assert_labels(config, text, pos, gold, trace):
+    """``label()`` of the tree ``text`` gives the inline ``gold`` and the rule
+    ``trace`` as (rule, start, end); returns the outcome."""
+    outcome = label(parse_bracketed(text), pos, config)
+    assert serialize_gold(outcome.annotation) == gold
+    assert [(t.rule, t.start, t.end) for t in outcome.rule_trace] == trace
+    return outcome
+
+
 def test_supertype_noun_whole_np(config):
-    tree = parse_bracketed(
-        "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NN baseball) (NNS players))))"
+    assert_labels(
+        config,
+        "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NN baseball) (NNS players))))",
+        "noun",
+        "a {supertype|coach} {differentia_quality|of baseball players}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("differentia-quality", 2, 5)],
     )
-    hits = detect_supertype_noun(tree, config)
-    assert hits == [((1, 2), None)]
 
 
 def test_supertype_noun_suffix_with_leftover(config):
-    tree = parse_bracketed(
-        "(NP (NP (JJ large) (JJ plover-like) (NN sandpiper)) (PP (IN of) (NP (NNS fields))))"
+    assert_labels(
+        config,
+        "(NP (NP (JJ large) (JJ plover-like) (NN sandpiper)) (PP (IN of) (NP (NNS fields))))",
+        "noun",
+        "{differentia_quality|large plover-like} {supertype|sandpiper}"
+        " {differentia_quality|of fields}",
+        [("supertype", 2, 3), ("pre-supertype-quality", 0, 2), ("differentia-quality", 3, 5)],
     )
-    hits = detect_supertype_noun(tree, config)
-    assert hits == [((2, 3), (0, 2))]
 
 
 def test_supertype_noun_absent_when_lexicon_misses(config):
-    tree = parse_bracketed(
+    outcome = assert_labels(
+        config,
         "(ADVP (NP (QP (IN from) (CD 63) (CD million) (TO to) (CD 2) (CD million))"
-        " (NNS years)) (RB ago))"
+        " (NNS years)) (RB ago))",
+        "noun",
+        "from 63 million to 2 million years ago",
+        [("ill-formed", 0, 8)],
     )
-    assert detect_supertype_noun(tree, config) is None
+    assert outcome.annotation.ill_formed
 
 
 def test_supertype_noun_absent_without_np(config):
-    assert detect_supertype_noun(parse_bracketed("(VP (VB run))"), config) is None
+    outcome = assert_labels(config, "(VP (VB run))", "noun", "run", [("ill-formed", 0, 1)])
+    assert outcome.annotation.ill_formed
 
 
 def test_supertype_noun_conjunction_splits(config):
-    tree = parse_bracketed("(NP (DT a) (NN coach) (CC or) (NN driver))")
-    hits = detect_supertype_noun(tree, config)
-    assert hits == [((1, 2), None), ((3, 4), None)]
+    assert_labels(
+        config, "(NP (DT a) (NN coach) (CC or) (NN driver))", "noun",
+        "a {supertype|coach} or {supertype|driver}",
+        [("supertype", 1, 2), ("supertype", 3, 4), ("leading-dt", 0, 1), ("uncovered", 2, 3)],
+    )
 
 
 # --- verb supertype ---------------------------------------------------------------
 
 
 def test_supertype_verb_conjoined(config):
-    tree = parse_bracketed(
-        "(VP (VB run) (CC or) (VB move) (ADVP (RB very) (RB quickly) (CC or) (RB hastily)))"
+    assert_labels(
+        config,
+        "(VP (VB run) (CC or) (VB move) (ADVP (RB very) (RB quickly) (CC or) (RB hastily)))",
+        "verb",
+        "{supertype|run} or {supertype|move} {quality_modifier@3|very}"
+        " {differentia_quality|quickly} or {differentia_quality|hastily}",
+        [("supertype", 0, 1), ("supertype", 2, 3), ("quality-modifier", 3, 4),
+         ("differentia-quality", 4, 5), ("differentia-quality", 6, 7), ("uncovered", 1, 2),
+         ("uncovered", 5, 6)],
     )
-    assert detect_supertype_verb(tree, config) == [(0, 1), (2, 3)]
 
 
 def test_supertype_verb_leftmost_only(config):
-    tree = parse_bracketed("(VP (VB take) (NP (DT the) (NNS staples)) (PRT (RP off)))")
-    assert detect_supertype_verb(tree, config) == [(0, 1)]
+    assert_labels(
+        config, "(VP (VB take) (NP (DT the) (NNS staples)) (PRT (RP off)))", "verb",
+        "{supertype|take} {differentia_quality|the staples} {particle@0|off}",
+        [("supertype", 0, 1), ("differentia-quality", 1, 3), ("particle", 3, 4)],
+    )
 
 
 def test_supertype_verb_absent(config):
-    assert detect_supertype_verb(parse_bracketed("(NP (NN dog))"), config) is None
+    # No VB leaf: the noun rules are tried, and "dog" is no lexicon entry.
+    outcome = assert_labels(
+        config, "(NP (NN dog))", "verb", "dog", [("fallback", 0, 0), ("ill-formed", 0, 1)]
+    )
+    assert outcome.annotation.ill_formed
 
 
 def test_supertype_verb_ignores_unconjoined_vb(config):
-    tree = parse_bracketed(
-        "(VP (VB run) (S (VP (TO to) (VP (VB win) (NP (DT the) (NN race))))))"
+    assert_labels(
+        config, "(VP (VB run) (S (VP (TO to) (VP (VB win) (NP (DT the) (NN race))))))", "verb",
+        "{supertype|run} {purpose|to win the race}",
+        [("supertype", 0, 1), ("purpose", 1, 5)],
     )
-    assert detect_supertype_verb(tree, config) == [(0, 1)]
 
 
 # --- accessory determiner ----------------------------------------------------------
@@ -168,23 +196,20 @@ CAMAS = (
 
 
 def test_accessory_determiner_noun_free_prefix(config):
-    tree = parse_bracketed(CAMAS)
-    assert detect_accessory_determiner(tree, 3, config) == (0, 3)
+    assert_labels(
+        config, CAMAS, "noun",
+        "{accessory_determiner|any of several} {supertype|plants}"
+        " {differentia_quality|of the genus Camassia}",
+        [("supertype", 3, 4), ("accessory-determiner", 0, 3), ("differentia-quality", 4, 8)],
+    )
 
 
 def test_accessory_determiner_bare_article_is_not_one(config):
-    tree = parse_bracketed(
-        "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))"
+    assert_labels(
+        config, "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))", "noun",
+        "a {supertype|coach} {differentia_quality|of players}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("differentia-quality", 2, 4)],
     )
-    assert detect_accessory_determiner(tree, 1, config) is None
-
-
-def test_accessory_determiner_rejects_a_supertype_start_outside_the_tokens(config):
-    tree = parse_bracketed("(NP (NP (DT a) (NN type)) (PP (IN of) (NP (NN dog))))")
-    for supertype_start in (-3, -1, 5):
-        with pytest.raises(ValueError, match="supertype_start"):
-            detect_accessory_determiner(tree, supertype_start, config)
-    assert detect_accessory_determiner(tree, 4, config) is None
 
 
 def test_accessory_determiner_phrase_list_reassigns_supertype(config):
@@ -209,92 +234,41 @@ def test_pre_supertype_leftover_is_not_a_determiner(config):
 # --- post-supertype classification ---------------------------------------------------
 
 
-def context(tokens, *spans):
-    return Annotation("ctx", tuple(tokens), tuple(spans), False)
-
-
 def test_classify_sbar_is_event(config):
-    tree = parse_bracketed(
-        "(NP (NP (DT a) (NN driver)) (SBAR (WHNP (WP who)) (S (VP (VBZ obstructs) (NP (NNS others))))))"
+    assert_labels(
+        config,
+        "(NP (NP (DT a) (NN driver)) (SBAR (WHNP (WP who)) (S (VP (VBZ obstructs) (NP (NNS others))))))",
+        "noun",
+        "a {supertype|driver} {differentia_event|who obstructs others}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("differentia-event", 2, 5)],
     )
-    sbar = next(n for n in tree.subtrees() if n.label == "SBAR")
-    ctx = context(tree.tokens(), RoleSpan(Role.SUPERTYPE, 1, 2))
-    result = classify_post_supertype(tree, sbar, ctx, config)
-    assert [(s.role, s.start, s.end) for s in result] == [
-        (Role.DIFFERENTIA_EVENT, 2, 5)
-    ]
 
 
 def test_classify_particle_without_a_supertype_yields_no_spans(config):
-    tree = parse_bracketed("(VP (VB set) (PRT (RP up)))")
-    prt = tree.children[1]
-    assert classify_post_supertype(tree, prt, context(tree.tokens()), config) == []
-
-
-def test_classify_never_raises_with_an_empty_context(config):
-    rng = random.Random(19)
-    for _ in range(300):
-        tree = random_tree(rng)
-        ctx = context(tree.tokens())
-        for node in tree.subtrees():
-            for pos in ("noun", "verb"):
-                classify_post_supertype(tree, node, ctx, config, pos)
-
-
-def test_classify_foreign_node_is_usage_error(config):
-    text = "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))"
-    tree = parse_bracketed(text)
-    ctx = context(tree.tokens(), RoleSpan(Role.SUPERTYPE, 1, 2))
-    twin = parse_bracketed(text).children[1]  # equal to a node, not taken from the tree
-    assert twin == tree.children[1]
-    for node in (parse_bracketed("(PP (IN of) (NP (NNS players)))"), twin):
-        with pytest.raises(ValueError):
-            classify_post_supertype(tree, node, ctx, config)
-
-
-def test_a_partial_annotation_must_span_the_trees_tokens(config):
-    tree = parse_bracketed("(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))")
-    pp = tree.children[1]
-    nine = tuple("a coach of baseball players of the major league".split())
-    quality = context(nine, RoleSpan(Role.DIFFERENTIA_QUALITY, 7, 8))
-    supertype = context(nine, RoleSpan(Role.SUPERTYPE, 7, 8))
-    with pytest.raises(ValueError, match="tokens are not the tree's"):
-        detect_accessory_quality(quality, 0, tree, config)
-    with pytest.raises(ValueError, match="tokens are not the tree's"):
-        classify_post_supertype(tree, pp, supertype, config)
-    for start, end in ((4, 6), (-1, 1), (2, 2)):
-        ctx = context(tree.tokens(), RoleSpan(Role.SUPERTYPE, start, end))
-        with pytest.raises(ValueError, match="outside tokens"):
-            classify_post_supertype(tree, pp, ctx, config)
-        with pytest.raises(ValueError, match="outside tokens"):
-            detect_accessory_quality(ctx, 0, tree, config)
+    # No NP anchors a noun supertype, so the PRT is never classified.
+    outcome = assert_labels(
+        config, "(VP (VB set) (PRT (RP up)))", "noun", "set up", [("ill-formed", 0, 2)]
+    )
+    assert outcome.annotation.ill_formed
 
 
 def test_classify_of_pp_is_quality(config):
-    tree = parse_bracketed(
-        "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NN baseball) (NNS players))))"
+    assert_labels(
+        config, "(NP (NP (DT a) (NN coach)) (PP (IN of) (NP (NNS players))))", "noun",
+        "a {supertype|coach} {differentia_quality|of players}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("differentia-quality", 2, 4)],
     )
-    pp = next(n for n in tree.subtrees() if n.label == "PP")
-    ctx = context(tree.tokens(), RoleSpan(Role.SUPERTYPE, 1, 2))
-    result = classify_post_supertype(tree, pp, ctx, config)
-    assert [(s.role, s.start, s.end) for s in result] == [
-        (Role.DIFFERENTIA_QUALITY, 2, 5)
-    ]
 
 
 def test_classify_to_vp_is_purpose(config):
-    tree = parse_bracketed(
+    assert_labels(
+        config,
         "(NP (NP (NN repetition)) (PP (IN of) (NP (NNS messages)))"
-        " (S (VP (TO to) (VP (VB reduce) (NP (NNS errors))))))"
+        " (S (VP (TO to) (VP (VB reduce) (NP (NNS errors))))))",
+        "noun",
+        "{supertype|repetition} {differentia_quality|of messages} {purpose|to reduce errors}",
+        [("supertype", 0, 1), ("differentia-quality", 1, 3), ("purpose", 3, 6)],
     )
-    clause = tree.children[2]
-    ctx = context(
-        tree.tokens(),
-        RoleSpan(Role.SUPERTYPE, 0, 1),
-        RoleSpan(Role.DIFFERENTIA_QUALITY, 1, 3),
-    )
-    result = classify_post_supertype(tree, clause, ctx, config)
-    assert [(s.role, s.start, s.end) for s in result] == [(Role.PURPOSE, 3, 6)]
 
 
 def test_classify_for_pp_with_vp_is_purpose_with_divergence_note(config):
@@ -368,24 +342,37 @@ def test_classify_unmatched_constituent_traced(config):
 # --- quality modifier ---------------------------------------------------------------
 
 
-def test_quality_modifier_rb_rb():
-    advp = parse_bracketed("(ADVP (RB very) (RB quickly))")
-    assert detect_quality_modifier(advp, (0, 2)) == ((0, 1), (1, 2))
+def test_quality_modifier_rb_rb(config):
+    assert_labels(
+        config, "(VP (VB run) (ADVP (RB very) (RB quickly)))", "verb",
+        "{supertype|run} {quality_modifier@2|very} {differentia_quality|quickly}",
+        [("supertype", 0, 1), ("quality-modifier", 1, 2), ("differentia-quality", 2, 3)],
+    )
 
 
-def test_quality_modifier_alone_absent():
-    advp = parse_bracketed("(ADVP (RB quickly))")
-    assert detect_quality_modifier(advp, (0, 1)) is None
+def test_quality_modifier_alone_absent(config):
+    assert_labels(
+        config, "(VP (VB run) (ADVP (RB quickly)))", "verb",
+        "{supertype|run} {differentia_quality|quickly}",
+        [("supertype", 0, 1), ("differentia-quality", 1, 2)],
+    )
 
 
-def test_quality_modifier_rb_jj():
-    adjp = parse_bracketed("(ADJP (RB extremely) (JJ large))")
-    assert detect_quality_modifier(adjp, (0, 2)) == ((0, 1), (1, 2))
+def test_quality_modifier_rb_jj(config):
+    assert_labels(
+        config, "(NP (NP (DT a) (NN plant)) (ADJP (RB extremely) (JJ tall)))", "noun",
+        "a {supertype|plant} {quality_modifier@2|extremely} {differentia_quality|tall}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("quality-modifier", 2, 3),
+         ("differentia-quality", 3, 4)],
+    )
 
 
-def test_quality_modifier_not_in_np():
-    np = parse_bracketed("(NP (JJ large) (JJ plover-like))")
-    assert detect_quality_modifier(np, (0, 2)) is None
+def test_quality_modifier_not_in_np(config):
+    assert_labels(
+        config, "(NP (NP (DT a) (NN plant)) (NP (JJ large) (JJ plover-like)))", "noun",
+        "a {supertype|plant} {differentia_quality|large plover-like}",
+        [("supertype", 1, 2), ("leading-dt", 0, 1), ("differentia-quality", 2, 4)],
+    )
 
 
 # --- instance origin -----------------------------------------------------------------
@@ -395,25 +382,19 @@ GILMAN = "(NP (NNP United) (NNPS States) (NN feminist))"
 
 
 def test_instance_origin_detected(config):
-    tree = parse_bracketed(GILMAN)
-    instance_config = replace(config, instance_mode=True)
-    assert detect_instance_origin(tree, 2, instance_config) == (0, 2)
+    assert_labels(
+        replace(config, instance_mode=True), GILMAN, "noun",
+        "{origin_location|United States} {supertype|feminist}",
+        [("supertype", 2, 3), ("instance-origin", 0, 2)],
+    )
 
 
 def test_instance_origin_gated_by_mode(config):
-    tree = parse_bracketed(GILMAN)
-    assert detect_instance_origin(tree, 2, config) is None
-
-
-def test_instance_origin_rejects_a_supertype_start_outside_the_tokens(config):
-    tree = parse_bracketed("(NP (NP (NNP Morocco)) (NN city))")
-    instance_config = replace(config, instance_mode=True)
-    for cfg in (config, instance_config):
-        for supertype_start in (-1, 3, 7):
-            with pytest.raises(ValueError, match="supertype_start"):
-                detect_instance_origin(tree, supertype_start, cfg)
-    assert detect_instance_origin(tree, 2, config) is None
-    assert detect_instance_origin(tree, 1, instance_config) == (0, 1)
+    assert_labels(
+        config, GILMAN, "noun",
+        "{differentia_quality|United States} {supertype|feminist}",
+        [("supertype", 2, 3), ("pre-supertype-quality", 0, 2)],
+    )
 
 
 def test_instance_origin_united_states_general(config):
@@ -454,25 +435,6 @@ def test_accessory_quality_requires_listed_word(config):
     )
     outcome = label(tree, "noun", config)
     assert spans_by_role(outcome.annotation, Role.ACCESSORY_QUALITY) == []
-
-
-def test_detect_accessory_quality_direct(config):
-    tree = parse_bracketed(ALLIUM)
-    annotation = Annotation(
-        "Allium",
-        tuple(tree.tokens()),
-        (
-            RoleSpan(Role.DIFFERENTIA_QUALITY, 0, 1),
-            RoleSpan(Role.SUPERTYPE, 1, 2),
-            RoleSpan(Role.DIFFERENTIA_QUALITY, 2, 9),
-        ),
-        False,
-    )
-    assert detect_accessory_quality(annotation, 0, tree, config)
-    assert not detect_accessory_quality(annotation, 2, tree, config)
-    for span_index in (-1, -3, len(annotation.spans)):
-        with pytest.raises(ValueError, match="span_index"):
-            detect_accessory_quality(annotation, span_index, tree, config)
 
 
 # --- full pipeline ---------------------------------------------------------------------
@@ -567,9 +529,10 @@ def test_a_subtree_not_starting_at_0_is_rejected(config):
     alone = label(parse_bracketed(serialize(sub)), "noun", config).annotation
     assert (alone.spans[0].role, alone.spans[0].start) == (Role.SUPERTYPE, 1)
     verbs = parse_bracketed("(S (NP (NNS dogs)) (VP (VB run) (CC or) (VB walk)))")
-    assert detect_supertype_verb(verbs, config) == [(1, 2), (3, 4)]
+    outcome = label(verbs, "verb", config)
+    assert spans_by_role(outcome.annotation, Role.SUPERTYPE) == [(1, 2), (3, 4)]
     with pytest.raises(ValueError, match="starts at 1"):
-        detect_supertype_verb(verbs.children[1], config)
+        label(verbs.children[1], "verb", config)
 
 
 def test_label_rejects_unknown_pos(config):
@@ -664,13 +627,14 @@ def test_label_contract_holds_on_random_trees(word_config, rng, pos, instance_mo
     cfg = replace(word_config, instance_mode=instance_mode)
     outcome = label(tree, pos, cfg, "r")
     _check_label_contract(outcome, "r")
-    # The public supertype detectors agree with the engine.
+    # The engine's supertype detectors agree with the annotation.
     supertypes = spans_by_role(outcome.annotation, Role.SUPERTYPE)
-    verb_spans = detect_supertype_verb(tree, cfg) if pos == "verb" else None
+    verb_spans = _Engine(tree, pos, cfg).verb_supertypes() if pos == "verb" else None
     if verb_spans is not None:
         assert verb_spans == supertypes
         return
-    noun_hits = detect_supertype_noun(tree, cfg)
+    detection = _Engine(tree, pos, cfg).noun_supertypes()
+    noun_hits = detection.hits if detection else None
     if noun_hits is None:
         assert outcome.annotation.ill_formed
     elif not any("re-detected" in entry.reason for entry in outcome.rule_trace):
@@ -760,9 +724,10 @@ def test_instance_origin_matches_the_subtree_scan_oracle(word_config):
     found = 0
     for _ in range(600):
         tree = random_tree(rng, max_depth=5)
+        engine = _Engine(tree, NOUN, cfg)
         for supertype_start in range(tree.end + 1):
             expected = oracle_instance_origin(tree, supertype_start, cfg)
-            assert detect_instance_origin(tree, supertype_start, cfg) == expected
+            assert engine.instance_origin(supertype_start) == expected
             found += expected is not None
     assert found > 0
 
@@ -1041,11 +1006,9 @@ RARE_BRANCHES = {
 
 @pytest.mark.parametrize("case", RARE_BRANCHES)
 def test_rarely_reached_branches_give_their_pinned_annotation_and_trace(config, case):
-    text, expected, trace = RARE_BRANCHES[case]
-    outcome = label(parse_bracketed(text), "noun", config, case)
-    assert serialize_gold(outcome.annotation) == expected
+    text, gold, trace = RARE_BRANCHES[case]
+    outcome = assert_labels(config, text, "noun", gold, trace)
     assert not outcome.annotation.ill_formed
-    assert [(t.rule, t.start, t.end) for t in outcome.rule_trace] == trace
 
 
 _QUALITY_WORDS = ["large", "small", "quickly"]

@@ -1,0 +1,69 @@
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import defsrl
+
+SRC = Path(defsrl.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+def _public_api(obj) -> bool:
+    return inspect.isfunction(obj) or inspect.isclass(obj)
+
+
+def test_the_package_exports_exactly_the_modules_public_functions_and_classes():
+    for name in MODULES:
+        module = importlib.import_module(f"defsrl.{name}")
+        for exported in getattr(module, "__all__", ()):
+            obj = getattr(module, exported)
+            if _public_api(obj):
+                assert getattr(defsrl, exported, None) is obj, f"defsrl lacks {name}.{exported}"
+    for exported, obj in vars(defsrl).items():
+        if not exported.startswith("_") and _public_api(obj):
+            listed = getattr(importlib.import_module(obj.__module__), "__all__", ())
+            assert exported in listed, f"{obj.__module__}.__all__ lacks {exported}"
+
+
+def _top_level_names(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def test_every_private_top_level_name_in_src_is_used():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    # Each reference as (file, line, name): a name, an attribute, or a name
+    # imported from a module.
+    references = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                references.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                references.extend((path, node.lineno, alias.name) for alias in node.names)
+    orphans = []
+    for path, tree in trees.items():
+        for statement in tree.body:
+            for name in _top_level_names(statement):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                # A use inside the name's own definition does not count.
+                if not any(
+                    used == name
+                    and not (where == path and statement.lineno <= line <= statement.end_lineno)
+                    for where, line, used in references
+                ):
+                    orphans.append(f"{path.name}: {name}")
+    assert orphans == []

@@ -23,24 +23,15 @@ from conftest import (
 from defsrl.cli import main
 from defsrl.corpus import read_corpus
 from defsrl.defaults import default_config
-from defsrl.labeler import (
-    classify_post_supertype,
-    detect_accessory_determiner,
-    detect_accessory_quality,
-    detect_instance_origin,
-    detect_quality_modifier,
-    detect_supertype_noun,
-    detect_supertype_verb,
-    label,
-)
+from defsrl.labeler import label
 from defsrl import syntree
-from defsrl.rolemodel import Annotation, Role, RoleSpan, validate
+from defsrl.rolemodel import Role, validate
 from defsrl.syntree import (
     SynTree,
     TreeParseError,
     _constituents_after_walk,
+    _path,
     _recorded_leaves,
-    dominated_by,
     innermost_leftmost_np,
     parse_bracketed,
     serialize,
@@ -280,15 +271,6 @@ def test_constituents_after_coach_example():
     assert after[0].tokens() == ["of", "baseball", "players"]
 
 
-def test_constituents_after_out_of_range():
-    tree = parse_bracketed(COACH)
-    with pytest.raises(ValueError):
-        constituents_after(tree, tree.end + 1)
-    pp = tree.children[1]  # a subtree's range starts at its own start
-    with pytest.raises(ValueError):
-        constituents_after(pp, pp.start - 1)
-
-
 def test_constituents_after_covers_suffix_disjointly():
     rng = random.Random(16)
     for _ in range(500):
@@ -302,44 +284,47 @@ def test_constituents_after_covers_suffix_disjointly():
         assert nodes == sorted(nodes, key=lambda n: n.start)
 
 
+# Dominance: ``_path`` gives the ancestors the engine reads.
+
+
+def ancestor_labels(tree: SynTree, node: SynTree) -> list[str]:
+    """The labels of the proper ancestors of ``node`` in ``tree``, root first."""
+    return [ancestor.label for ancestor in _path(tree, node)[:-1]]
+
+
 def test_dominated_by_direct_chain():
     tree = parse_bracketed(
         "(SBAR (WHNP (WP who)) (S (VP (VBZ lives) (PP (IN on) (NP (NN frontier))))))"
     )
     pp = next(node for node in tree.subtrees() if node.label == "PP")
-    assert dominated_by(pp, "SBAR", tree)
-    assert dominated_by(pp, "VP", tree)
-    assert not dominated_by(pp, "ADJP", tree)
+    assert ancestor_labels(tree, pp) == ["SBAR", "S", "VP"]
 
 
 def test_dominated_by_root_has_no_proper_ancestor():
     tree = parse_bracketed(COACH)
-    assert not dominated_by(tree, "NP", tree)
+    assert ancestor_labels(tree, tree) == []
 
 
 def test_dominated_by_foreign_node_is_usage_error():
     tree = parse_bracketed(COACH)
     other = parse_bracketed("(VP (VB run))")
     with pytest.raises(ValueError):
-        dominated_by(other, "NP", tree)
+        _path(tree, other)
     # Equal to a node of the tree, but not that node.
     twin = parse_bracketed(COACH).children[1]
     assert twin == tree.children[1]
     with pytest.raises(ValueError):
-        dominated_by(twin, "NP", tree)
+        _path(tree, twin)
 
 
 def test_dominated_by_matches_path_oracle():
     rng = random.Random(17)
     for _ in range(300):
         tree = random_tree(rng)
-        nodes = list(tree.subtrees())
-        node = rng.choice(nodes)
-        labels = {n.label for n in nodes}
-        for label in labels:
-            path = oracle_ancestor_path(tree, node)
-            expected = any(ancestor.label == label for ancestor in path)
-            assert dominated_by(node, label, tree) == expected
+        node = rng.choice(list(tree.subtrees()))
+        path = oracle_ancestor_path(tree, node)
+        assert _path(tree, node) == path + [node]
+        assert ancestor_labels(tree, node) == [ancestor.label for ancestor in path]
 
 
 # --- properties against the recursive reference parser -------------------------
@@ -475,23 +460,11 @@ def _nudged(tree: SynTree, target: int, field: str, delta: int) -> SynTree:
 
 def _span_queries(tree: SynTree, config) -> dict:
     """Every public query that reads spans, as calls on ``tree``."""
-    node = tree.children[0] if tree.children else tree
-    tokens = tuple(tree.tokens())
-    empty = Annotation("ctx", tokens, (), False)
-    quality = Annotation("ctx", tokens, (RoleSpan(Role.DIFFERENTIA_QUALITY, 0, 1),), False)
     return {
         "innermost_leftmost_np": lambda: innermost_leftmost_np(tree),
         "innermost_leftmost_np at the end": lambda: innermost_leftmost_np(tree, tree.end),
-        "dominated_by": lambda: dominated_by(node, "NP", tree),
         "label noun": lambda: label(tree, "noun", config),
         "label verb": lambda: label(tree, "verb", config),
-        "classify_post_supertype": lambda: classify_post_supertype(tree, node, empty, config),
-        "detect_supertype_noun": lambda: detect_supertype_noun(tree, config),
-        "detect_supertype_verb": lambda: detect_supertype_verb(tree, config),
-        "detect_accessory_determiner": lambda: detect_accessory_determiner(tree, 1, config),
-        "detect_instance_origin": lambda: detect_instance_origin(tree, 1, config),
-        "detect_accessory_quality": lambda: detect_accessory_quality(quality, 0, tree, config),
-        "detect_quality_modifier": lambda: detect_quality_modifier(tree, tree.span),
     }
 
 
@@ -511,14 +484,15 @@ def test_every_span_query_rejects_one_nudged_span(config, shape, data):
             pytest.fail(f"{name} accepted the nudged span")
 
 
-def test_dominated_by_rejects_a_node_spanning_past_its_children():
-    # The NP's span covers token 1, the VP's: a descent trusting it would
-    # enter the NP and report "barks" as no descendant.
+def test_dominated_by_rejects_a_node_spanning_past_its_children(config):
+    # The NP's span covers token 1, the VP's: the verb rule's ``_path``
+    # descent, trusting it, would enter the NP and report "barks" as no
+    # descendant. ``label()`` checks the spans before any descent.
     dog, barks = SynTree("NN", (), "dog", 0, 1), SynTree("VB", (), "barks", 1, 2)
     np, vp = SynTree("NP", (dog,), None, 0, 2), SynTree("VP", (barks,), None, 1, 2)
     tree = SynTree("S", (np, vp), None, 0, 2)
     with pytest.raises(ValueError, match="NP node spans"):
-        dominated_by(barks, "VP", tree)
+        label(tree, "verb", config)
 
 
 # --- deep trees -------------------------------------------------------------------
