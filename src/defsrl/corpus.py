@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import BinaryIO, Iterable, Iterator
 
 from .lexicon import NOUN, VERB, _lines
@@ -51,7 +51,7 @@ class AlignmentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@_seal
 class Diagnostic:
     """A corpus line that gave no record: its 1-based number and why."""
 
@@ -59,7 +59,7 @@ class Diagnostic:
     message: str
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
+@_seal
 class DefinitionRecord:
     """One corpus line: a definition and, when present, its tree and its gold
     and predicted annotations."""
@@ -71,35 +71,6 @@ class DefinitionRecord:
     instance: bool = False
     gold: Annotation | None = None
     predicted: Annotation | None = None
-
-    def __init__(
-        self,
-        id: str,
-        pos: str,
-        gloss: str,
-        tree: str | None = None,
-        instance: bool = False,
-        gold: Annotation | None = None,
-        predicted: Annotation | None = None,
-    ) -> None:
-        # The slots' own setters, as in ``Annotation``.
-        _set_id(self, id)
-        _set_pos(self, pos)
-        _set_gloss(self, gloss)
-        _set_tree(self, tree)
-        _set_instance(self, instance)
-        _set_gold(self, gold)
-        _set_predicted(self, predicted)
-
-
-_set_id = DefinitionRecord.id.__set__
-_set_pos = DefinitionRecord.pos.__set__
-_set_gloss = DefinitionRecord.gloss.__set__
-_set_tree = DefinitionRecord.tree.__set__
-_set_instance = DefinitionRecord.instance.__set__
-_set_gold = DefinitionRecord.gold.__set__
-_set_predicted = DefinitionRecord.predicted.__set__
-_seal(DefinitionRecord)
 
 # An optional text field holds a string or nothing.
 _OPTIONAL_TEXT = (str, type(None))
@@ -300,7 +271,7 @@ def write_corpus(records: list[DefinitionRecord]) -> str:
     return "".join(record_line(record) + "\n" for record in records)
 
 
-@dataclass(frozen=True)
+@_seal
 class DistributionReport:
     """Pattern counts: named rows (count >= 2) plus an Other aggregate."""
 
@@ -334,7 +305,7 @@ def distribution(annotations: Iterable[Annotation]) -> DistributionReport:
     )
 
 
-@dataclass(frozen=True)
+@_seal
 class RoleMetrics:
     """Precision, recall and F1 of one role."""
 
@@ -358,7 +329,7 @@ def _metrics(tp: int, predicted: int, gold: int) -> RoleMetrics:
     return RoleMetrics(precision, recall, f1)
 
 
-@dataclass(frozen=True)
+@_seal
 class EvalReport:
     """Scores of predicted against gold annotations: per-role metrics on
     exact spans and on tokens, the supporting span counts, and the agreement
@@ -379,8 +350,8 @@ class EvalReport:
             "ill_formed_agreement": self.ill_formed_agreement,
             "roles": {
                 role.value: {
-                    "exact": vars(self.exact[role]),
-                    "token": vars(self.token[role]),
+                    "exact": asdict(self.exact[role]),
+                    "token": asdict(self.token[role]),
                     "gold_support": self.gold_support[role],
                     "predicted_support": self.predicted_support[role],
                 }

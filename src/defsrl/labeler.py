@@ -34,7 +34,6 @@ rules before being declared ill-formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .lexicon import (
@@ -142,7 +141,7 @@ class EmptyDefinitionError(ValueError):
     """The gloss is empty (or empty after cleaning)."""
 
 
-@dataclass(frozen=True)
+@_seal
 class LabelerConfig:
     """Knowledge inputs for the rule engine.
 
@@ -171,7 +170,7 @@ class LabelerConfig:
         )
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
+@_seal
 class TraceEntry:
     """One step of a rule trace: the rule (one of ``TRACE_RULES``) that acted
     on the tokens [start, end), and why."""
@@ -181,22 +180,8 @@ class TraceEntry:
     end: int
     reason: str
 
-    def __init__(self, rule: str, start: int, end: int, reason: str) -> None:
-        # The slots' own setters, as in ``parse_bracketed``.
-        _set_rule(self, rule)
-        _set_start(self, start)
-        _set_end(self, end)
-        _set_reason(self, reason)
 
-
-_set_rule = TraceEntry.rule.__set__
-_set_start = TraceEntry.start.__set__
-_set_end = TraceEntry.end.__set__
-_set_reason = TraceEntry.reason.__set__
-_seal(TraceEntry)
-
-
-@dataclass(frozen=True)
+@_seal
 class LabelOutcome:
     """An annotation and the trace of the rules that made it, in order."""
 
@@ -467,8 +452,6 @@ class _Engine:
         for phrase in self.config.accessory_determiner_phrases:
             words = phrase.split()
             core = words[1:] if words and words[0] in ARTICLES else words
-            if not core:
-                continue
             end = gloss_offset + len(core)
             if end <= supertype_start or end >= len(tokens):
                 continue

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import copyreg
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+from .syntree import _seal
 
 __all__ = [
     "NOUN",
@@ -141,7 +142,7 @@ def _noun_variants(word: str) -> list[str]:
     return variants
 
 
-@dataclass(frozen=True)
+@_seal
 class Lexicon:
     """An immutable set of lowercase, underscore-joined lemma entries."""
 
@@ -149,14 +150,17 @@ class Lexicon:
     entries: frozenset[str]
     max_words: int
 
+    def __post_init__(self) -> None:
+        _check_choice("pos", self.pos, (NOUN, VERB))
+
     @classmethod
     def from_entries(cls, pos: str, entries: Iterable[str]) -> "Lexicon":
+        # Checked first, so a bad ``pos`` is reported before a bad entry.
         _check_choice("pos", pos, (NOUN, VERB))
         return cls._from_normalized(pos, [_normalize_entry(e, "_") for e in entries])
 
     @classmethod
     def _from_normalized(cls, pos: str, entries: list[str]) -> "Lexicon":
-        _check_choice("pos", pos, (NOUN, VERB))
         # Words are counted over the list, in the order the entries were
         # made: that reads memory faster than the set's hash order.
         return cls(pos, frozenset(entries), _max_words(entries, "_"))
@@ -256,14 +260,21 @@ def load_wndb_index(text: str, pos: str) -> Lexicon:
     return Lexicon._from_normalized(pos, entries)
 
 
-@dataclass(frozen=True)
-class Gazetteer:
+class _FirstWords:
+    """The slot of ``Gazetteer.first_words``, on a base class so it is no field."""
+
+    __slots__ = ("first_words",)
+
+
+@_seal
+class Gazetteer(_FirstWords):
     """Normalized surface phrases naming locations or time expressions.
 
     ``first_words`` is derived from ``entries``: the text of each entry up
     to its first space, the index ``gazetteer_match`` prunes windows by.
-    It is built on construction and is no field, so equality, hashing,
-    ``repr`` and ``dataclasses.replace`` leave it out.
+    It is built on construction and on unpickling and is no field, so
+    equality, hashing, ``repr``, ``pickle`` and ``dataclasses.replace``
+    leave it out.
     """
 
     kind: str
@@ -271,6 +282,7 @@ class Gazetteer:
     max_words: int
 
     def __post_init__(self) -> None:
+        _check_choice("kind", self.kind, (LOCATION, TIME))
         object.__setattr__(
             self,
             "first_words",
@@ -279,12 +291,12 @@ class Gazetteer:
 
     @classmethod
     def from_entries(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
+        # Checked first, as in ``Lexicon.from_entries``.
         _check_choice("kind", kind, (LOCATION, TIME))
         return cls._from_normalized(kind, [_normalize_entry(e, " ") for e in entries])
 
     @classmethod
     def _from_normalized(cls, kind: str, entries: list[str]) -> "Gazetteer":
-        _check_choice("kind", kind, (LOCATION, TIME))
         return cls(kind, frozenset(entries), _max_words(entries, " "))
 
     def __len__(self) -> int:

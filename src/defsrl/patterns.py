@@ -9,11 +9,11 @@ quality modifiers never appear as pattern elements; event time/location do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
 from .rolemodel import Annotation, Role
+from .syntree import _seal
 
 __all__ = [
     "Repetition",
@@ -32,7 +32,7 @@ class Repetition(str, Enum):
     OR_PLUS = "or_plus"
 
 
-@dataclass(frozen=True)
+@_seal
 class PatternElement:
     """One position of a pattern: a role and how often it repeats there."""
 
@@ -48,7 +48,7 @@ class PatternElement:
         return f"({name})"
 
 
-@dataclass(frozen=True)
+@_seal
 class Pattern:
     """The canonical role sequence of an annotation, runs collapsed: no two
     adjacent elements share a role."""

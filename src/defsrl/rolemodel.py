@@ -16,7 +16,6 @@ of the parent tagged segment. Untagged tokens are allowed and preserved.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -89,7 +88,7 @@ _RESERVED = "{}|"
 _TOKEN_UNSAFE = re.compile(f"[{re.escape(_RESERVED)}\\s]")
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
+@_seal
 class RoleSpan:
     """A role over the half-open token interval [start, end).
 
@@ -102,24 +101,8 @@ class RoleSpan:
     end: int
     parent: int | None = None
 
-    def __init__(
-        self, role: Role, start: int, end: int, parent: int | None = None
-    ) -> None:
-        # The slots' own setters, as in ``parse_bracketed``.
-        _set_role(self, role)
-        _set_start(self, start)
-        _set_end(self, end)
-        _set_parent(self, parent)
 
-
-_set_role = RoleSpan.role.__set__
-_set_start = RoleSpan.start.__set__
-_set_end = RoleSpan.end.__set__
-_set_parent = RoleSpan.parent.__set__
-_seal(RoleSpan)
-
-
-@dataclass(slots=True, init=False, repr=False, eq=False)
+@_seal
 class Annotation:
     """An ordered set of disjoint role spans over a definition's tokens.
 
@@ -133,19 +116,6 @@ class Annotation:
     spans: tuple[RoleSpan, ...]
     ill_formed: bool = False
 
-    def __init__(
-        self,
-        definition_id: str,
-        tokens: tuple[str, ...],
-        spans: tuple[RoleSpan, ...],
-        ill_formed: bool = False,
-    ) -> None:
-        # The slots' own setters, as in ``RoleSpan``.
-        _set_definition_id(self, definition_id)
-        _set_tokens(self, tokens)
-        _set_spans(self, spans)
-        _set_ill_formed(self, ill_formed)
-
     def covered(self) -> set[int]:
         out: set[int] = set()
         for span in self.spans:
@@ -156,14 +126,7 @@ class Annotation:
         return [span for span in self.spans if span.role == role]
 
 
-_set_definition_id = Annotation.definition_id.__set__
-_set_tokens = Annotation.tokens.__set__
-_set_spans = Annotation.spans.__set__
-_set_ill_formed = Annotation.ill_formed.__set__
-_seal(Annotation)
-
-
-@dataclass(frozen=True)
+@_seal
 class Violation:
     """One breach that ``validate`` found: its ``KIND_*`` kind, its severity
     (``ERROR`` or ``WARNING``), the index of the span at fault (None for the

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import copyreg
 import re
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from itertools import islice
 from operator import attrgetter
 from reprlib import recursive_repr
-from typing import Iterator, Literal, overload
+from typing import Callable, Iterator, Literal, overload
 
 __all__ = [
     "SynTree",
@@ -52,6 +52,119 @@ class TreeParseError(ValueError):
         return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
+def _refuse_assignment(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _written_init(cls: type, record_fields: tuple[Field, ...]) -> Callable[..., None]:
+    """``cls.__init__``, compiled once from its field list as ``dataclasses``
+    compiles one: each argument is stored by its slot's own setter, as
+    ``parse_bracketed`` stores a node's fields, and ``__post_init__`` runs
+    last when ``cls`` has one. A field's default is a plain value; no record
+    has a ``default_factory``."""
+    namespace: dict[str, object] = {}
+    params, body = [], []
+    for field in record_fields:
+        name = field.name
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        if field.default is MISSING:
+            params.append(name)
+        else:
+            namespace[f"_default_{name}"] = field.default
+            params.append(f"{name}=_default_{name}")
+        body.append(f"    _set_{name}(self, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def _seal(cls: type) -> type:
+    """Declare ``cls`` an immutable record: the class decorator of every
+    defsrl record, which then behaves as a frozen dataclass with ``__slots__``.
+
+    ``cls`` becomes ``@dataclass(slots=True, init=False, repr=False,
+    eq=False)``, so ``dataclasses.fields``, ``replace`` and ``asdict`` work,
+    but ``dataclasses`` writes none of its methods (its
+    ``__dataclass_params__`` reads ``frozen=False``). This writes them once,
+    from the field list, read through one ``attrgetter``:
+
+    - ``__init__`` (see ``_written_init``);
+    - ``__repr__``, ``==`` and ``hash`` as a frozen dataclass has them, over
+      the tuple of field values, except where ``cls`` defines its own (as
+      ``SynTree`` does);
+    - ``__getstate__`` and ``__setstate__``, which ``pickle`` and ``copy``
+      use; ``__setstate__`` runs ``__post_init__`` too, so derived state is
+      built again. A dict state, as pickled by a version whose records had a
+      ``__dict__``, is read by field name and refused unless its keys are
+      the fields, give or take the base classes' slots (derived state, such
+      as a ``Gazetteer``'s ``first_words``);
+    - ``__setattr__`` and ``__delattr__``, which raise
+      ``FrozenInstanceError`` for every name, not only the fields.
+
+    A subclass declared ``@dataclass(frozen=True)`` is refused by
+    ``dataclasses`` itself, as a frozen dataclass over a non-frozen one.
+    """
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    record_fields = fields(cls)
+    names = tuple(field.name for field in record_fields)
+    if len(names) == 1:
+        # ``attrgetter`` of one name gives the bare value, not a 1-tuple.
+        only = attrgetter(names[0])
+
+        def values(record: object) -> tuple:
+            return (only(record),)
+
+    else:
+        values = attrgetter(*names)
+    derived = {slot for base in cls.__mro__[1:] for slot in getattr(base, "__slots__", ())}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        items = ", ".join(map("{}={!r}".format, names, values(self)))
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __getstate__(self) -> list:
+        return list(values(self))
+
+    def __setstate__(self, state: object) -> None:
+        if isinstance(state, dict):
+            if state.keys() - derived != set(names):
+                raise TypeError(f"cannot unpickle {type(self).__name__} from {list(state)}")
+            state = map(state.__getitem__, names)
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    cls.__init__ = _written_init(cls, record_fields)
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = __repr__
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+    return cls
+
+
 class _LeafRecord:
     """The slot of a parsed root's leaves, in surface order.
 
@@ -65,7 +178,7 @@ class _LeafRecord:
     __slots__ = ("_leaf_record",)
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
+@_seal
 class SynTree(_LeafRecord):
     """A constituency-tree node over the half-open token span [start, end).
 
@@ -79,21 +192,6 @@ class SynTree(_LeafRecord):
     token: str | None = None
     start: int = 0
     end: int = 0
-
-    def __init__(
-        self,
-        label: str,
-        children: tuple["SynTree", ...] = (),
-        token: str | None = None,
-        start: int = 0,
-        end: int = 0,
-    ) -> None:
-        # The slots' own setters, as in ``parse_bracketed``.
-        _set_label(self, label)
-        _set_children(self, children)
-        _set_token(self, token)
-        _set_start(self, start)
-        _set_end(self, end)
 
     def __eq__(self, other: object) -> bool:
         # A frozen dataclass's ``__eq__`` compares the field tuples, children
@@ -234,76 +332,6 @@ def _rebuilt_tree(nodes: tuple) -> SynTree:
     return root
 
 
-def _refuse_assignment(self: object, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self: object, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _seal(cls: type) -> None:
-    """Give a slotted record class the methods of a frozen dataclass.
-
-    ``cls`` is declared ``@dataclass(slots=True, init=False, repr=False,
-    eq=False)`` with two or more fields, so ``dataclasses`` writes none of
-    its methods and its ``__dataclass_params__`` reads ``frozen=False``,
-    ``eq=False`` and ``repr=False``. This writes them once, from the field
-    list, read through one ``attrgetter``:
-
-    - ``__repr__``, ``==`` and ``hash`` as a frozen dataclass has them, over
-      the tuple of field values, except where ``cls`` defines its own (as
-      ``SynTree`` does);
-    - ``__getstate__`` and ``__setstate__``, which ``pickle`` and ``copy``
-      use. A dict state, as pickled by a version whose records had a
-      ``__dict__``, is read by field name and refused unless its keys are
-      the fields;
-    - ``__setattr__`` and ``__delattr__``, which raise
-      ``FrozenInstanceError`` for every name, not only the fields (a tree's
-      leaf record too).
-
-    A subclass declared ``@dataclass(frozen=True)`` is refused by
-    ``dataclasses`` itself, as a frozen dataclass over a non-frozen one.
-    """
-    names = tuple(field.name for field in fields(cls))
-    values = attrgetter(*names)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return values(self) == values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(values(self))
-
-    @recursive_repr()
-    def __repr__(self) -> str:
-        items = ", ".join(map("{}={!r}".format, names, values(self)))
-        return f"{self.__class__.__qualname__}({items})"
-
-    def __getstate__(self) -> list:
-        return list(values(self))
-
-    def __setstate__(self, state: object) -> None:
-        if isinstance(state, dict):
-            if state.keys() != set(names):
-                raise TypeError(f"cannot unpickle {type(self).__name__} from {list(state)}")
-            state = map(state.__getitem__, names)
-        for name, value in zip(names, state):
-            object.__setattr__(self, name, value)
-
-    cls.__setattr__ = _refuse_assignment
-    cls.__delattr__ = _refuse_deletion
-    cls.__getstate__ = __getstate__
-    cls.__setstate__ = __setstate__
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = __repr__
-    if "__eq__" not in cls.__dict__:
-        cls.__eq__ = __eq__
-        cls.__hash__ = __hash__
-
-
-_seal(SynTree)
 
 
 def _recorded_leaves(node: SynTree) -> tuple[SynTree, ...] | None:
@@ -383,8 +411,8 @@ def parse_bracketed(text: str, *, build: bool = True) -> SynTree | list[str]:
     if lexemes[0] != "(":
         raise TreeParseError("expected '('", _offset(text, 0))
     labels = _STRIPPED  # a local name for the per-node lookups
-    # Nodes are built by the slots' own setters, not by ``SynTree(...)``,
-    # whose ``object.__setattr__`` calls look each slot up by name.
+    # Nodes are built by the slots' own setters, held in locals, without
+    # the call of ``SynTree(...)`` and its setters' global lookups.
     new, tree_class = object.__new__, SynTree
     set_label, set_children, set_token = _set_label, _set_children, _set_token
     set_start, set_end = _set_start, _set_end

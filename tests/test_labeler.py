@@ -19,7 +19,15 @@ from conftest import (
     random_tree,
 )
 from defsrl.cli import main
-from defsrl.corpus import DefinitionRecord, read_corpus, write_corpus
+from defsrl.corpus import (
+    DefinitionRecord,
+    Diagnostic,
+    DistributionReport,
+    EvalReport,
+    RoleMetrics,
+    read_corpus,
+    write_corpus,
+)
 from defsrl.defaults import BUNDLED_CORPUS, default_config, packaged_data_text
 from defsrl.labeler import (
     DIVERGENCE_ACCESSORY_QUALITY,
@@ -27,22 +35,27 @@ from defsrl.labeler import (
     FALLBACK_RULE,
     TRACE_RULES,
     EmptyDefinitionError,
+    LabelerConfig,
+    LabelOutcome,
     TraceEntry,
     _Engine,
     label,
     preprocess_gloss,
 )
-from defsrl.lexicon import LOCATION, NOUN, TIME, Gazetteer, Lexicon, gazetteer_match
+from defsrl.lexicon import LOCATION, NOUN, TIME, VERB, Gazetteer, Lexicon, gazetteer_match
+from defsrl.patterns import Pattern, PatternElement, Repetition
 from defsrl.rolemodel import (
     Annotation,
     ERROR,
     Role,
     RoleSpan,
+    Violation,
     parse_gold,
     serialize_gold,
     validate,
 )
 from defsrl.syntree import SynTree, _recorded_leaves, parse_bracketed, serialize
+from record_pickles import EARLIER_PICKLES
 
 from dataclasses import replace
 
@@ -218,6 +231,25 @@ def test_accessory_determiner_phrase_list_reassigns_supertype(config):
     annotation = outcome.annotation
     assert spans_by_role(annotation, Role.ACCESSORY_DETERMINER) == [(0, 3)]
     assert spans_by_role(annotation, Role.SUPERTYPE) == [(3, 4)]
+
+
+def test_article_only_and_empty_determiner_phrases_change_no_label(config):
+    # Without its article such a phrase has no words, so it would end at or
+    # before the supertype's start, where no determiner phrase may end.
+    odd = replace(
+        config, accessory_determiner_phrases=("the", "") + config.accessory_determiner_phrases
+    )
+    records, diagnostics = read_corpus(packaged_data_text(BUNDLED_CORPUS))
+    assert diagnostics == []
+    for record in records:
+        tree = parse_bracketed(record.tree)
+        for instance_mode in (False, True):
+            with_phrases, without = (
+                replace(cfg, instance_mode=instance_mode) for cfg in (odd, config)
+            )
+            assert label(tree, record.pos, with_phrases, record.id) == label(
+                tree, record.pos, without, record.id
+            )
 
 
 def test_pre_supertype_leftover_is_not_a_determiner(config):
@@ -785,6 +817,58 @@ _FULL_RECORD = DefinitionRecord(
     Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 1, 2),)),
     Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 0, 2),)),
 )
+_TRACE = TraceEntry("supertype", 1, 2, "lexicon entry in anchor NP: 'coach'")
+_ANNOTATION = Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 1, 2),))
+_METRICS = RoleMetrics(0.5, 1.0, 2 / 3)
+_PATTERN = Pattern(
+    (PatternElement(Role.SUPERTYPE), PatternElement(Role.DIFFERENTIA_QUALITY, Repetition.PLUS))
+)
+_LOCATIONS = Gazetteer.from_entries(LOCATION, ["lake district"])
+# One record of each record class, as ``record_pickles.EARLIER_PICKLES``
+# holds them. The config's phrase and word are normalized on construction.
+_ONE_OF_EACH_RECORD = {
+    "SynTree": parse_bracketed("(NP (DT a) (NN dog))"),
+    "RoleSpan": RoleSpan(Role.EVENT_TIME, 2, 4, 1),
+    "Annotation": _ANNOTATION,
+    "TraceEntry": _TRACE,
+    "DefinitionRecord": _FULL_RECORD,
+    "Diagnostic": Diagnostic(3, "not JSON"),
+    "DistributionReport": DistributionReport(
+        ((_PATTERN, 2),), (Pattern((PatternElement(Role.SUPERTYPE),)),), 3
+    ),
+    "RoleMetrics": _METRICS,
+    "EvalReport": EvalReport(
+        {Role.SUPERTYPE: _METRICS}, {Role.SUPERTYPE: _METRICS}, 1.0, 0.5,
+        {Role.SUPERTYPE: 2}, {Role.SUPERTYPE: 1}, 2,
+    ),
+    "LabelerConfig": LabelerConfig(
+        Lexicon.from_entries(NOUN, ["coach"]), Lexicon.from_entries(VERB, ["run"]),
+        _LOCATIONS, Gazetteer.from_entries(TIME, ["dawn"]),
+        ("A type  of",), frozenset({"Very"}), True,
+    ),
+    "LabelOutcome": LabelOutcome(_ANNOTATION, (_TRACE,)),
+    "Lexicon": Lexicon.from_entries(NOUN, ["sea lion"]),
+    "Gazetteer": _LOCATIONS,
+    "PatternElement": PatternElement(Role.SUPERTYPE, Repetition.PLUS),
+    "Pattern": _PATTERN,
+    "Violation": Violation("orphan_subrole", "error", 1, "event_time requires a parent reference"),
+}
+# The records that were frozen dataclasses, with ids for the tests below.
+_ONCE_FROZEN_DATACLASSES = [
+    "Diagnostic", "DistributionReport", "RoleMetrics", "EvalReport", "LabelerConfig",
+    "LabelOutcome", "Lexicon", "Gazetteer", "PatternElement", "Pattern", "Violation",
+]
+_ONCE_FROZEN_RECORDS = [_ONE_OF_EACH_RECORD[name] for name in _ONCE_FROZEN_DATACLASSES]
+_ONCE_FROZEN_IDS = [name.lower() for name in _ONCE_FROZEN_DATACLASSES]
+
+
+def _hash_or_error(obj) -> object:
+    # An ``EvalReport`` holds dicts, so it hashes as a frozen dataclass
+    # would: not at all.
+    try:
+        return hash(obj)
+    except TypeError as error:
+        return str(error)
 
 
 @pytest.mark.parametrize(
@@ -797,10 +881,11 @@ _FULL_RECORD = DefinitionRecord(
         Annotation("", (), (), True),
         DefinitionRecord("d", "noun", "a dog"),
         _FULL_RECORD,
+        *_ONCE_FROZEN_RECORDS,
     ],
     ids=[
         "trace-entry", "role-span", "role-span-with-parent", "annotation", "empty-annotation",
-        "definition-record", "definition-record-with-tree-and-annotations",
+        "definition-record", "definition-record-with-tree-and-annotations", *_ONCE_FROZEN_IDS,
     ],
 )
 def test_slotted_records_behave_as_frozen_dataclasses(record):
@@ -814,12 +899,13 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
         frozen=True,
     )(*values)
     assert repr(record) == repr(plain)
-    assert hash(record) == hash(plain)
+    assert _hash_or_error(record) == _hash_or_error(plain)
     assert record == cls(*values) and not record != cls(*values)
     assert record != plain and record != tuple(values)
     assert dataclasses.replace(record) == record
+    # A ``__post_init__`` that checks or reads its fields refuses a marker.
     marker = object()
-    for name in names:
+    for name in names if not hasattr(cls, "__post_init__") else ():
         changed = dataclasses.replace(record, **{name: marker})
         assert getattr(changed, name) is marker and changed != record
     assert cls(**dict(zip(names, values))) == record
@@ -836,7 +922,10 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
         vars(record)
 
 
-@pytest.mark.parametrize("cls", [SynTree, RoleSpan, Annotation, TraceEntry, DefinitionRecord])
+@pytest.mark.parametrize(
+    "cls", [SynTree, RoleSpan, Annotation, TraceEntry, DefinitionRecord]
+    + [record.__class__ for record in _ONCE_FROZEN_RECORDS]
+)
 def test_slotted_records_generate_no_dataclass_methods(cls):
     # Their methods come from ``syntree._seal``, not from ``dataclasses``.
     params = cls.__dataclass_params__
@@ -867,10 +956,11 @@ class _DictStatePickle:
         Annotation("d", ("a", "dog"), (RoleSpan(Role.SUPERTYPE, 1, 2),)),
         DefinitionRecord("d", "noun", "a dog"),
         _FULL_RECORD,
+        *_ONCE_FROZEN_RECORDS,
     ],
     ids=[
         "trace-entry", "role-span", "role-span-with-parent", "syntree", "annotation",
-        "definition-record", "definition-record-with-tree-and-annotations",
+        "definition-record", "definition-record-with-tree-and-annotations", *_ONCE_FROZEN_IDS,
     ],
 )
 def test_slotted_records_unpickle_a_dict_or_a_sequence_state(record):
@@ -897,6 +987,24 @@ def test_slotted_records_unpickle_a_dict_or_a_sequence_state(record):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(record, protocol)) == record
     assert copy.deepcopy(record) == record and copy.copy(record) == record
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_OF_EACH_RECORD))
+def test_records_pickled_by_the_earlier_version_still_load(name):
+    record = _ONE_OF_EACH_RECORD[name]
+    assert record.__class__.__name__ == name
+    loaded = pickle.loads(EARLIER_PICKLES[name])
+    assert loaded.__class__ is record.__class__ and loaded == record
+    # A ``Gazetteer`` pickled with a ``__dict__`` also held ``first_words``;
+    # it is built again from the entries.
+    if name in ("Gazetteer", "LabelerConfig"):
+        gazetteer = loaded if name == "Gazetteer" else loaded.location_gazetteer
+        assert gazetteer.first_words == {"lake"}
+
+
+def test_the_earlier_pickles_cover_every_record_class():
+    assert set(EARLIER_PICKLES) == set(_ONE_OF_EACH_RECORD)
+    assert len(EARLIER_PICKLES) == 16
 
 
 # --- a 10k-token gloss ----------------------------------------------------------------

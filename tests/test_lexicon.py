@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import copyreg
 import dataclasses
 import pickle
 import random
@@ -232,6 +233,42 @@ def test_from_entries_checks_pos_and_kind_before_entries():
         Lexicon.from_entries("adjective", [""])
     with pytest.raises(ValueError, match="kind must be"):
         Gazetteer.from_entries("place", [""])
+
+
+class _ForgedState:
+    """Pickles as a ``cls`` record with the given state, a field list or a
+    dict of the fields as an earlier version pickled one."""
+
+    def __init__(self, cls: type, state: object) -> None:
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return copyreg._reconstructor, (self.cls, object, None), self.state
+
+
+@pytest.mark.parametrize(
+    "good, name, bad",
+    [
+        (Lexicon.from_entries(NOUN, ["coach"]), "pos", "adj"),
+        (Gazetteer.from_entries(LOCATION, ["lake district"]), "kind", "place"),
+    ],
+)
+def test_every_way_to_make_a_lexicon_or_gazetteer_checks_pos_and_kind(good, name, bad):
+    cls = good.__class__
+    match = f"{name} must be"
+    with pytest.raises(ValueError, match=match):
+        cls(bad, frozenset(), 0)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(good, **{name: bad})
+    fields = dataclasses.asdict(good)
+    forged = [{**fields, name: bad}, [bad, *list(fields.values())[1:]]]
+    for state in forged:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(_ForgedState(cls, state), protocol)
+            with pytest.raises(ValueError, match=match):
+                pickle.loads(data)
+    # The same forgeries with the good value load.
+    assert pickle.loads(pickle.dumps(_ForgedState(cls, fields))) == good
 
 
 # --- first-word pruning ---------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import defsrl
+from defsrl.syntree import _refuse_assignment
 
 SRC = Path(defsrl.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
@@ -26,6 +28,28 @@ def test_the_package_exports_exactly_the_modules_public_functions_and_classes():
         if not exported.startswith("_") and _public_api(obj):
             listed = getattr(importlib.import_module(obj.__module__), "__all__", ())
             assert exported in listed, f"{obj.__module__}.__all__ lacks {exported}"
+
+
+def test_every_dataclass_in_src_is_a_sealed_record():
+    # One record mechanism: ``syntree._seal``, which gives the class slots
+    # and refuses assignment through ``_refuse_assignment``.
+    records = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(f"defsrl.{name}")).values()
+        if inspect.isclass(obj) and obj.__module__ == f"defsrl.{name}"
+        and dataclasses.is_dataclass(obj)
+    }
+    assert len(records) >= 16
+    for cls in records:
+        assert "__slots__" in vars(cls), cls
+        assert cls.__setattr__ is _refuse_assignment, cls
+    # Nor is a class, at any level, decorated by ``dataclass`` itself.
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                decorators = [getattr(d, "func", d) for d in node.decorator_list]
+                assert [ast.unparse(d) for d in decorators] in ([], ["_seal"]), node.name
 
 
 def _top_level_names(statement: ast.stmt) -> list[str]:
