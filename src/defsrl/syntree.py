@@ -62,10 +62,9 @@ def _refuse_deletion(self: object, name: str) -> None:
 
 def _written_init(cls: type, record_fields: tuple[Field, ...]) -> Callable[..., None]:
     """``cls.__init__``, compiled once from its field list as ``dataclasses``
-    compiles one: each argument is stored by its slot's own setter, as
-    ``parse_bracketed`` stores a node's fields, and ``__post_init__`` runs
-    last when ``cls`` has one. A field's default is a plain value; no record
-    has a ``default_factory``."""
+    compiles one: each argument is stored by its slot's own setter, and
+    ``__post_init__`` runs last when ``cls`` has one. A field's default is a
+    plain value; no record has a ``default_factory``."""
     namespace: dict[str, object] = {}
     params, body = [], []
     for field in record_fields:
@@ -304,16 +303,28 @@ class SynTree(_LeafRecord):
         return serialize(self)
 
 
-_set_label = SynTree.label.__set__
-_set_children = SynTree.children.__set__
-_set_token = SynTree.token.__set__
-_set_start = SynTree.start.__set__
-_set_end = SynTree.end.__set__
-_set_leaf_record = _LeafRecord._leaf_record.__set__
+class _OpenTree(_LeafRecord):
+    """A ``SynTree`` node while ``_build_walk`` writes it.
+
+    It has ``SynTree``'s slots in the same layout, but ``object``'s own
+    ``__setattr__``, so each field is written by a plain slot store, which
+    CPython specializes (``SynTree``'s refusing ``__setattr__`` keeps it
+    from doing so). Once its fields are written, the node becomes a
+    ``SynTree`` by a ``__class__`` store, which CPython allows only between
+    classes of the same layout.
+    """
+
+    __slots__ = SynTree.__slots__
 
 
 def _rebuilt_tree(nodes: tuple) -> SynTree:
     """The tree that ``SynTree.__reduce__`` flattened into ``nodes``."""
+    # Fields are written by ``SynTree``'s slot setters, not through an
+    # ``_OpenTree``: a node may be of a subclass, whose layout is not
+    # ``SynTree``'s.
+    set_label, set_children = SynTree.label.__set__, SynTree.children.__set__
+    set_token, set_start = SynTree.token.__set__, SynTree.start.__set__
+    set_end = SynTree.end.__set__
     built: list[SynTree] = []
     # Backwards through the preorder, each node's children are the last
     # ones built, first child on top.
@@ -322,16 +333,14 @@ def _rebuilt_tree(nodes: tuple) -> SynTree:
         children = built[len(built) - arity:]
         del built[len(built) - arity:]
         children.reverse()
-        _set_label(node, label)
-        _set_children(node, tuple(children))
-        _set_token(node, token)
-        _set_start(node, start)
-        _set_end(node, end)
+        set_label(node, label)
+        set_children(node, tuple(children))
+        set_token(node, token)
+        set_start(node, start)
+        set_end(node, end)
         built.append(node)
     (root,) = built
     return root
-
-
 
 
 def _recorded_leaves(node: SynTree) -> tuple[SynTree, ...] | None:
@@ -389,6 +398,121 @@ def _offset(text: str, index: int) -> int:
     return next(islice(_LEXEME.finditer(text), index, None)).start()
 
 
+def _misplaced(text: str, pos: int, lexeme: str) -> TreeParseError:
+    """The error for ``lexeme``, at ``pos``, where a preterminal's ")" belongs."""
+    if lexeme == "(":
+        return TreeParseError("token and subtree in one constituent", _offset(text, pos))
+    return TreeParseError("unexpected token", _offset(text, pos))
+
+
+# ``_build_walk`` and ``_check_walk`` read the lexemes of one tree from just
+# past its first "(" and return the position just past its last ")". They
+# raise the same errors, at the same lexemes, in the same order, and an
+# IndexError when the lexemes run out inside the tree.
+
+
+def _build_walk(text: str, lexemes: list[str]) -> tuple[SynTree | None, list[SynTree], int]:
+    """The tree's root (None when every leaf is a trace), its surface leaves
+    in order, and the position past it."""
+    labels = _STRIPPED  # a local name for the per-node lookups
+    open_tree, tree_class = _OpenTree, SynTree
+    # Open internal constituents, outermost first: (raw label, kept
+    # children). Preterminals never get a frame. Trace leaves and
+    # constituents left empty by dropping them are not kept, so spans count
+    # surface tokens only.
+    frames: list[tuple[str, list[SynTree]]] = []
+    leaves: list[SynTree] = []
+    pos = 1  # just past a "(": a label comes next
+    while True:
+        raw = lexemes[pos]
+        if raw == "(" or raw == ")":
+            raise TreeParseError("missing label", _offset(text, pos))
+        lexeme = lexemes[pos + 1]
+        pos += 2
+        if lexeme == "(":
+            frames.append((raw, []))
+            continue
+        if lexeme == ")":
+            raise TreeParseError("empty constituent", _offset(text, pos - 1))
+        # A preterminal, (TAG token): one step, no frame.
+        if lexemes[pos] != ")":
+            raise _misplaced(text, pos, lexemes[pos])
+        pos += 1
+        node: SynTree | None = None
+        if raw != "-NONE-":
+            label = labels.get(raw)
+            if label is None:
+                label = _stripped(raw)
+            start = len(leaves)
+            node = open_tree()
+            node.label = label
+            node.children = ()
+            node.token = lexeme
+            node.start = start
+            node.end = start + 1
+            node.__class__ = tree_class
+            leaves.append(node)
+        # Close constituents up to the next "(" or the end of the tree.
+        while frames:
+            if node is not None:
+                frames[-1][1].append(node)
+            lexeme = lexemes[pos]
+            pos += 1
+            if lexeme == "(":
+                break
+            if lexeme != ")":
+                raise TreeParseError("unexpected token", _offset(text, pos - 1))
+            raw, kept = frames.pop()
+            if kept:
+                label = labels.get(raw)
+                if label is None:
+                    label = _stripped(raw)
+                node = open_tree()
+                node.label = label
+                node.children = tuple(kept)
+                node.token = None
+                node.start = kept[0].start
+                node.end = kept[-1].end
+                node.__class__ = tree_class
+            else:
+                node = None
+        if not frames:
+            return node, leaves, pos
+
+
+def _check_walk(text: str, lexemes: list[str]) -> tuple[list[str], int]:
+    """The tree's surface tokens in order, and the position past it."""
+    tokens: list[str] = []
+    depth = 0  # open internal constituents; preterminals are not counted
+    pos = 1  # just past a "(": a label comes next
+    while True:
+        raw = lexemes[pos]
+        if raw == "(" or raw == ")":
+            raise TreeParseError("missing label", _offset(text, pos))
+        lexeme = lexemes[pos + 1]
+        pos += 2
+        if lexeme == "(":
+            depth += 1
+            continue
+        if lexeme == ")":
+            raise TreeParseError("empty constituent", _offset(text, pos - 1))
+        if lexemes[pos] != ")":
+            raise _misplaced(text, pos, lexemes[pos])
+        pos += 1
+        if raw != "-NONE-":
+            tokens.append(lexeme)
+        while depth:
+            lexeme = lexemes[pos]
+            pos += 1
+            if lexeme == "(":
+                break
+            if lexeme != ")":
+                raise TreeParseError("unexpected token", _offset(text, pos - 1))
+            depth -= 1
+        if not depth:
+            return tokens, pos
+
+
 @overload
 def parse_bracketed(text: str, *, build: Literal[True] = ...) -> SynTree: ...
 @overload
@@ -398,106 +522,33 @@ def parse_bracketed(text: str, *, build: bool = True) -> SynTree | list[str]:
 
     Raises TreeParseError (with a character offset) on unbalanced
     parentheses, missing labels, mixed token/subtree constituents, trailing
-    content, or a tree with no surface tokens. With ``build=False`` the same
-    walk only checks the text: it raises the same errors, builds no node and
-    returns the surface tokens in order, ``parse_bracketed(text).tokens()``.
+    content, or a tree with no surface tokens. With ``build=False`` a second
+    walk only checks the text: it raises the same errors, with the same
+    messages and offsets, builds no node and returns the surface tokens in
+    order, ``parse_bracketed(text).tokens()``.
     """
     # The same lexemes as ``_LEXEME.findall(text)``: both split on exactly
     # the ``str.isspace()`` characters.
     lexemes = text.replace("(", " ( ").replace(")", " ) ").split()
-    count = len(lexemes)
-    if not count:
+    if not lexemes:
         raise TreeParseError("empty tree", 0)
     if lexemes[0] != "(":
         raise TreeParseError("expected '('", _offset(text, 0))
-    labels = _STRIPPED  # a local name for the per-node lookups
-    # Nodes are built by the slots' own setters, held in locals, without
-    # the call of ``SynTree(...)`` and its setters' global lookups.
-    new, tree_class = object.__new__, SynTree
-    set_label, set_children, set_token = _set_label, _set_children, _set_token
-    set_start, set_end = _set_start, _set_end
-    # Open internal constituents, outermost first: (raw label, kept
-    # children). Preterminals never get a frame. Trace leaves and
-    # constituents left empty by dropping them are not kept, so spans count
-    # surface tokens only.
-    frames: list[tuple[str, list[SynTree]]] = []
-    found: list = []  # the surface leaves (tokens when not building), in order
-    leaf_count = 0
-    pos = 1  # just past a "(": a label comes next
     try:
-        while True:
-            raw = lexemes[pos]
-            if raw == "(" or raw == ")":
-                raise TreeParseError("missing label", _offset(text, pos))
-            lexeme = lexemes[pos + 1]
-            pos += 2
-            if lexeme == "(":
-                frames.append((raw, []))
-                continue
-            if lexeme == ")":
-                raise TreeParseError("empty constituent", _offset(text, pos - 1))
-            # A preterminal, (TAG token): one step, no frame.
-            closing = lexemes[pos]
-            if closing != ")":
-                if closing == "(":
-                    raise TreeParseError(
-                        "token and subtree in one constituent", _offset(text, pos)
-                    )
-                raise TreeParseError("unexpected token", _offset(text, pos))
-            pos += 1
-            # Left None when not building, so no frame keeps a child and
-            # no constituent is built either.
-            node: SynTree | None = None
-            if raw != "-NONE-":
-                if not build:
-                    found.append(lexeme)
-                else:
-                    label = labels.get(raw)
-                    if label is None:
-                        label = _stripped(raw)
-                    node = new(tree_class)
-                    set_label(node, label)
-                    set_children(node, ())
-                    set_token(node, lexeme)
-                    set_start(node, leaf_count)
-                    set_end(node, leaf_count + 1)
-                    found.append(node)
-                    leaf_count += 1
-            # Close constituents up to the next "(" or the end of the tree.
-            while frames:
-                if node is not None:
-                    frames[-1][1].append(node)
-                lexeme = lexemes[pos]
-                pos += 1
-                if lexeme == "(":
-                    break
-                if lexeme != ")":
-                    raise TreeParseError("unexpected token", _offset(text, pos - 1))
-                raw, kept = frames.pop()
-                if kept:
-                    label = labels.get(raw)
-                    if label is None:
-                        label = _stripped(raw)
-                    node = new(tree_class)
-                    set_label(node, label)
-                    set_children(node, tuple(kept))
-                    set_token(node, None)
-                    set_start(node, kept[0].start)
-                    set_end(node, kept[-1].end)
-                else:
-                    node = None
-            if not frames:
-                break
+        if build:
+            root, found, pos = _build_walk(text, lexemes)
+        else:
+            found, pos = _check_walk(text, lexemes)
     except IndexError:  # the lexemes ran out inside the tree
         raise TreeParseError("unbalanced parentheses", len(text)) from None
-    if pos < count:
+    if pos < len(lexemes):
         raise TreeParseError("trailing content after tree", _offset(text, pos))
     if not found:
         raise TreeParseError("tree has no surface tokens", 0)
     if not build:
         return found
-    _set_leaf_record(node, tuple(found))
-    return node
+    _LeafRecord._leaf_record.__set__(root, tuple(found))
+    return root
 
 
 def serialize(tree: SynTree) -> str:

@@ -93,15 +93,35 @@ def test_all_trace_tree_is_an_error():
             assert (str(info.value), info.value.offset) == ("tree has no surface tokens (offset 0)", 0)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "   ", "(NP (NN dog)", "(NP (NN dog)))", "()", "( (NN dog))",
-     "(NP)", "(NP (NN dog) stray)", "(NP (NN dog)) (NP (NN cat))"],
-)
+# Each malformed text with the exact message and offset of its error.
+_PARSE_ERRORS = {
+    "": ("empty tree", 0),
+    "   ": ("empty tree", 0),
+    "NP (NN dog)": ("expected '('", 0),
+    "(NP (NN dog)": ("unbalanced parentheses", 12),
+    "(NP (NN dog) (NN cat)": ("unbalanced parentheses", 21),
+    "(NP (NN dog)))": ("trailing content after tree", 13),
+    "(NP (NN dog)) (NP (NN cat))": ("trailing content after tree", 14),
+    "()": ("missing label", 1),
+    "( (NN dog))": ("missing label", 2),
+    "(NP (NN dog) ())": ("missing label", 14),
+    "(NP)": ("empty constituent", 3),
+    "(NP (NN dog) (JJ))": ("empty constituent", 16),
+    "(NN dog (NN cat))": ("token and subtree in one constituent", 8),
+    "(NN dog cat)": ("unexpected token", 8),
+    "(NP (NN dog) stray)": ("unexpected token", 13),
+    "(S (NP (NN dog)) (VP (VB runs) (NP (NN x) y)))": ("unexpected token", 42),
+    "(S (NP (-NONE- *)) (-NONE- *T*-1))": ("tree has no surface tokens", 0),
+}
+
+
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
 def test_parse_errors_carry_offsets(text):
-    with pytest.raises(TreeParseError) as info:
-        parse_bracketed(text)
-    assert isinstance(info.value.offset, int)
+    message, offset = _PARSE_ERRORS[text]
+    for build in (True, False):
+        with pytest.raises(TreeParseError) as info:
+            parse_bracketed(text, build=build)
+        assert (str(info.value), info.value.offset) == (f"{message} (offset {offset})", offset)
 
 
 def test_parse_errors_pickle_and_copy():
@@ -675,6 +695,41 @@ def test_nodes_are_immutable():
             delattr(tree, field)
     with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
         tree.extra = 1
+
+
+def _treebank_text(tree: SynTree, draw) -> str:
+    """``tree`` written as raw treebank text: a functional tag on some
+    labels and trace leaves among some children, which parsing strips and
+    drops again."""
+    label = tree.label + draw(st.sampled_from(["", "", "-SBJ", "-SBJ-1", "=2"]))
+    if tree.token is not None:
+        return f"({label} {tree.token})"
+    parts = [_treebank_text(child, draw) for child in tree.children]
+    for _ in range(draw(st.integers(0, 2))):
+        parts.insert(draw(st.integers(0, len(parts))), "(-NONE- *T*-1)")
+    return f"({label} {' '.join(parts)})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_every_parsed_node_is_a_frozen_syntree(seed, data):
+    tree = random_tree(random.Random(seed))
+    parsed = parse_bracketed(_treebank_text(tree, data.draw))
+    assert parsed == tree
+    for node in parsed.subtrees():
+        assert type(node) is SynTree
+        for name in ("label", "children", "token", "start", "end", "_leaf_record", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        with pytest.raises(TypeError):
+            vars(node)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert b"_OpenTree" not in pickle.dumps(parsed, protocol)
+    for other in (copy.copy(parsed), copy.deepcopy(parsed)):
+        assert other == parsed
+        assert all(type(node) is SynTree for node in other.subtrees())
 
 
 def test_nodes_round_trip_through_replace_pickle_and_deepcopy():
