@@ -7,7 +7,9 @@ record it could not handle as ``id: message``: ``label``, ``stats`` and
 ``eval`` on stderr, ``lint`` on stdout among its findings; the bad lines
 come first. A fatal error is one ``error: ...`` line on stderr; a malformed
 knowledge file is named in it. Every command reads its corpus one line at a
-time and keeps no list of records. All commands are deterministic:
+time and keeps no list of records, reads each knowledge file a block at a
+time straight into its entry set, and spools its problem lines to a
+temporary file once they pass 64 KiB. All commands are deterministic:
 identical inputs produce identical bytes.
 """
 
@@ -61,26 +63,60 @@ def _fail(message: str) -> int:
     return FATAL
 
 
+# Bytes of problem lines that each of ``_Problems``' two spools holds in
+# memory before it moves them to a temporary file.
+_SPOOL = 1 << 16
+
+
 class _Problems:
     """A command's problem sink. It holds each problem as one line and
     prints them when its ``with`` block ends: first the bad lines of the
     corpora read, in the order read, then the per-record messages in the
-    order they arose."""
+    order they arose.
+
+    The two kinds are spooled apart, each to a temporary file once it
+    passes ``_SPOOL`` bytes, so holding them costs no memory however many
+    there are. The spools are made on the first problem: a clean run
+    creates no file.
+    """
+
+    _BAD_LINES, _MESSAGES = 0, 1  # the index of each kind's spool and count
 
     def __init__(self, stream) -> None:
         self.stream = stream
-        self.bad_lines: list[str] = []
-        self.messages: list[str] = []
+        self._spools = None
+        self._counts = [0, 0]
 
     def __enter__(self) -> _Problems:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for line in self.bad_lines + self.messages:
-            print(line, file=self.stream)
+        if self._spools is None:
+            return
+        with self._spools[0], self._spools[1]:
+            for spool in self._spools:
+                spool.seek(0)
+                # A spool's lines end at its "\n"s only, so each line is
+                # written as it was held, with its newline.
+                self.stream.writelines(spool)
+
+    def _hold(self, kind: int, line: str) -> None:
+        if self._spools is None:
+            import tempfile
+
+            # ``surrogatepass`` keeps a path's ``surrogateescape`` characters
+            # as they were; ``newline="\n"`` keeps a "\r" in a line a "\r".
+            self._spools = tuple(
+                tempfile.SpooledTemporaryFile(
+                    _SPOOL, "w+", encoding="utf-8", newline="\n", errors="surrogatepass"
+                )
+                for _ in range(2)
+            )
+        self._spools[kind].write(line + "\n")
+        self._counts[kind] += 1
 
     def __call__(self, where: str, message: str) -> None:
-        self.messages.append(f"{where}: {message}")
+        self._hold(self._MESSAGES, f"{where}: {message}")
 
     def records(self, source, path: str) -> Iterator[DefinitionRecord]:
         """The records of the corpus file ``path``, open as binary
@@ -91,21 +127,25 @@ class _Problems:
         per-record message are dropped, and its fatal error follows the bad
         lines of the files read before it.
         """
-        start = len(self.bad_lines)
+        start = self._spools[self._BAD_LINES].tell() if self._spools else 0
+        held = self._counts[self._BAD_LINES]
         try:
             for item in _corpus_items(_decoded_blocks(source, path)):
                 if isinstance(item, Diagnostic):
-                    self.bad_lines.append(f"{path}:{item.line_no}: {item.message}")
+                    self._hold(self._BAD_LINES, f"{path}:{item.line_no}: {item.message}")
                 else:
                     yield item
         except (OSError, ValueError):
-            del self.bad_lines[start:]
-            self.messages.clear()
+            if self._spools:
+                for spool, position in zip(self._spools, (start, 0)):
+                    spool.seek(position)
+                    spool.truncate()
+            self._counts = [held, 0]
             raise
 
     @property
     def count(self) -> int:
-        return len(self.bad_lines) + len(self.messages)
+        return sum(self._counts)
 
     @property
     def exit_code(self) -> int:
@@ -136,11 +176,18 @@ def _config_payload(path: str) -> dict:
 
 
 def _load_knowledge(loader, path: str, kind: str):
-    """``loader(text, kind)`` over a knowledge file; a format error names it."""
-    try:
-        return loader(_read_text(path), kind)
-    except LexiconFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """``loader(pieces, kind)`` over a knowledge file, read and decoded one
+    block of whole lines at a time; a format error names the file."""
+    with Path(path).open("rb") as source:
+        blocks = _decoded_blocks(source, path)
+        try:
+            return loader(blocks, kind)
+        except LexiconFormatError as exc:
+            # A byte that is not UTF-8 anywhere in the file is the error,
+            # as when the whole file was decoded before it was loaded.
+            for _ in blocks:
+                pass
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> LabelerConfig:
@@ -258,13 +305,14 @@ def _trace_line(record_id: str, outcome: LabelOutcome) -> str:
 def run_label(args: argparse.Namespace) -> int:
     """Label a corpus into ``--output`` (and ``--output.trace``).
 
-    Records are read, labeled, written and dropped one at a time, so memory
-    grows with neither the input nor the output, beyond each record's id
-    (the duplicate-id rule) and the problem lines held. Each file is written to a
-    temporary file in its own directory and renamed over it at the end
-    (``_replacing``): a fatal error or an interrupt leaves any earlier
-    output untouched. The reader and ``label()`` have checked every
-    annotation written, so it is not checked again.
+    Records are read, labeled, written and dropped one at a time, and the
+    problem lines are spooled (``_Problems``), so memory grows with neither
+    the input nor the output, beyond each record's id (the duplicate-id
+    rule). Each file is written to a temporary file in its own directory
+    and renamed over it at the end (``_replacing``): a fatal error or an
+    interrupt leaves any earlier output untouched. The reader and
+    ``label()`` have checked every annotation written, so it is not checked
+    again.
     """
     with _Problems(sys.stderr) as problems, Path(args.input).open("rb") as source:
         configs = _configs_by_mode(_load_config(args))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copyreg
 import re
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -201,31 +201,63 @@ class Lexicon:
 # so the words, comments and underscores of a lowered chunk are those of the
 # chunk. tests/test_lexicon.py checks these facts over every code point.
 
-
-def _wordlist_entries(text: str, joiner: str) -> list[str]:
-    """The normalized entries of line-oriented text, one per line; blank
-    lines and # comments are skipped."""
-    entries: list[str] = []
-    for chunk in _chunks(text):
-        lowered = chunk.lower()
-        # A blank line joins to "", and only a comment's entry starts with "#".
-        kept = list(filter(None, map(joiner.join, map(str.split, lowered.split("\n")))))
-        if "#" in lowered:
-            kept = [entry for entry in kept if entry[0] != "#"]
-        if joiner == "_":
-            # No entry holds a newline, so a misplaced underscore in any
-            # entry shows in the entries framed and joined by newlines.
-            framed = "\n" + "\n".join(kept) + "\n"
-            if "__" in framed or "\n_" in framed or "_\n" in framed:
-                _raise_underscore_error(text)
-        entries += kept
-    return entries
+# The bytes that ``_wordlist_entries`` drops from a chunk's UTF-8 entries to
+# leave only the joiners and the "\n"s between entries; no byte of a UTF-8
+# character outside ASCII is one of those.
+_DROPPED = {
+    joiner: bytes(b for b in range(256) if b not in (ord("\n"), ord(joiner)))
+    for joiner in ("_", " ")
+}
 
 
-def _raise_underscore_error(text: str) -> None:
-    """Raise the LexiconFormatError of the first line of ``text`` whose
+def _wordlist_entries(text: str | Iterable[str], joiner: str) -> tuple[frozenset[str], int]:
+    """The set of normalized entries of line-oriented text, one per line,
+    and the most words in one entry (0 for none); blank lines and #
+    comments are skipped.
+
+    ``text`` is the text, or an iterable of pieces of it that each end at a
+    line break, as ``corpus._decoded_blocks`` yields a file's text. Each
+    piece is read a chunk at a time and each chunk's entries go straight
+    into the set, so besides the set only one chunk and its entries are
+    held. A LexiconFormatError counts lines across the pieces.
+    """
+    most = 0
+
+    def chunk_entries() -> Iterator[list[str]]:
+        nonlocal most
+        lines_before = 0
+        for piece in (text,) if isinstance(text, str) else text:
+            for chunk in _chunks(piece):
+                lowered = chunk.lower()
+                # A blank line joins to "", and only a comment's entry starts with "#".
+                kept = list(filter(None, map(joiner.join, map(str.split, lowered.split("\n")))))
+                if "#" in lowered:
+                    kept = [entry for entry in kept if entry[0] != "#"]
+                if kept:
+                    # No entry holds a newline, so a misplaced underscore in
+                    # any entry shows in the entries framed and joined by
+                    # newlines.
+                    framed = "\n" + "\n".join(kept) + "\n"
+                    if joiner == "_" and ("__" in framed or "\n_" in framed or "_\n" in framed):
+                        _raise_underscore_error(chunk, lines_before)
+                    # An entry of n words leaves a run of n - 1 joiners once
+                    # all but the joiners and newlines are dropped, so the
+                    # chunk has an entry of more than ``most`` words exactly
+                    # when a run of ``most`` joiners (for 0, b"") is left.
+                    runs = framed.encode("utf-8", "surrogatepass").translate(None, _DROPPED[joiner])
+                    while joiner.encode() * most in runs:
+                        most += 1
+                lines_before += chunk.count("\n") + 1
+                yield kept
+
+    return frozenset(chain.from_iterable(chunk_entries())), most
+
+
+def _raise_underscore_error(chunk: str, lines_before: int) -> None:
+    """Raise the LexiconFormatError of the first line of ``chunk``, one of
+    ``_chunks``' pieces that follows ``lines_before`` lines, whose
     underscore-joined entry is malformed."""
-    for line_no, line in enumerate(_lines(text), start=1):
+    for line_no, line in enumerate(chunk.split("\n"), start=lines_before + 1):
         words = line.split()
         if not words or words[0].startswith("#"):
             continue
@@ -235,9 +267,10 @@ def _raise_underscore_error(text: str) -> None:
             raise LexiconFormatError(str(exc), line_no) from exc
 
 
-def load_wordlist(text: str, pos: str = NOUN) -> Lexicon:
-    """Build a Lexicon from line-oriented text (blank lines and # comments skipped)."""
-    return Lexicon._from_normalized(pos, _wordlist_entries(text, "_"))
+def load_wordlist(text: str | Iterable[str], pos: str = NOUN) -> Lexicon:
+    """Build a Lexicon from line-oriented text (blank lines and # comments
+    skipped): a ``str``, or pieces of it that each end at a line break."""
+    return Lexicon(pos, *_wordlist_entries(text, "_"))
 
 
 def load_wndb_index(text: str, pos: str) -> Lexicon:
@@ -293,18 +326,17 @@ class Gazetteer(_FirstWords):
     def from_entries(cls, kind: str, entries: Iterable[str]) -> "Gazetteer":
         # Checked first, as in ``Lexicon.from_entries``.
         _check_choice("kind", kind, (LOCATION, TIME))
-        return cls._from_normalized(kind, [_normalize_entry(e, " ") for e in entries])
-
-    @classmethod
-    def _from_normalized(cls, kind: str, entries: list[str]) -> "Gazetteer":
+        entries = [_normalize_entry(e, " ") for e in entries]
         return cls(kind, frozenset(entries), _max_words(entries, " "))
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def load_gazetteer(text: str, kind: str) -> Gazetteer:
-    return Gazetteer._from_normalized(kind, _wordlist_entries(text, " "))
+def load_gazetteer(text: str | Iterable[str], kind: str) -> Gazetteer:
+    """Build a Gazetteer from line-oriented text, read as ``load_wordlist``
+    reads it: a ``str``, or pieces of it that each end at a line break."""
+    return Gazetteer(kind, *_wordlist_entries(text, " "))
 
 
 def longest_rightmost_entry(

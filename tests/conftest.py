@@ -349,8 +349,9 @@ def oracle_lines(text: str) -> Iterator[str]:
 
 
 def oracle_wordlist_entries(text: str, joiner: str) -> list[str]:
-    """``lexicon._wordlist_entries`` as a loop over the lines, each stripped,
-    skipped when blank or a comment, and normalized on its own."""
+    """The entries that ``lexicon._wordlist_entries`` loads, in order, by a
+    loop over the lines, each stripped, skipped when blank or a comment, and
+    normalized on its own."""
     entries = []
     for line_no, line in enumerate(oracle_lines(text), start=1):
         stripped = line.strip()

@@ -871,6 +871,46 @@ def test_a_gazetteer_format_error_is_named_in_the_fatal_error(
     assert capsys.readouterr().err == f"error: {gazetteer}: line 2: empty entry\n"
 
 
+def test_a_malformed_entry_past_the_first_block_names_its_line(corpus_path, tmp_path, capsys):
+    from defsrl import corpus
+
+    good = "".join(f"noun{i}\r\n" for i in range(2 * corpus._BLOCK // 8))
+    assert len(good.encode("utf-8")) > 2 * corpus._BLOCK
+    lexicon = _write(tmp_path / "nouns.txt", good + "\n# note\nsea__lion\n")
+    line_no = good.count("\n") + 3
+    argv = ["lint", "--input", str(corpus_path), "--noun-lexicon", lexicon]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {lexicon}: line {line_no}: bad underscore placement in 'sea__lion'\n"
+    )
+
+
+def test_a_byte_that_is_not_utf8_outranks_an_earlier_format_error(corpus_path, tmp_path, capsys):
+    # The malformed first line is in the first block, the bad byte blocks later.
+    from defsrl import corpus
+
+    data = b"_bad\n" + b"noun\n" * (2 * corpus._BLOCK // 5) + b"caf\xe9\n"
+    lexicon = _write(tmp_path / "nouns.txt", data)
+    offset = data.index(b"\xe9")
+    assert offset > corpus._BLOCK
+    assert main(["lint", "--input", str(corpus_path), "--noun-lexicon", lexicon]) == 1
+    assert capsys.readouterr() == ("", f"error: {lexicon}: not UTF-8 text (byte {offset})\n")
+
+
+@pytest.mark.parametrize("flag", ["--noun-lexicon", "--loc-gazetteer"])
+def test_a_knowledge_file_costs_memory_by_its_entries_not_its_text(corpus_path, tmp_path, flag):
+    # 300 entries among 4.4 MB of comments: read whole, the file's bytes and
+    # its text would take 8.8 MB at once.
+    comment = "# " + "padding " * 12 + "\n"
+    knowledge = _write(
+        tmp_path / "knowledge.txt", "".join(f"entry{i}\n" + comment * 150 for i in range(300))
+    )
+    argv = _label_argv(corpus_path, tmp_path / "out.jsonl", flag, knowledge)
+    assert main(argv) == 0  # imports what a run needs, untraced
+    peak = _traced_peak(lambda: main(argv))
+    assert peak < 1 << 20, peak
+
+
 def _random_tree_corpus(count: int, seed: int) -> str:
     rng = random.Random(seed)
     records = []
@@ -1374,11 +1414,89 @@ def _streamed_peaks(tmp_path: Path, records: int) -> dict[str, int]:
     return peaks
 
 
+def _tree_corpus(path: Path, records: int, trees: bool) -> Path:
+    """``records`` one-phrase records, with a tree each or with none."""
+    tree = {"tree": "(NP (DT a) (NN dog))"} if trees else {}
+    path.write_text("".join(
+        json.dumps({"id": f"dog{i}", "pos": "noun", "gloss": "a dog", **tree}) + "\n"
+        for i in range(records)
+    ), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("records", [2_000, 20_000])
+def test_problem_lines_cost_no_memory(tmp_path, records):
+    # Each record without a tree is passed through with one problem line
+    # (about 45 bytes here); the same records with trees report none. Held
+    # in a list, the lines cost about 100 bytes each.
+    peaks = {}
+    for trees, code in ((True, 0), (False, 2)):
+        source = _tree_corpus(tmp_path / f"{trees}.jsonl", records, trees)
+        argv = _label_argv(source, tmp_path / "out.jsonl")
+        with redirect_stderr(io.StringIO()) as stderr:
+            assert main(argv) == code  # imports what a run needs, untraced
+            gc.collect()
+            peaks[trees] = _traced_peak(lambda: main(argv))
+        assert stderr.getvalue().count("\n") == (0 if trees else 2 * records)
+    assert peaks[False] - peaks[True] < 256 << 10, peaks
+
+
+def test_spooled_problem_lines_print_the_same_bytes_from_disk(tmp_path, monkeypatch):
+    # A corpus path that is no UTF-8 (a ``surrogateescape`` character) and
+    # an id holding a "\r" are printed as stderr prints them, whether the
+    # problem lines stayed in memory or went to a temporary file.
+    import tempfile
+
+    from defsrl import cli
+
+    mixed = _mixed_corpus(tmp_path / os.fsdecode(b"mixed\xff.jsonl"))
+    with open(mixed, "a", encoding="utf-8") as stream:
+        stream.write(json.dumps({"id": "e\rf", "pos": "noun", "gloss": "a dog"}) + "\n")
+    bad = _write(tmp_path / "bad.jsonl", BAD_LINES_ONLY)
+    commands = [
+        _label_argv(Path(mixed), tmp_path / "out.jsonl"),
+        # The second file is unreadable, so its bad lines are dropped.
+        ["eval", "--input", mixed, bad],
+    ]
+    rolled = []
+    real_rollover = tempfile.SpooledTemporaryFile.rollover
+
+    def rollover(self):
+        rolled.append(self)
+        real_rollover(self)
+
+    monkeypatch.setattr(tempfile.SpooledTemporaryFile, "rollover", rollover)
+    outputs = {}
+    for spool in (cli._SPOOL, 1):
+        monkeypatch.setattr(cli, "_SPOOL", spool)
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+        with redirect_stderr(stderr):
+            codes = [main(argv) for argv in commands]
+        stderr.flush()
+        outputs[spool] = (codes, stderr.buffer.getvalue())
+    # Once the spool is 1 byte: both of label's spools, and eval's spool of
+    # bad lines, which then drops the second file's lines from disk.
+    assert len(rolled) == 3
+    assert outputs[1] == outputs[cli._SPOOL]
+    codes, data = outputs[1]
+    assert codes == [2, 1]
+    shown = mixed.encode("utf-8", "backslashreplace").decode("ascii")
+    assert data.decode("ascii").split("\n") == _bad_lines(shown) + [
+        "a: no parse tree; record passed through",
+        "c: no parse tree; record passed through",
+        "d: no parse tree; record passed through",
+        "e\rf: no parse tree; record passed through",
+        *_bad_lines(shown),
+        "error: zero records parsed from corpus",
+        "",
+    ]
+
+
 def test_every_command_streams_its_corpus(tmp_path):
     # Holding every record cost 0.75 to 1.8 KB a record (the peak grew 2.6
     # to 3.6-fold from 300 to 1,200 records). What still grows is each
     # record's id, kept for the duplicate-id rule (110 to 120 bytes a record
-    # here), and the problem lines; 300 records already fill a 64 KiB block.
+    # here); 300 records already fill a 64 KiB block.
     small, large = _streamed_peaks(tmp_path, 300), _streamed_peaks(tmp_path, 1_200)
     for name in small:
         assert large[name] < 1.5 * small[name], (name, small[name], large[name])

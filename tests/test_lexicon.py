@@ -3,8 +3,10 @@ from __future__ import annotations
 import copy
 import copyreg
 import dataclasses
+import io
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -16,7 +18,8 @@ from conftest import (
     oracle_longest_rightmost,
     oracle_wordlist_entries,
 )
-from defsrl import lexicon
+from defsrl import corpus, lexicon
+from defsrl.corpus import _decoded_blocks
 from defsrl.defaults import default_noun_lexicon
 from defsrl.lexicon import (
     Gazetteer,
@@ -392,21 +395,50 @@ def test_wordlist_error_counts_lines_by_the_corpus_rule():
     assert info.value.line_no == 2
 
 
+def _oracle_load(text: str, joiner: str) -> tuple:
+    """What ``_wordlist_entries`` must give for ``text``: the entry set and
+    the most words in one entry, or a format error's message and line."""
+    try:
+        expected = oracle_wordlist_entries(text, joiner)
+    except LexiconFormatError as exc:
+        return (str(exc), exc.line_no)
+    return (frozenset(expected), max((e.count(joiner) + 1 for e in expected), default=0))
+
+
+def _fields(loaded: Lexicon | Gazetteer) -> tuple:
+    return (loaded.entries, loaded.max_words)
+
+
+def _outcome(load, text) -> tuple:
+    """``load(text)``, or its format error's message and line."""
+    try:
+        return load(text)
+    except LexiconFormatError as exc:
+        return (str(exc), exc.line_no)
+
+
+def _piece_outcomes(text: str, load) -> list[tuple]:
+    """``_outcome`` of ``load`` over ``text`` whole, cut after every line
+    break, and read by ``corpus._decoded_blocks`` from a file of its UTF-8
+    bytes at a few block sizes."""
+    outcomes = [_outcome(load, text), _outcome(load, re.split(r"(?<=\n)|(?<=\r)(?!\n)", text))]
+    for block in (1, 2, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_BLOCK", block)
+            blocks = _decoded_blocks(io.BytesIO(text.encode("utf-8")), "words.txt")
+            outcomes.append(_outcome(load, blocks))
+    return outcomes
+
+
 @settings(max_examples=1500, deadline=None)
 @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join))
 def test_wordlist_loaders_equal_the_line_loop(text):
+    # Every way of cutting the text at its line breaks loads the same, and
+    # a format error names the same line.
     for joiner, load in (("_", load_wordlist), (" ", lambda t: load_gazetteer(t, LOCATION))):
-        try:
-            expected = oracle_wordlist_entries(text, joiner)
-        except LexiconFormatError as exc:
-            with pytest.raises(LexiconFormatError) as info:
-                _wordlist_entries(text, joiner)
-            assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
-            continue
-        assert _wordlist_entries(text, joiner) == expected
-        loaded = load(text)
-        assert loaded.entries == frozenset(expected)
-        assert loaded.max_words == max((e.count(joiner) + 1 for e in expected), default=0)
+        expected = _oracle_load(text, joiner)
+        assert _piece_outcomes(text, lambda t: _wordlist_entries(t, joiner)) == [expected] * 5
+        assert _piece_outcomes(text, lambda t: _fields(load(t))) == [expected] * 5
 
 
 # Pieces whose lowercasing reaches past one character: a final capital
@@ -423,14 +455,8 @@ def test_lowering_a_chunk_loads_as_the_line_loop(text):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexicon, "_CHUNK", chunk)
             for joiner in ("_", " "):
-                try:
-                    expected = oracle_wordlist_entries(text, joiner)
-                except LexiconFormatError as exc:
-                    with pytest.raises(LexiconFormatError) as info:
-                        _wordlist_entries(text, joiner)
-                    assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
-                else:
-                    assert _wordlist_entries(text, joiner) == expected
+                expected = _oracle_load(text, joiner)
+                assert _outcome(lambda t: _wordlist_entries(t, joiner), text) == expected
 
 
 def test_lowering_a_chunk_equals_lowering_each_entry():
