@@ -8,73 +8,82 @@ accessory determiner/quality, particle), renders role-sequence patterns,
 and scores predictions against gold annotations.
 """
 
-from .corpus import (
-    AlignmentError,
-    CorpusError,
-    DefinitionRecord,
-    Diagnostic,
-    DistributionReport,
-    EvalReport,
-    RoleMetrics,
-    distribution,
-    evaluate,
-    format_eval_report,
-    read_corpus,
-    record_line,
-    write_corpus,
-)
-from .defaults import (
-    BUNDLED_CORPUS,
-    default_config,
-    default_location_gazetteer,
-    default_noun_lexicon,
-    default_time_gazetteer,
-    default_verb_lexicon,
-    packaged_data_text,
-)
-from .labeler import (
-    EmptyDefinitionError,
-    LabelOutcome,
-    LabelerConfig,
-    TraceEntry,
-    label,
-    preprocess_gloss,
-)
-from .lexicon import (
-    Gazetteer,
-    Lexicon,
-    LexiconFormatError,
-    gazetteer_match,
-    load_gazetteer,
-    load_wndb_index,
-    load_wordlist,
-    longest_rightmost_entry,
-)
-from .patterns import (
-    Pattern,
-    PatternElement,
-    PatternParseError,
-    Repetition,
-    parse_pattern,
-    pattern_of,
-    render,
-)
-from .rolemodel import (
-    Annotation,
-    GoldParseError,
-    Role,
-    RoleSpan,
-    Violation,
-    parse_gold,
-    serialize_gold,
-    validate,
-)
-from .syntree import (
-    SynTree,
-    TreeParseError,
-    innermost_leftmost_np,
-    parse_bracketed,
-    serialize,
-)
-
 __version__ = "0.1.0"
+
+# Each exported name and the submodule that defines it. ``import defsrl``
+# imports no submodule: ``__getattr__`` imports one the first time one of its
+# names is read, and keeps the name here in the package.
+_EXPORTS = {
+    "AlignmentError": "corpus",
+    "CorpusError": "corpus",
+    "DefinitionRecord": "corpus",
+    "Diagnostic": "corpus",
+    "DistributionReport": "corpus",
+    "EvalReport": "corpus",
+    "RoleMetrics": "corpus",
+    "distribution": "corpus",
+    "evaluate": "corpus",
+    "format_eval_report": "corpus",
+    "read_corpus": "corpus",
+    "record_line": "corpus",
+    "write_corpus": "corpus",
+    "BUNDLED_CORPUS": "defaults",
+    "default_config": "defaults",
+    "default_location_gazetteer": "defaults",
+    "default_noun_lexicon": "defaults",
+    "default_time_gazetteer": "defaults",
+    "default_verb_lexicon": "defaults",
+    "packaged_data_text": "defaults",
+    "EmptyDefinitionError": "labeler",
+    "LabelOutcome": "labeler",
+    "LabelerConfig": "labeler",
+    "TraceEntry": "labeler",
+    "label": "labeler",
+    "preprocess_gloss": "labeler",
+    "Gazetteer": "lexicon",
+    "Lexicon": "lexicon",
+    "LexiconFormatError": "lexicon",
+    "gazetteer_match": "lexicon",
+    "load_gazetteer": "lexicon",
+    "load_wndb_index": "lexicon",
+    "load_wordlist": "lexicon",
+    "longest_rightmost_entry": "lexicon",
+    "Pattern": "patterns",
+    "PatternElement": "patterns",
+    "PatternParseError": "patterns",
+    "Repetition": "patterns",
+    "parse_pattern": "patterns",
+    "pattern_of": "patterns",
+    "render": "patterns",
+    "Annotation": "rolemodel",
+    "GoldParseError": "rolemodel",
+    "Role": "rolemodel",
+    "RoleSpan": "rolemodel",
+    "Violation": "rolemodel",
+    "parse_gold": "rolemodel",
+    "serialize_gold": "rolemodel",
+    "validate": "rolemodel",
+    "SynTree": "syntree",
+    "TreeParseError": "syntree",
+    "innermost_leftmost_np": "syntree",
+    "parse_bracketed": "syntree",
+    "serialize": "syntree",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    from importlib import import_module
+
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -22,7 +22,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -199,15 +198,15 @@ def _load_config(args: argparse.Namespace) -> LabelerConfig:
         (args.time_gazetteer, "time_gazetteer", load_gazetteer, TIME),
     ):
         if path:
-            config = replace(config, **{field: _load_knowledge(loader, path, kind)})
+            config = config.__replace__(**{field: _load_knowledge(loader, path, kind)})
     if args.config:
         payload = _config_payload(args.config)
         phrases = payload.get("accessory_determiner_phrases")
         words = payload.get("accessory_quality_words")
         if phrases is not None:
-            config = replace(config, accessory_determiner_phrases=tuple(phrases))
+            config = config.__replace__(accessory_determiner_phrases=tuple(phrases))
         if words is not None:
-            config = replace(config, accessory_quality_words=frozenset(words))
+            config = config.__replace__(accessory_quality_words=frozenset(words))
     return config
 
 
@@ -229,7 +228,7 @@ def _config_threshold(args: argparse.Namespace) -> float:
 
 def _configs_by_mode(config: LabelerConfig) -> dict[bool, LabelerConfig]:
     """``config`` per ``instance_mode``, each built once for a whole run."""
-    other = replace(config, instance_mode=not config.instance_mode)
+    other = config.__replace__(instance_mode=not config.instance_mode)
     return {config.instance_mode: config, other.instance_mode: other}
 
 

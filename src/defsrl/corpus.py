@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict
 from typing import BinaryIO, Iterable, Iterator
 
 from .lexicon import NOUN, VERB, _lines
@@ -313,6 +312,9 @@ class RoleMetrics:
     recall: float
     f1: float
 
+    def to_dict(self) -> dict:
+        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+
 
 def _metrics(tp: int, predicted: int, gold: int) -> RoleMetrics:
     # Empty-on-both-sides counts as perfect agreement; empty on one side
@@ -350,8 +352,8 @@ class EvalReport:
             "ill_formed_agreement": self.ill_formed_agreement,
             "roles": {
                 role.value: {
-                    "exact": asdict(self.exact[role]),
-                    "token": asdict(self.token[role]),
+                    "exact": self.exact[role].to_dict(),
+                    "token": self.token[role].to_dict(),
                     "gold_support": self.gold_support[role],
                     "predicted_support": self.predicted_support[role],
                 }

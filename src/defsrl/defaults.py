@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+from pkgutil import get_data
 
 from .labeler import LabelerConfig
 from .lexicon import (
@@ -30,7 +30,11 @@ BUNDLED_CORPUS = "definitions_gold.jsonl"
 
 
 def packaged_data_text(name: str) -> str:
-    return (resources.files("defsrl") / "data" / name).read_text(encoding="utf-8")
+    # Read through the package's loader, as ``importlib.resources`` reads
+    # it, but without importing that, which imports ``inspect`` on Python
+    # 3.12 and later. The packaged files break lines with "\n" only, so
+    # their text needs no newline translation.
+    return get_data("defsrl", f"data/{name}").decode("utf-8")
 
 
 def default_noun_lexicon() -> Lexicon:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copyreg
 import re
-from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from itertools import islice
 from operator import attrgetter
 from reprlib import recursive_repr
@@ -53,28 +52,33 @@ class TreeParseError(ValueError):
 
 
 def _refuse_assignment(self: object, name: str, value: object) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _refuse_deletion(self: object, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _written_init(cls: type, record_fields: tuple[Field, ...]) -> Callable[..., None]:
-    """``cls.__init__``, compiled once from its field list as ``dataclasses``
-    compiles one: each argument is stored by its slot's own setter, and
-    ``__post_init__`` runs last when ``cls`` has one. A field's default is a
-    plain value; no record has a ``default_factory``."""
+def _written_init(
+    cls: type, names: tuple[str, ...], defaults: dict[str, object]
+) -> Callable[..., None]:
+    """``cls.__init__``, compiled once from its field names as ``dataclasses``
+    compiles one: each argument is stored by its slot's own setter, a field
+    in ``defaults`` takes that plain value when its argument is left out,
+    and ``__post_init__`` runs last when ``cls`` has one."""
     namespace: dict[str, object] = {}
     params, body = [], []
-    for field in record_fields:
-        name = field.name
+    for name in names:
         namespace[f"_set_{name}"] = getattr(cls, name).__set__
-        if field.default is MISSING:
-            params.append(name)
-        else:
-            namespace[f"_default_{name}"] = field.default
+        if name in defaults:
+            namespace[f"_default_{name}"] = defaults[name]
             params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
         body.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
@@ -84,20 +88,67 @@ def _written_init(cls: type, record_fields: tuple[Field, ...]) -> Callable[..., 
     return init
 
 
+class _DataclassView:
+    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, made
+    the first time something reads it (``dataclasses.fields``, ``replace``,
+    ``asdict``, ``is_dataclass``, or ``dataclass`` on a subclass).
+
+    Both come from ``dataclass(slots=True, init=False, repr=False,
+    eq=False)`` applied to a throwaway class with the record's name,
+    module, docstring, annotations and defaults, and are then stored on
+    the record in place of the two views. So ``dataclasses`` sees the
+    record as such a dataclass, and is imported only by a caller that
+    uses it.
+    """
+
+    __slots__ = ("defaults", "record", "name")
+
+    def __init__(self, defaults: dict[str, object]) -> None:
+        self.defaults = defaults
+
+    def __set_name__(self, record: type, name: str) -> None:
+        self.record, self.name = record, name
+
+    def __get__(self, instance: object, owner: type | None = None) -> object:
+        from dataclasses import dataclass
+
+        record = self.record
+        shape = type(record.__name__, (), {
+            "__module__": record.__module__,
+            "__qualname__": record.__qualname__,
+            "__doc__": record.__doc__,
+            "__annotations__": record.__annotations__,
+            **self.defaults,
+        })
+        shape = dataclass(slots=True, init=False, repr=False, eq=False)(shape)
+        record.__dataclass_fields__ = shape.__dataclass_fields__
+        record.__dataclass_params__ = shape.__dataclass_params__
+        return getattr(record, self.name)
+
+
 def _seal(cls: type) -> type:
     """Declare ``cls`` an immutable record: the class decorator of every
     defsrl record, which then behaves as a frozen dataclass with ``__slots__``.
 
-    ``cls`` becomes ``@dataclass(slots=True, init=False, repr=False,
-    eq=False)``, so ``dataclasses.fields``, ``replace`` and ``asdict`` work,
-    but ``dataclasses`` writes none of its methods (its
-    ``__dataclass_params__`` reads ``frozen=False``). This writes them once,
-    from the field list, read through one ``attrgetter``:
+    Every annotation of ``cls``'s own body is a field, in order, and a class
+    attribute of that name is its default. ``cls`` is made again with those
+    fields as its ``__slots__`` and ``__match_args__``, and without the
+    defaults as class attributes, as ``dataclass(slots=True)`` makes it. Its
+    ``__dataclass_fields__`` and ``__dataclass_params__`` are
+    ``_DataclassView``s, so ``dataclasses.fields``, ``replace``, ``asdict``
+    and ``is_dataclass`` work, and ``__dataclass_params__`` reads
+    ``frozen=False``: a subclass declared ``@dataclass(frozen=True)`` is
+    refused by ``dataclasses`` itself, as a frozen dataclass over a
+    non-frozen one. This writes the methods once, from the field names,
+    read through one ``attrgetter``:
 
     - ``__init__`` (see ``_written_init``);
     - ``__repr__``, ``==`` and ``hash`` as a frozen dataclass has them, over
       the tuple of field values, except where ``cls`` defines its own (as
       ``SynTree`` does);
+    - ``__replace__``, which ``copy.replace`` calls on Python 3.13 and
+      later: a new record of the same class from the fields, with
+      ``changes`` taking their place, as ``dataclasses.replace`` makes it;
     - ``__getstate__`` and ``__setstate__``, which ``pickle`` and ``copy``
       use; ``__setstate__`` runs ``__post_init__`` too, so derived state is
       built again. A dict state, as pickled by a version whose records had a
@@ -106,13 +157,18 @@ def _seal(cls: type) -> type:
       as a ``Gazetteer``'s ``first_words``);
     - ``__setattr__`` and ``__delattr__``, which raise
       ``FrozenInstanceError`` for every name, not only the fields.
-
-    A subclass declared ``@dataclass(frozen=True)`` is refused by
-    ``dataclasses`` itself, as a frozen dataclass over a non-frozen one.
     """
-    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
-    record_fields = fields(cls)
-    names = tuple(field.name for field in record_fields)
+    namespace = dict(vars(cls))
+    names = tuple(namespace.get("__annotations__", ()))
+    defaults = {name: namespace.pop(name) for name in names if name in namespace}
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    namespace["__slots__"] = names
+    namespace.setdefault("__match_args__", names)
+    namespace["__qualname__"] = cls.__qualname__
+    namespace["__dataclass_fields__"] = _DataclassView(defaults)
+    namespace["__dataclass_params__"] = _DataclassView(defaults)
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     if len(names) == 1:
         # ``attrgetter`` of one name gives the bare value, not a 1-tuple.
         only = attrgetter(names[0])
@@ -138,6 +194,9 @@ def _seal(cls: type) -> type:
         items = ", ".join(map("{}={!r}".format, names, values(self)))
         return f"{self.__class__.__qualname__}({items})"
 
+    def __replace__(self, /, **changes: object) -> object:
+        return self.__class__(**dict(zip(names, values(self)), **changes))
+
     def __getstate__(self) -> list:
         return list(values(self))
 
@@ -151,9 +210,10 @@ def _seal(cls: type) -> type:
         if post_init is not None:
             post_init(self)
 
-    cls.__init__ = _written_init(cls, record_fields)
+    cls.__init__ = _written_init(cls, names, defaults)
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
+    cls.__replace__ = __replace__
     cls.__getstate__ = __getstate__
     cls.__setstate__ = __setstate__
     if "__repr__" not in cls.__dict__:

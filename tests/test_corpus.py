@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
@@ -248,6 +250,35 @@ def test_a_bad_byte_after_the_first_block_is_named_by_its_file_offset():
     with pytest.raises(ValueError) as info:
         list(corpus._corpus_items(corpus._decoded_blocks(io.BytesIO(data), "big.jsonl")))
     assert str(info.value) == f"big.jsonl: not UTF-8 text (byte {offset})"
+
+
+# What a streamed read keeps per record for its duplicate-id rule, with ids
+# of 16 characters (the README states the bound): 111-124 bytes on Python
+# 3.10-3.13, for the id string, its table entry and its first line number.
+_ID_TABLE_BYTES_PER_RECORD = 150
+
+
+def _streamed_read_peak(records: int) -> int:
+    """The traced memory peak of reading ``records`` records with distinct
+    ids and no trees, each dropped as soon as it is read."""
+    data = "".join(
+        json.dumps({"id": f"definition{i:06d}", "pos": "noun", "gloss": "a dog"}) + "\n"
+        for i in range(records)
+    ).encode("utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in corpus._corpus_items(corpus._decoded_blocks(io.BytesIO(data), "ids.jsonl")):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_duplicate_id_table_costs_a_bounded_amount_per_record():
+    _streamed_read_peak(100)  # leaves out what only the first read loads
+    small, large = _streamed_read_peak(2_000), _streamed_read_peak(20_000)
+    assert (large - small) / 18_000 <= _ID_TABLE_BYTES_PER_RECORD, (small, large)
 
 
 def test_bundled_corpus_round_trips_byte_identically():

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -902,12 +903,20 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
     assert _hash_or_error(record) == _hash_or_error(plain)
     assert record == cls(*values) and not record != cls(*values)
     assert record != plain and record != tuple(values)
-    assert dataclasses.replace(record) == record
+    assert cls.__match_args__ == tuple(names)
+    # ``copy.replace`` (Python 3.13 and later) calls the record's own
+    # ``__replace__``, which makes what ``dataclasses.replace`` makes.
+    replacing = [dataclasses.replace] + ([copy.replace] if sys.version_info >= (3, 13) else [])
+    for replace in replacing:
+        assert replace(record) == record
+        assert replace(record, **{names[0]: values[0]}) == record
     # A ``__post_init__`` that checks or reads its fields refuses a marker.
     marker = object()
     for name in names if not hasattr(cls, "__post_init__") else ():
         changed = dataclasses.replace(record, **{name: marker})
         assert getattr(changed, name) is marker and changed != record
+        for replace in replacing:
+            assert replace(record, **{name: marker}) == changed
     assert cls(**dict(zip(names, values))) == record
     copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for copied in copies + [copy.copy(record), copy.deepcopy(record)]:

@@ -4,9 +4,13 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 from pathlib import Path
 
+import pytest
+
 import defsrl
+from import_footprint import CHECKS, run_check
 from defsrl.syntree import _refuse_assignment
 
 SRC = Path(defsrl.__file__).resolve().parent
@@ -18,16 +22,29 @@ def _public_api(obj) -> bool:
 
 
 def test_the_package_exports_exactly_the_modules_public_functions_and_classes():
+    # ``defsrl`` fills its namespace only as names are read, so the check
+    # walks what it lists (``__all__`` and ``dir``), not ``vars(defsrl)``.
+    listed = set(defsrl.__all__)
+    assert listed <= set(dir(defsrl))
     for name in MODULES:
         module = importlib.import_module(f"defsrl.{name}")
         for exported in getattr(module, "__all__", ()):
             obj = getattr(module, exported)
             if _public_api(obj):
+                assert exported in listed, f"defsrl.__all__ lacks {name}.{exported}"
                 assert getattr(defsrl, exported, None) is obj, f"defsrl lacks {name}.{exported}"
-    for exported, obj in vars(defsrl).items():
+    for exported in dir(defsrl):
+        obj = getattr(defsrl, exported)
         if not exported.startswith("_") and _public_api(obj):
-            listed = getattr(importlib.import_module(obj.__module__), "__all__", ())
-            assert exported in listed, f"{obj.__module__}.__all__ lacks {exported}"
+            in_module = getattr(importlib.import_module(obj.__module__), "__all__", ())
+            assert exported in in_module, f"{obj.__module__}.__all__ lacks {exported}"
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_an_import_loads_only_what_it_uses(check):
+    # Each check runs in a new interpreter that imports defsrl from src/.
+    result = run_check(check, {**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert result.returncode == 0, result.stderr
 
 
 def test_every_dataclass_in_src_is_a_sealed_record():
@@ -91,3 +108,11 @@ def test_every_private_top_level_name_in_src_is_used():
                 ):
                     orphans.append(f"{path.name}: {name}")
     assert orphans == []
+
+
+def test_packaged_data_files_break_lines_with_newlines_only():
+    # ``packaged_data_text`` decodes their bytes with no newline translation.
+    paths = sorted((SRC / "data").iterdir())
+    assert paths
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path.name
