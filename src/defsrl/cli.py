@@ -22,7 +22,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from pathlib import Path
 from typing import Iterator
 
 from .corpus import (
@@ -153,7 +152,8 @@ class _Problems:
 
 def _read_text(path: str) -> str:
     """The text of the file ``path``, by the corpus reader's UTF-8 rule."""
-    return _decoded(Path(path).read_bytes(), path)
+    with open(path, "rb") as source:
+        return _decoded(source.read(), path)
 
 
 def _config_payload(path: str) -> dict:
@@ -177,7 +177,7 @@ def _config_payload(path: str) -> dict:
 def _load_knowledge(loader, path: str, kind: str):
     """``loader(pieces, kind)`` over a knowledge file, read and decoded one
     block of whole lines at a time; a format error names the file."""
-    with Path(path).open("rb") as source:
+    with open(path, "rb") as source:
         blocks = _decoded_blocks(source, path)
         try:
             return loader(blocks, kind)
@@ -313,7 +313,7 @@ def run_label(args: argparse.Namespace) -> int:
     ``label()`` have checked every annotation written, so it is not checked
     again.
     """
-    with _Problems(sys.stderr) as problems, Path(args.input).open("rb") as source:
+    with _Problems(sys.stderr) as problems, open(args.input, "rb") as source:
         configs = _configs_by_mode(_load_config(args))
         with _replacing(args.output) as output, (
             _replacing(args.output + ".trace") if args.trace else nullcontext()
@@ -334,7 +334,7 @@ def run_label(args: argparse.Namespace) -> int:
 
 
 def run_stats(args: argparse.Namespace) -> int:
-    with _Problems(sys.stderr) as problems, Path(args.input).open("rb") as source:
+    with _Problems(sys.stderr) as problems, open(args.input, "rb") as source:
         records = problems.records(source, args.input)
         report = distribution(filter(None, (r.gold or r.predicted for r in records)))
         if not report.total:
@@ -371,7 +371,7 @@ def run_eval(args: argparse.Namespace) -> int:
         else:
             tally.add(g, p)
 
-    with _Problems(sys.stderr) as problems, Path(paths[0]).open("rb") as source:
+    with _Problems(sys.stderr) as problems, open(paths[0], "rb") as source:
         records = problems.records(source, paths[0])
         if len(paths) == 1:
             needed = "gold or predicted annotations"
@@ -385,7 +385,7 @@ def run_eval(args: argparse.Namespace) -> int:
             golds = {r.id: r.gold or r.predicted for r in records}
             seen: set[str] = set()
             odd: list[str] = []
-            with Path(paths[1]).open("rb") as second:
+            with open(paths[1], "rb") as second:
                 for r in problems.records(second, paths[1]):
                     if r.id in golds:
                         seen.add(r.id)
@@ -407,10 +407,8 @@ def run_eval(args: argparse.Namespace) -> int:
     report = tally.report()
     print(format_eval_report(report))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        with open(args.output, "w", encoding="utf-8") as output:
+            output.write(json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n")
     if threshold is not None and report.supertype_accuracy < threshold:
         print(
             f"supertype accuracy {report.supertype_accuracy:.6f} below threshold "
@@ -438,7 +436,7 @@ def _is_circular(definition_id: str, tokens: list[str]) -> bool:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    with _Problems(sys.stdout) as report, Path(args.input).open("rb") as source:
+    with _Problems(sys.stdout) as report, open(args.input, "rb") as source:
         configs = _configs_by_mode(_load_config(args))
         for record in report.records(source, args.input):
             annotation = record.gold or record.predicted

@@ -115,7 +115,7 @@ def _parse_record(payload: dict) -> DefinitionRecord:
     predicted_annotation = gold_annotation if predicted == gold else (
         parse_gold(predicted, record_id) if predicted is not None else None
     )
-    return DefinitionRecord(
+    return DefinitionRecord._make(
         record_id, pos, gloss, tree, instance, gold_annotation, predicted_annotation
     )
 

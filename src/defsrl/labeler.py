@@ -34,6 +34,7 @@ rules before being declared ill-formed.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Sequence
 
 from .lexicon import (
@@ -79,6 +80,14 @@ __all__ = [
 
 ARTICLES = frozenset(("a", "an", "the"))
 _COORDINATORS = frozenset(("or", "and"))
+
+# The roles that the accessory-quality rule reads for every span, bound once:
+# reading a member off ``Role`` costs a class-attribute lookup each time.
+_DIFFERENTIA_QUALITY = Role.DIFFERENTIA_QUALITY
+_QUALITY_MODIFIER = Role.QUALITY_MODIFIER
+_ACCESSORY_QUALITY = Role.ACCESSORY_QUALITY
+# The order of spans in an annotation.
+_BY_SPAN = attrgetter("start", "end")
 
 # Lexical cues opening a non-restrictive clause (an associated fact rather
 # than an identifying differentia event).
@@ -141,12 +150,25 @@ class EmptyDefinitionError(ValueError):
     """The gloss is empty (or empty after cleaning)."""
 
 
+class _DeterminerWords:
+    """The slot of ``LabelerConfig.determiner_words``, on a base class so it
+    is no field."""
+
+    __slots__ = ("determiner_words",)
+
+
 @_seal
-class LabelerConfig:
+class LabelerConfig(_DeterminerWords):
     """Knowledge inputs for the rule engine.
 
     ``instance_mode`` marks glosses whose definiendum denotes an instance
     (a named individual), enabling the pre-supertype origin-location rule.
+
+    ``determiner_words`` is derived from ``accessory_determiner_phrases``:
+    the words of each phrase, in order, without a leading article, as the
+    accessory-determiner rule compares them to a gloss. It is built on
+    construction and on unpickling and is no field, as a ``Gazetteer``'s
+    ``first_words`` is.
     """
 
     noun_lexicon: Lexicon
@@ -167,6 +189,12 @@ class LabelerConfig:
             self,
             "accessory_quality_words",
             frozenset(w.lower() for w in self.accessory_quality_words),
+        )
+        words = [phrase.split() for phrase in self.accessory_determiner_phrases]
+        object.__setattr__(
+            self,
+            "determiner_words",
+            tuple(tuple(w[1:] if w and w[0] in ARTICLES else w) for w in words),
         )
 
 
@@ -232,9 +260,10 @@ class _Span:
 def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
     """``ordered`` as RoleSpans, each parent resolved to its index in ``ordered``."""
     index = {id(span): i for i, span in enumerate(ordered)}
+    make = RoleSpan._make
     # From a list, not a generator: see ``_Engine.tokens``.
     return tuple([
-        RoleSpan(
+        make(
             span.role,
             span.start,
             span.end,
@@ -347,7 +376,7 @@ class _Engine:
     # -- helpers ----------------------------------------------------------
 
     def _note(self, rule: str, start: int, end: int, reason: str) -> None:
-        self.trace.append(TraceEntry(rule, start, end, reason))
+        self.trace.append(TraceEntry._make(rule, start, end, reason))
 
     def _lowered(self, start: int, end: int) -> list[str]:
         """The tokens ``[start, end)`` lowercased, as the gazetteers take them.
@@ -446,16 +475,20 @@ class _Engine:
         # Otherwise a configured phrase may reveal that the anchor NP itself is
         # a determiner expression ("a type of X"); the supertype is then
         # re-detected after the phrase. Matching ignores a leading article on
-        # either side, and lowercases only the tokens a phrase is compared to.
+        # either side. The tokens up to the longest phrase are lowercased
+        # once, when a phrase first fits the gloss.
         tokens = self.tokens
         gloss_offset = 1 if tokens[0].lower() in ARTICLES else 0
-        for phrase in self.config.accessory_determiner_phrases:
-            words = phrase.split()
-            core = words[1:] if words and words[0] in ARTICLES else words
-            end = gloss_offset + len(core)
+        phrases = self.config.determiner_words
+        lowered = None
+        for words in phrases:
+            end = gloss_offset + len(words)
             if end <= supertype_start or end >= len(tokens):
                 continue
-            if [t.lower() for t in tokens[gloss_offset:end]] == core:
+            if lowered is None:
+                longest = max(map(len, phrases))
+                lowered = tuple([t.lower() for t in tokens[gloss_offset : gloss_offset + longest]])
+            if lowered[: len(words)] == words:
                 return _DeterminerHit((0, end), end)
         return None
 
@@ -507,22 +540,6 @@ class _Engine:
                 if child.token is None or child.label == "PP"
             ]
         return matches
-
-    def accessory_quality(self, span: _Span) -> bool | None:
-        """The accessory-quality rule for ``span``, one of ``self.work``.
-
-        None when ``span`` is not a single-token JJ differentia quality holding
-        a configured accessory-quality word; otherwise whether another
-        differentia quality or event is present, which makes the word accessory.
-        """
-        if span.role is not Role.DIFFERENTIA_QUALITY or span.end - span.start != 1:
-            return None
-        if (
-            self.leaves[span.start].label != "JJ"
-            or self.tokens[span.start].lower() not in self.config.accessory_quality_words
-        ):
-            return None
-        return _has_differentia(self.work, excluding=span)
 
     # -- supertype anchoring ----------------------------------------------
 
@@ -740,15 +757,25 @@ class _Engine:
 
     def reclassify_accessory_qualities(self) -> None:
         """Apply the accessory-quality rule left to right; a quality modifier
-        whose quality turns accessory becomes a differentia quality itself."""
-        ordered = sorted(self.work, key=lambda s: (s.start, s.end))
+        whose quality turns accessory becomes a differentia quality itself.
+
+        The rule acts on a single-token JJ differentia quality holding a
+        configured accessory-quality word: the word is accessory when another
+        differentia quality or event is present."""
+        ordered = sorted(self.work, key=_BY_SPAN)
+        words = self.config.accessory_quality_words
+        modifiers = False  # whether any quality modifier could be demoted
         for span in ordered:
-            accessory = self.accessory_quality(span)
-            if accessory is None:
+            role, start = span.role, span.start
+            if role is _QUALITY_MODIFIER:
+                modifiers = True
+            if role is not _DIFFERENTIA_QUALITY or span.end - start != 1:
                 continue
-            word = self.tokens[span.start]
-            if accessory:
-                span.role = Role.ACCESSORY_QUALITY
+            word = self.tokens[start]
+            if self.leaves[start].label != "JJ" or word.lower() not in words:
+                continue
+            if _has_differentia(self.work, excluding=span):
+                span.role = _ACCESSORY_QUALITY
                 self._note(
                     ACCESSORY_QUALITY_RULE, span.start, span.end,
                     f"accessory word {word!r}; {DIVERGENCE_ACCESSORY_QUALITY}",
@@ -759,20 +786,22 @@ class _Engine:
                     f"accessory word {word!r} kept as differentia quality "
                     f"(only identifying span); {DIVERGENCE_ACCESSORY_QUALITY}",
                 )
+        if not modifiers:
+            return
         for span in reversed(ordered):
-            if span.role is Role.QUALITY_MODIFIER and span.parent.role is Role.ACCESSORY_QUALITY:
+            if span.role is _QUALITY_MODIFIER and span.parent.role is _ACCESSORY_QUALITY:
                 self._note(
                     DEMOTED_RULE, span.start, span.end,
                     "quality_modifier without a valid parent demoted",
                 )
-                span.role = Role.DIFFERENTIA_QUALITY
+                span.role = _DIFFERENTIA_QUALITY
                 span.parent = None
 
     # -- assembly -----------------------------------------------------------
 
     def build(self, definition_id: str, ill_formed: bool) -> Annotation:
-        self.work.sort(key=lambda s: (s.start, s.end))
-        return Annotation(definition_id, self.tokens, _role_spans(self.work), ill_formed)
+        self.work.sort(key=_BY_SPAN)
+        return Annotation._make(definition_id, self.tokens, _role_spans(self.work), ill_formed)
 
     def fill_uncovered(self, annotation: Annotation) -> None:
         """Note each maximal run of tokens that no span and no trace entry
@@ -819,8 +848,8 @@ def label(
             ILL_FORMED_RULE, 0, len(engine.tokens),
             "no supertype found; definition lacks the supertype-differentia shape",
         )
-        annotation = Annotation(definition_id, engine.tokens, (), True)
-        return LabelOutcome(annotation, tuple(engine.trace))
+        annotation = Annotation._make(definition_id, engine.tokens, (), True)
+        return LabelOutcome._make(annotation, tuple(engine.trace))
 
     if engine.noun_info is not None:
         engine.handle_prefix()
@@ -835,4 +864,4 @@ def label(
     if errors:
         raise RuntimeError(f"labeling produced an invalid annotation: {errors}")
     engine.fill_uncovered(annotation)
-    return LabelOutcome(annotation, tuple(engine.trace))
+    return LabelOutcome._make(annotation, tuple(engine.trace))

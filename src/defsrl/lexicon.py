@@ -351,10 +351,23 @@ def longest_rightmost_entry(
         raise ValueError("tokens must be non-empty")
     n = len(tokens)
     first = 0 if lexicon.max_words <= 0 else max(0, n - lexicon.max_words)
+    # ``lexicon.lookup_tokens(tokens[i:])`` for each suffix in turn, with the
+    # tokens lowered once, and the last word's noun variants found once, at
+    # the first miss.
+    lowered = [t.lower() for t in tokens[first:]]
+    entries = lexicon.entries
+    variants = None if lexicon.pos == NOUN else ()
     for i in range(first, n):
-        entry = lexicon.lookup_tokens(tokens[i:])
-        if entry is not None:
-            return (i, entry)
+        suffix = lowered[i - first :]
+        joined = "_".join(suffix)
+        if joined in entries:
+            return (i, joined)
+        if variants is None:
+            variants = _noun_variants(lowered[-1])[1:]
+        for variant in variants:
+            candidate = "_".join(suffix[:-1] + [variant])
+            if candidate in entries:
+                return (i, candidate)
     return None
 
 

@@ -69,6 +69,11 @@ PARENT_REQUIRED_ROLES = frozenset(PARENT_TARGETS)
 # The identifying roles: a purpose or associated fact floats without one.
 DIFFERENTIA_ROLES = frozenset((Role.DIFFERENTIA_QUALITY, Role.DIFFERENTIA_EVENT))
 
+# What ``validate`` reads for every span, bound once: reading a member off
+# ``Role`` costs a class-attribute lookup each time.
+_SUPERTYPE = Role.SUPERTYPE
+_COMPLEMENT_ROLES = (Role.PURPOSE, Role.ASSOCIATED_FACT)
+
 ERROR = "error"
 WARNING = "warning"
 
@@ -169,27 +174,42 @@ def validate(annotation: Annotation) -> list[Violation]:
     (a purpose or associated fact with no identifying differentia). A
     sub-role breach reads the same here as in ``parse_gold``'s error.
     """
-    violations: list[Violation] = []
     n = len(annotation.tokens)
     spans = annotation.spans
-
+    # One pass over the spans gathers each kind of breach in its own list;
+    # they are reported kind by kind, each in span order.
+    violations: list[Violation] = []
+    unsorted: list[Violation] = []
+    subroles: list[Violation] = []
+    has_supertype = has_differentia = False
+    previous_start = 0
     for idx, span in enumerate(spans):
-        if not (0 <= span.start < span.end <= n):
+        start, end, role = span.start, span.end, span.role
+        if not (0 <= start < end <= n):
             violations.append(
                 Violation(
                     KIND_SPAN_OUT_OF_RANGE,
                     ERROR,
                     idx,
-                    f"span [{span.start}, {span.end}) outside tokens [0, {n})",
+                    f"span [{start}, {end}) outside tokens [0, {n})",
                 )
             )
-    in_order = True
-    for idx in range(1, len(spans)):
-        if spans[idx].start < spans[idx - 1].start:
-            in_order = False
-            violations.append(
+        if idx and start < previous_start:
+            unsorted.append(
                 Violation(KIND_SPANS_UNSORTED, ERROR, idx, "spans not sorted by start")
             )
+        previous_start = start
+        # Only a sub-role, or a span that names a parent, can breach the rule.
+        if span.parent is not None or role in PARENT_REQUIRED_ROLES:
+            breach = _subrole_breach(spans, idx)
+            if breach is not None:
+                subroles.append(Violation(breach[0], ERROR, idx, breach[1]))
+        if role is _SUPERTYPE:
+            has_supertype = True
+        elif role in DIFFERENTIA_ROLES:
+            has_differentia = True
+    violations += unsorted
+    in_order = not unsorted
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
             if in_order and spans[j].start >= spans[i].end:
@@ -204,13 +224,8 @@ def validate(annotation: Annotation) -> list[Violation]:
                         f"span {j} overlaps span {i}",
                     )
                 )
+    violations += subroles
 
-    for idx in range(len(spans)):
-        breach = _subrole_breach(spans, idx)
-        if breach is not None:
-            violations.append(Violation(breach[0], ERROR, idx, breach[1]))
-
-    has_supertype = any(span.role is Role.SUPERTYPE for span in spans)
     if not annotation.ill_formed and not has_supertype:
         violations.append(
             Violation(
@@ -230,9 +245,9 @@ def validate(annotation: Annotation) -> list[Violation]:
             )
         )
 
-    if not any(span.role in DIFFERENTIA_ROLES for span in spans):
+    if not has_differentia:
         for idx, span in enumerate(spans):
-            if span.role in (Role.PURPOSE, Role.ASSOCIATED_FACT):
+            if span.role in _COMPLEMENT_ROLES:
                 violations.append(
                     Violation(
                         KIND_FLOATING_COMPLEMENT,
@@ -288,7 +303,7 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
             raise GoldParseError(f"empty segment at offset {at}")
         start = len(tokens)
         tokens += words
-        spans.append(RoleSpan(role, start, len(tokens), parent))
+        spans.append(RoleSpan._make(role, start, len(tokens), parent))
         at += len(piece) + 1
         if "}" in untagged:
             stray = at - len(untagged) + untagged.index("}")
@@ -303,8 +318,8 @@ def parse_gold(text: str, definition_id: str = "") -> Annotation:
         if breach is not None:
             raise GoldParseError(breach[1])
 
-    ill_formed = Role.SUPERTYPE not in [span.role for span in spans]
-    return Annotation(definition_id, tuple(tokens), tuple(spans), ill_formed)
+    ill_formed = _SUPERTYPE not in [span.role for span in spans]
+    return Annotation._make(definition_id, tuple(tokens), tuple(spans), ill_formed)
 
 
 def serialize_gold(annotation: Annotation) -> str:

@@ -126,6 +126,56 @@ class _DataclassView:
         return getattr(record, self.name)
 
 
+def _twin(record: type) -> type:
+    """A class of ``record``'s layout, its bases and ``__slots__``, but with
+    ``object``'s own ``__setattr__``: each field of an instance is written by
+    a plain slot store, which CPython specializes (the record's refusing
+    ``__setattr__`` keeps it from doing so). Once its fields are written, the
+    instance becomes a ``record`` by a ``__class__`` store, which CPython
+    allows only between classes of the same layout."""
+    name = f"_Open{record.__name__}"
+    return type(name, record.__bases__, {
+        "__slots__": record.__slots__,
+        "__module__": record.__module__,
+        "__qualname__": name,
+    })
+
+
+class _Maker:
+    """A record's ``_make(*fields)``, compiled the first time it is read, as
+    ``_DataclassView`` builds its view, and then stored on the record.
+
+    ``_make`` takes every field, in order, and makes the record as
+    ``record(*fields)`` does, by plain stores on a ``_twin`` instance: it
+    writes the fields, stores the record as the ``__class__``, and then runs
+    ``__post_init__`` when the record has one. A record made so has the
+    same type, ``==``, ``hash``, ``repr`` and pickles. defsrl makes the
+    records of its hot paths so, since each call of ``record(...)`` writes
+    every field through its slot's setter.
+    """
+
+    __slots__ = ("record",)
+
+    def __set_name__(self, record: type, name: str) -> None:
+        self.record = record
+
+    def __get__(self, instance: object, owner: type | None = None) -> Callable[..., object]:
+        record = self.record
+        names = record.__slots__
+        namespace = {"_Twin": _twin(record), "_Record": record}
+        body = ["    self = _Twin()"]
+        body += [f"    self.{name} = {name}" for name in names]
+        body.append("    self.__class__ = _Record")
+        if hasattr(record, "__post_init__"):
+            body.append("    self.__post_init__()")
+        body.append("    return self")
+        exec(f"def _make({', '.join(names)}):\n" + "\n".join(body), namespace)
+        make = namespace["_make"]
+        make.__qualname__ = f"{record.__qualname__}._make"
+        record._make = staticmethod(make)
+        return make
+
+
 def _seal(cls: type) -> type:
     """Declare ``cls`` an immutable record: the class decorator of every
     defsrl record, which then behaves as a frozen dataclass with ``__slots__``.
@@ -157,6 +207,12 @@ def _seal(cls: type) -> type:
       as a ``Gazetteer``'s ``first_words``);
     - ``__setattr__`` and ``__delattr__``, which raise
       ``FrozenInstanceError`` for every name, not only the fields.
+
+    It also gives ``cls`` a private maker, ``cls._make(*fields)``, which
+    makes the record by plain slot stores on a twin class of the same
+    layout (see ``_twin`` and ``_Maker``), for the records that defsrl
+    makes on its hot paths. The maker is compiled the first time it is
+    read, so importing a record compiles nothing more.
     """
     namespace = dict(vars(cls))
     names = tuple(namespace.get("__annotations__", ()))
@@ -168,6 +224,7 @@ def _seal(cls: type) -> type:
     namespace["__qualname__"] = cls.__qualname__
     namespace["__dataclass_fields__"] = _DataclassView(defaults)
     namespace["__dataclass_params__"] = _DataclassView(defaults)
+    namespace["_make"] = _Maker()
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     if len(names) == 1:
         # ``attrgetter`` of one name gives the bare value, not a 1-tuple.
@@ -363,18 +420,9 @@ class SynTree(_LeafRecord):
         return serialize(self)
 
 
-class _OpenTree(_LeafRecord):
-    """A ``SynTree`` node while ``_build_walk`` writes it.
-
-    It has ``SynTree``'s slots in the same layout, but ``object``'s own
-    ``__setattr__``, so each field is written by a plain slot store, which
-    CPython specializes (``SynTree``'s refusing ``__setattr__`` keeps it
-    from doing so). Once its fields are written, the node becomes a
-    ``SynTree`` by a ``__class__`` store, which CPython allows only between
-    classes of the same layout.
-    """
-
-    __slots__ = SynTree.__slots__
+# ``_build_walk`` writes each node as an ``_OpenTree`` and then makes it a
+# ``SynTree``.
+_OpenTree = _twin(SynTree)
 
 
 def _rebuilt_tree(nodes: tuple) -> SynTree:

@@ -9,7 +9,8 @@ tests whichever ``defsrl`` that environment imports.
 Run as a script, ``python tests/import_footprint.py`` runs every check and
 exits 1, with each failing check's name and error, if any fails; CI runs it
 against the installed package. ``tests/test_package.py`` runs each check
-against ``src/``.
+against ``src/`` under ``-S``, so that no ``.pth`` file that ``site`` runs
+has loaded a module before the check looks for it.
 """
 
 from __future__ import annotations
@@ -29,12 +30,18 @@ loaded = sorted(
 )
 assert not loaded, loaded
 """,
-    # A command's set-up: the CLI and its default config.
+    # A command's set-up: the CLI and its default config. ``pathlib`` (with
+    # the ``urllib.parse`` it imports) would cost about 5 ms of it: the CLI
+    # opens files by their path strings.
     "cli-default-config": """
 import sys
+before = set(sys.modules)
 import defsrl.cli
 defsrl.cli.default_config()
-loaded = sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)
+loaded = sorted(
+    name for name in ("dataclasses", "inspect", "pathlib")
+    if name in sys.modules and name not in before
+)
 assert not loaded, loaded
 """,
     "star-import": """
@@ -106,11 +113,13 @@ for record in records:
 }
 
 
-def run_check(name: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    """Run the check ``name`` in a new interpreter; ``env`` is its
-    environment, this one's by default."""
+def run_check(
+    name: str, env: dict[str, str] | None = None, flags: tuple[str, ...] = ()
+) -> subprocess.CompletedProcess:
+    """Run the check ``name`` in a new interpreter, started with the options
+    ``flags``; ``env`` is its environment, this one's by default."""
     return subprocess.run(
-        [sys.executable, "-c", CHECKS[name]], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-c", CHECKS[name]], env=env, capture_output=True, text=True
     )
 
 

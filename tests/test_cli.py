@@ -1010,12 +1010,24 @@ class _FullDisk:
         self.stream.close()
 
 
+def _full_disk(monkeypatch):
+    """Wrap each stream that ``defsrl.cli`` opens for writing in a
+    ``_FullDisk``; it reads its inputs through whatever ``open`` it had."""
+    from defsrl import cli
+
+    opener = getattr(cli, "open", open)
+
+    def opening(*args, **kwargs):
+        stream = opener(*args, **kwargs)
+        return _FullDisk(stream) if "w" in stream.mode else stream
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+
+
 def test_a_write_error_leaves_the_earlier_output_untouched(
     corpus_path, earlier_output, monkeypatch, capsys
 ):
-    from defsrl import cli
-
-    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
+    _full_disk(monkeypatch)
     before = _contents(earlier_output)
     assert main(_label_argv(corpus_path, earlier_output / "out.jsonl", "--trace")) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -1282,16 +1294,17 @@ def test_a_bad_byte_after_the_first_block_leaves_the_earlier_output_untouched(
 
 @pytest.fixture()
 def opened_files(monkeypatch):
-    """Every file that ``Path.open`` opens while the test runs."""
-    handles = []
-    real_open = Path.open
+    """Every file that ``defsrl.cli`` opens while the test runs."""
+    from defsrl import cli
 
-    def recording_open(self, *args, **kwargs):
-        handle = real_open(self, *args, **kwargs)
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
         handles.append(handle)
         return handle
 
-    monkeypatch.setattr(Path, "open", recording_open)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
     return handles
 
 
@@ -1302,12 +1315,6 @@ def _interrupting_label(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "label", interrupted)
-
-
-def _full_disk(monkeypatch):
-    from defsrl import cli
-
-    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
 
 
 # Each case: (bundled corpus, scratch directory) -> (argv, expected exit code
@@ -1360,7 +1367,9 @@ def test_every_input_file_is_closed_on_every_path(
     else:
         with pytest.raises(expected):
             main(argv)
-    assert Path(argv[argv.index("--input") + 1]) in {Path(h.name) for h in opened_files}
+    # An output is opened by its file descriptor, whose ``name`` is a number.
+    named = {Path(h.name) for h in opened_files if isinstance(h.name, str)}
+    assert Path(argv[argv.index("--input") + 1]) in named
     assert all(handle.closed for handle in opened_files)
 
 

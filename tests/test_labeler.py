@@ -1016,6 +1016,51 @@ def test_the_earlier_pickles_cover_every_record_class():
     assert len(EARLIER_PICKLES) == 16
 
 
+@pytest.mark.parametrize("name", sorted(_ONE_OF_EACH_RECORD))
+def test_a_record_made_by_its_maker_is_the_record_its_class_makes(name):
+    # ``cls._make`` writes the fields by plain stores on a twin class and
+    # then stores ``cls`` as the ``__class__``.
+    cls = _ONE_OF_EACH_RECORD[name].__class__
+    values = [getattr(_ONE_OF_EACH_RECORD[name], field) for field in cls.__slots__]
+    made, built = cls._make(*values), cls(*values)
+    assert type(made) is cls
+    assert made == built and not made != built
+    assert _hash_or_error(made) == _hash_or_error(built)
+    assert repr(made) == repr(built)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        pickled = pickle.dumps(made, protocol)
+        assert pickled == pickle.dumps(built, protocol)
+        assert b"_Open" not in pickled
+    for copied in (copy.copy(made), copy.deepcopy(made)):
+        assert copied == built and type(copied) is cls
+    for field in [*cls.__slots__, "other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(made, field)
+    with pytest.raises(TypeError):
+        vars(made)
+
+
+def test_a_maker_runs_post_init_as_the_class_does():
+    knowledge = [
+        Lexicon.from_entries(NOUN, ["coach"]), Lexicon.from_entries(VERB, ["run"]),
+        _LOCATIONS, Gazetteer.from_entries(TIME, ["dawn"]),
+    ]
+    raw = (*knowledge, ("A type  of", "the", "An Any of several"), frozenset({"Very"}), True)
+    made, built = LabelerConfig._make(*raw), LabelerConfig(*raw)
+    assert made.accessory_determiner_phrases == ("a type of", "the", "an any of several")
+    assert made.accessory_quality_words == {"very"}
+    # A leading article is left out of the words a phrase is compared by.
+    assert made.determiner_words == (("type", "of"), (), ("any", "of", "several"))
+    assert built.determiner_words == made.determiner_words and built == made
+    gazetteer = Gazetteer._make(LOCATION, frozenset({"lake district", "york"}), 2)
+    assert gazetteer.first_words == {"lake", "york"}
+    for make in (Lexicon, Lexicon._make):
+        with pytest.raises(ValueError, match="^pos must be 'noun' or 'verb', got 'adj'$"):
+            make("adj", frozenset({"red"}), 1)
+
+
 # --- a 10k-token gloss ----------------------------------------------------------------
 
 _ANCHOR = "(NP (DT a) (NN coach))"

@@ -161,12 +161,15 @@ def test_longest_rightmost_empty_tokens_rejected():
 def test_longest_rightmost_matches_oracle():
     rng = random.Random(21)
     vocabulary = ["ash", "oak", "fir", "elm", "yew", "bay", "box"]
-    for _ in range(1000):
+    # Tokens also come capitalized and in plural forms, which only a noun
+    # lexicon's variants of the last word can match.
+    forms = vocabulary + ["Ash", "OAK", "ashes", "Oaks", "BOXES", "bays", "Firs"]
+    for n in range(1000):
         entries = set()
         for _ in range(rng.randint(1, 8)):
             entries.add("_".join(rng.choices(vocabulary, k=rng.randint(1, 3))))
-        lexicon = Lexicon.from_entries(NOUN, entries)
-        tokens = rng.choices(vocabulary, k=rng.randint(1, 6))
+        lexicon = Lexicon.from_entries(NOUN if n % 4 else VERB, entries)
+        tokens = rng.choices(forms, k=rng.randint(1, 6))
         assert longest_rightmost_entry(lexicon, tokens) == oracle_longest_rightmost(
             lexicon, tokens
         )

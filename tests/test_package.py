@@ -42,8 +42,10 @@ def test_the_package_exports_exactly_the_modules_public_functions_and_classes():
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
 def test_an_import_loads_only_what_it_uses(check):
-    # Each check runs in a new interpreter that imports defsrl from src/.
-    result = run_check(check, {**os.environ, "PYTHONPATH": str(SRC.parent)})
+    # Each check runs in a new interpreter that imports defsrl from src/,
+    # without ``site``: on some machines a ``.pth`` file imports ``pathlib``
+    # or ``typing`` before any check runs.
+    result = run_check(check, {**os.environ, "PYTHONPATH": str(SRC.parent)}, ("-S",))
     assert result.returncode == 0, result.stderr
 
 

@@ -29,6 +29,7 @@ from defsrl.rolemodel import Role, validate
 from defsrl.syntree import (
     SynTree,
     TreeParseError,
+    _OpenTree,
     _constituents_after_walk,
     _path,
     _recorded_leaves,
@@ -725,8 +726,14 @@ def test_every_parsed_node_is_a_frozen_syntree(seed, data):
                 delattr(node, name)
         with pytest.raises(TypeError):
             vars(node)
+    # Neither a parsed node nor a node that ``SynTree._make`` made pickles
+    # as the twin class it was written on.
+    made = SynTree._make(parsed.label, parsed.children, parsed.token, parsed.start, parsed.end)
+    assert type(made) is SynTree and made == parsed
+    assert _OpenTree.__name__.startswith("_Open")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert b"_OpenTree" not in pickle.dumps(parsed, protocol)
+        for tree in (parsed, made):
+            assert b"_Open" not in pickle.dumps(tree, protocol)
     for other in (copy.copy(parsed), copy.deepcopy(parsed)):
         assert other == parsed
         assert all(type(node) is SynTree for node in other.subtrees())
