@@ -22,6 +22,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
+from json.encoder import encode_basestring
 from typing import Iterator
 
 from .corpus import (
@@ -293,12 +294,20 @@ def _replacing(path: str):
         raise
 
 
+# A trace line's JSON, written from templates: the bytes ``_json_line`` gives
+# for the same dicts, since ``encode_basestring`` is the string encoder that
+# the ``ensure_ascii=False`` encoder uses, without a dict built per entry.
+_TRACE_ENTRY = '{"rule": %s, "start": %d, "end": %d, "reason": %s}'
+_TRACE_LINE = '{"id": %s, "trace": [%s]}'
+
+
 def _trace_line(record_id: str, outcome: LabelOutcome) -> str:
-    entries = [
-        {"rule": t.rule, "start": t.start, "end": t.end, "reason": t.reason}
+    string = encode_basestring
+    entries = ", ".join([
+        _TRACE_ENTRY % (string(t.rule), t.start, t.end, string(t.reason))
         for t in outcome.rule_trace
-    ]
-    return _json_line({"id": record_id, "trace": entries})
+    ])
+    return _TRACE_LINE % (string(record_id), entries)
 
 
 def run_label(args: argparse.Namespace) -> int:

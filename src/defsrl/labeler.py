@@ -49,7 +49,6 @@ from .lexicon import (
 )
 from .rolemodel import (
     Annotation,
-    DIFFERENTIA_ROLES,
     ERROR,
     Role,
     RoleSpan,
@@ -81,11 +80,20 @@ __all__ = [
 ARTICLES = frozenset(("a", "an", "the"))
 _COORDINATORS = frozenset(("or", "and"))
 
-# The roles that the accessory-quality rule reads for every span, bound once:
+# The roles that the rules assign or read per span or per PP, bound once:
 # reading a member off ``Role`` costs a class-attribute lookup each time.
+_SUPERTYPE = Role.SUPERTYPE
 _DIFFERENTIA_QUALITY = Role.DIFFERENTIA_QUALITY
+_DIFFERENTIA_EVENT = Role.DIFFERENTIA_EVENT
 _QUALITY_MODIFIER = Role.QUALITY_MODIFIER
 _ACCESSORY_QUALITY = Role.ACCESSORY_QUALITY
+_ACCESSORY_DETERMINER = Role.ACCESSORY_DETERMINER
+_PARTICLE = Role.PARTICLE
+_PURPOSE = Role.PURPOSE
+_ORIGIN_LOCATION = Role.ORIGIN_LOCATION
+_ASSOCIATED_FACT = Role.ASSOCIATED_FACT
+_EVENT_LOCATION = Role.EVENT_LOCATION
+_EVENT_TIME = Role.EVENT_TIME
 # The order of spans in an annotation.
 _BY_SPAN = attrgetter("start", "end")
 
@@ -248,18 +256,19 @@ def preprocess_gloss(gloss: str) -> str:
 
 
 class _Span:
-    __slots__ = ("role", "start", "end", "parent")
+    """A span under construction. ``_Engine._add`` makes every one;
+    ``index`` is its position in the annotation, written by
+    ``_Engine.build``."""
 
-    def __init__(self, role: Role, start: int, end: int, parent: _Span | None = None) -> None:
-        self.role = role
-        self.start = start
-        self.end = end
-        self.parent = parent
+    __slots__ = ("role", "start", "end", "parent", "index")
+
+
+_new_span = object.__new__
 
 
 def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
-    """``ordered`` as RoleSpans, each parent resolved to its index in ``ordered``."""
-    index = {id(span): i for i, span in enumerate(ordered)}
+    """``ordered`` as RoleSpans, each parent resolved to its position in
+    ``ordered``, which every span holds in its ``index`` slot."""
     make = RoleSpan._make
     # From a list, not a generator: see ``_Engine.tokens``.
     return tuple([
@@ -267,14 +276,10 @@ def _role_spans(ordered: Sequence[_Span]) -> tuple[RoleSpan, ...]:
             span.role,
             span.start,
             span.end,
-            index[id(span.parent)] if span.parent is not None else None,
+            span.parent.index if span.parent is not None else None,
         )
         for span in ordered
     ])
-
-
-def _has_differentia(spans: Sequence[_Span], excluding: _Span | None = None) -> bool:
-    return any(s is not excluding and s.role in DIFFERENTIA_ROLES for s in spans)
 
 
 class _NounDetection:
@@ -342,11 +347,11 @@ def _pp_inner_phrase(pp: SynTree) -> SynTree | None:
     return None
 
 
-def _leading_cue_match(tokens: Sequence[str]) -> bool:
-    # ``tokens``: a clause's first ``_LONGEST_FACT_CUE`` tokens, or all of a
-    # shorter clause.
-    lowered = tuple([t.lower() for t in tokens])
-    return any(lowered[: len(cue)] == cue for cue in _FACT_CUES)
+def _leading_cue_match(lowered: list[str]) -> bool:
+    # ``lowered``: a clause's first ``_LONGEST_FACT_CUE`` tokens, or all of a
+    # shorter clause, lowercased. The cues are tuples, which no list equals.
+    opening = tuple(lowered)
+    return any(opening[: len(cue)] == cue for cue in _FACT_CUES)
 
 
 class _Engine:
@@ -367,9 +372,14 @@ class _Engine:
         # shrunk, so CPython's per-size tuple free lists drift and fill over
         # a long run; one built from a list is allocated at its size.
         self.tokens = tuple([l.token for l in self.leaves])
+        # Every token lowercased, made the first time a rule needs it.
+        self.lowered: list[str] | None = None
         self.work: list[_Span] = []
         self.trace: list[TraceEntry] = []
         self.supertypes: list[_Span] = []
+        # How many spans in ``work`` are differentia qualities or events,
+        # kept up to date wherever a span gets or loses one of those roles.
+        self.differentia = 0
         # The noun detection the supertypes came from; None for a verb's.
         self.noun_info: _NounDetection | None = None
 
@@ -378,20 +388,50 @@ class _Engine:
     def _note(self, rule: str, start: int, end: int, reason: str) -> None:
         self.trace.append(TraceEntry._make(rule, start, end, reason))
 
+    def _lower(self) -> list[str]:
+        """Every token lowercased, as the gazetteers and the cue tests take
+        them, lowered once per gloss.
+
+        The gloss is lowered in one C-level pass, joined on spaces and split
+        again. That is exact: a space is neither cased nor case-ignorable,
+        so ``str.lower``'s final-sigma rule stops at it, and no character
+        lowercases into a space (``tests/test_lexicon.py`` checks both over
+        every code point). Only a token that holds a space, which only a
+        hand-built tree can have, makes the pieces outnumber the tokens;
+        such a gloss is lowered token by token.
+        """
+        lowered = self.lowered
+        if lowered is None:
+            tokens = self.tokens
+            lowered = " ".join(tokens).lower().split(" ")
+            if len(lowered) != len(tokens):
+                lowered = [t.lower() for t in tokens]
+            self.lowered = lowered
+        return lowered
+
     def _lowered(self, start: int, end: int) -> list[str]:
-        """The tokens ``[start, end)`` lowercased, as the gazetteers take them.
-        Only the windows tried are lowercased: lowering a whole long gloss
-        once cost more, since many glosses try no window or short ones."""
-        return [t.lower() for t in self.tokens[start:end]]
+        """The tokens ``[start, end)`` lowercased: a slice of ``_lower()``."""
+        return self._lower()[start:end]
 
     def _text(self, start: int, end: int) -> str:
         return " ".join(self.tokens[start:end])
 
     def _add(self, role: Role, start: int, end: int, rule: str, reason: str,
              parent: _Span | None = None) -> _Span:
-        span = _Span(role, start, end, parent)
+        """Make a span, the only way spans are made, and note its rule.
+
+        The span's slots are written by plain stores on a bare instance, and
+        the trace entry is appended here rather than through ``_note``: a
+        gloss makes one span per classified constituent, so both calls
+        saved are paid per span.
+        """
+        span = _new_span(_Span)
+        span.role = role
+        span.start = start
+        span.end = end
+        span.parent = parent
         self.work.append(span)
-        self._note(rule, start, end, reason)
+        self.trace.append(TraceEntry._make(rule, start, end, reason))
         return span
 
     # -- rules: each reads the gloss and changes no state ------------------
@@ -428,23 +468,22 @@ class _Engine:
             return None
         chosen = [verb_indices[0]]
         chosen_set = {verb_indices[0]}
-        first_leaf = leaves[verb_indices[0]]
+        first_path = None  # the first verb's path, found at the first CC
         for i in verb_indices[1:]:
             j = i - 1
             while j >= 0 and j in chosen_set:
                 j -= 1
-            if (
-                j >= 0
-                and leaves[j].label == "CC"
-                and self.tokens[j].lower() in _COORDINATORS
-                and self._conjoined_in_vp(first_leaf, leaves[i])
-            ):
+            if j < 0 or leaves[j].label != "CC" or self._lower()[j] not in _COORDINATORS:
+                continue
+            if first_path is None:
+                first_path = _path(self.tree, leaves[verb_indices[0]])
+            if self._conjoined_in_vp(first_path, leaves[i]):
                 chosen.append(i)
                 chosen_set.add(i)
         return [(i, i + 1) for i in chosen]
 
-    def _conjoined_in_vp(self, first: SynTree, candidate: SynTree) -> bool:
-        path_a = _path(self.tree, first)
+    def _conjoined_in_vp(self, path_a: list[SynTree], candidate: SynTree) -> bool:
+        # ``path_a``: the path from the root to the first verb.
         path_b = _path(self.tree, candidate)
         shared = 0
         for a, b in zip(path_a, path_b):
@@ -466,7 +505,7 @@ class _Engine:
             start = 0
             if (
                 prefix[0].label == "DT"
-                and self.tokens[0].lower() in ARTICLES
+                and self._lower()[0] in ARTICLES
                 and supertype_start > 1
             ):
                 start = 1
@@ -475,20 +514,21 @@ class _Engine:
         # Otherwise a configured phrase may reveal that the anchor NP itself is
         # a determiner expression ("a type of X"); the supertype is then
         # re-detected after the phrase. Matching ignores a leading article on
-        # either side. The tokens up to the longest phrase are lowercased
-        # once, when a phrase first fits the gloss.
-        tokens = self.tokens
-        gloss_offset = 1 if tokens[0].lower() in ARTICLES else 0
+        # either side. The gloss's opening, up to the longest phrase, is made
+        # a tuple once, when a phrase first fits the gloss: the phrases'
+        # words are tuples, which no list equals.
+        lowered = self._lower()
+        gloss_offset = 1 if lowered[0] in ARTICLES else 0
         phrases = self.config.determiner_words
-        lowered = None
+        opening = None
         for words in phrases:
             end = gloss_offset + len(words)
-            if end <= supertype_start or end >= len(tokens):
+            if end <= supertype_start or end >= len(lowered):
                 continue
-            if lowered is None:
+            if opening is None:
                 longest = max(map(len, phrases))
-                lowered = tuple([t.lower() for t in tokens[gloss_offset : gloss_offset + longest]])
-            if lowered[: len(words)] == words:
+                opening = tuple(lowered[gloss_offset : gloss_offset + longest])
+            if opening[: len(words)] == words:
                 return _DeterminerHit((0, end), end)
         return None
 
@@ -529,9 +569,9 @@ class _Engine:
                 # One lowering serves both gazetteers.
                 pp_lowered = self._lowered(node.start, node.end)
                 if gazetteer_match(location, pp_lowered):
-                    matches.append((node, Role.EVENT_LOCATION))
+                    matches.append((node, _EVENT_LOCATION))
                 elif gazetteer_match(time, pp_lowered):
-                    matches.append((node, Role.EVENT_TIME))
+                    matches.append((node, _EVENT_TIME))
                 continue
             # Only a PP can match, and a leaf has nothing inside it.
             stack += [
@@ -556,7 +596,7 @@ class _Engine:
 
     def _add_supertypes(self, spans: Sequence[tuple[int, int]], why: str) -> None:
         self.supertypes = [
-            self._add(Role.SUPERTYPE, start, end, SUPERTYPE_RULE,
+            self._add(_SUPERTYPE, start, end, SUPERTYPE_RULE,
                       f"{why} {self._text(start, end)!r}")
             for start, end in spans
         ]
@@ -576,21 +616,25 @@ class _Engine:
         hit = self.determiner(supertype_start, self.noun_info.np)
         if hit and hit.redetect_from is not None:
             redo = self.noun_supertypes(hit.redetect_from)
-            self._note(
-                ACCESSORY_DETERMINER_RULE, hit.span[0], hit.span[1],
-                "determiner phrase absorbs the first NP; supertype re-detected" if redo
-                else "determiner phrase matched but no supertype follows; kept as is",
-            )
+            start, end = hit.span
             if redo:
                 for span in self.supertypes:
                     self.work.remove(span)
-                self.work.append(_Span(Role.ACCESSORY_DETERMINER, *hit.span))
+                self._add(
+                    _ACCESSORY_DETERMINER, start, end, ACCESSORY_DETERMINER_RULE,
+                    "determiner phrase absorbs the first NP; supertype re-detected",
+                )
                 consumed.append(hit.span)
                 self._apply_noun_hits(redo)
+            else:
+                self._note(
+                    ACCESSORY_DETERMINER_RULE, start, end,
+                    "determiner phrase matched but no supertype follows; kept as is",
+                )
         elif hit:
             start, end = hit.span
             self._add(
-                Role.ACCESSORY_DETERMINER, start, end, ACCESSORY_DETERMINER_RULE,
+                _ACCESSORY_DETERMINER, start, end, ACCESSORY_DETERMINER_RULE,
                 f"noun-free expression before the supertype: {self._text(start, end)!r}",
             )
             consumed.append(hit.span)
@@ -599,7 +643,7 @@ class _Engine:
             if origin:
                 start, end = origin
                 self._add(
-                    Role.ORIGIN_LOCATION, start, end, INSTANCE_ORIGIN_RULE,
+                    _ORIGIN_LOCATION, start, end, INSTANCE_ORIGIN_RULE,
                     "pre-supertype NP with a location entity (instance definiendum)",
                 )
                 consumed.append(origin)
@@ -609,10 +653,11 @@ class _Engine:
             if any(s < leftover[1] and leftover[0] < e for s, e in consumed):
                 continue
             self._add(
-                Role.DIFFERENTIA_QUALITY, leftover[0], leftover[1],
+                _DIFFERENTIA_QUALITY, leftover[0], leftover[1],
                 PRE_SUPERTYPE_QUALITY_RULE,
                 "tokens left of the supertype entry inside the anchor NP",
             )
+            self.differentia += 1
 
     # -- post-supertype classification --------------------------------------
 
@@ -624,22 +669,22 @@ class _Engine:
 
         if node.label == "PRT":
             self._add(
-                Role.PARTICLE, start, end, PARTICLE_RULE,
+                _PARTICLE, start, end, PARTICLE_RULE,
                 "PRT completes the supertype", parent=self.supertypes[0],
             )
             return
 
         if node.label == "VP" and self.leaves[start].label == "TO":
             self._add(
-                Role.PURPOSE, start, end, PURPOSE_RULE, "VP opened by TO",
+                _PURPOSE, start, end, PURPOSE_RULE, "VP opened by TO",
             )
             return
 
         inner = _pp_inner_phrase(node) if node.label == "PP" else None
         if node.label == "PP" and inner is not None and inner.label == "VP":
-            if self.tokens[start].lower() == "for":
+            if self._lower()[start] == "for":
                 self._add(
-                    Role.PURPOSE, start, end, PURPOSE_RULE,
+                    _PURPOSE, start, end, PURPOSE_RULE,
                     f"'for' PP with a VP inside; {DIVERGENCE_PURPOSE_EVENT}",
                 )
                 return
@@ -667,7 +712,7 @@ class _Engine:
             and gazetteer_match(self.config.location_gazetteer, self._lowered(start, end))
         ):
             self._add(
-                Role.ORIGIN_LOCATION, start, end, ORIGIN_LOCATION_RULE,
+                _ORIGIN_LOCATION, start, end, ORIGIN_LOCATION_RULE,
                 "PP outside SBAR/VP with a location entity",
             )
             return
@@ -683,9 +728,9 @@ class _Engine:
 
     def _fact_or_event(self, node: SynTree, start: int, end: int, shape: str) -> None:
         cue_end = min(end, start + _LONGEST_FACT_CUE)
-        if _has_differentia(self.work) and _leading_cue_match(self.tokens[start:cue_end]):
+        if self.differentia and _leading_cue_match(self._lowered(start, cue_end)):
             self._add(
-                Role.ASSOCIATED_FACT, start, end, ASSOCIATED_FACT_RULE,
+                _ASSOCIATED_FACT, start, end, ASSOCIATED_FACT_RULE,
                 f"{shape}; non-restrictive cue with a differentia already present",
             )
             return
@@ -694,7 +739,8 @@ class _Engine:
     def _event(self, node: SynTree, start: int, end: int, shape: str) -> None:
         carved = self.event_subroles(node)
         if not carved:
-            self._add(Role.DIFFERENTIA_EVENT, start, end, DIFFERENTIA_EVENT_RULE, shape)
+            self._add(_DIFFERENTIA_EVENT, start, end, DIFFERENTIA_EVENT_RULE, shape)
+            self.differentia += 1
             return
         pieces: list[tuple[int, int]] = []
         position = start
@@ -705,20 +751,24 @@ class _Engine:
         if position < end:
             pieces.append((position, end))
         if not pieces:
-            self._add(Role.DIFFERENTIA_EVENT, start, end, DIFFERENTIA_EVENT_RULE, shape)
+            self._add(_DIFFERENTIA_EVENT, start, end, DIFFERENTIA_EVENT_RULE, shape)
+            self.differentia += 1
             return
         primary = self._add(
-            Role.DIFFERENTIA_EVENT, pieces[0][0], pieces[0][1],
+            _DIFFERENTIA_EVENT, pieces[0][0], pieces[0][1],
             DIFFERENTIA_EVENT_RULE, f"{shape}; gazetteer PPs carved out",
         )
         for extra_start, extra_end in pieces[1:]:
             self._add(
-                Role.DIFFERENTIA_EVENT, extra_start, extra_end,
+                _DIFFERENTIA_EVENT, extra_start, extra_end,
                 DIFFERENTIA_EVENT_RULE, "event continues past a carved PP",
             )
+        self.differentia += len(pieces)
         for sub, role in carved:
-            rule = EVENT_LOCATION_RULE if role is Role.EVENT_LOCATION else EVENT_TIME_RULE
-            kind = "location" if role is Role.EVENT_LOCATION else "time"
+            if role is _EVENT_LOCATION:
+                rule, kind = EVENT_LOCATION_RULE, "location"
+            else:
+                rule, kind = EVENT_TIME_RULE, "time"
             self._add(
                 role, sub.start, sub.end, rule,
                 f"PP inside the event with a {kind} entity", parent=primary,
@@ -734,26 +784,22 @@ class _Engine:
             carve = _premodifier(node.label, self.leaves[start:end], end)
             if carve:
                 (mod_start, mod_end), (rest_start, rest_end) = carve
-                quality = _Span(Role.DIFFERENTIA_QUALITY, rest_start, rest_end)
-                modifier = _Span(
-                    Role.QUALITY_MODIFIER, mod_start, mod_end, parent=quality
-                )
-                self.work.append(modifier)
-                self.work.append(quality)
-                self._note(
-                    QUALITY_MODIFIER_RULE, mod_start, mod_end,
+                # The modifier comes first in the work list and the trace.
+                modifier = self._add(
+                    _QUALITY_MODIFIER, mod_start, mod_end, QUALITY_MODIFIER_RULE,
                     "premodifier before the quality head",
                 )
-                self._note(
-                    DIFFERENTIA_QUALITY_RULE, rest_start, rest_end,
+                modifier.parent = self._add(
+                    _DIFFERENTIA_QUALITY, rest_start, rest_end, DIFFERENTIA_QUALITY_RULE,
                     f"{node.label} after the supertype",
                 )
             else:
                 reason = f"{node.label} after the supertype"
                 if split:
                     reason += " (CC-separated)"
-                self._add(Role.DIFFERENTIA_QUALITY, start, end,
+                self._add(_DIFFERENTIA_QUALITY, start, end,
                           DIFFERENTIA_QUALITY_RULE, reason)
+            self.differentia += 1
 
     def reclassify_accessory_qualities(self) -> None:
         """Apply the accessory-quality rule left to right; a quality modifier
@@ -771,11 +817,13 @@ class _Engine:
                 modifiers = True
             if role is not _DIFFERENTIA_QUALITY or span.end - start != 1:
                 continue
-            word = self.tokens[start]
-            if self.leaves[start].label != "JJ" or word.lower() not in words:
+            if self.leaves[start].label != "JJ" or self._lower()[start] not in words:
                 continue
-            if _has_differentia(self.work, excluding=span):
+            word = self.tokens[start]
+            # Another differentia quality or event besides this one.
+            if self.differentia > 1:
                 span.role = _ACCESSORY_QUALITY
+                self.differentia -= 1
                 self._note(
                     ACCESSORY_QUALITY_RULE, span.start, span.end,
                     f"accessory word {word!r}; {DIVERGENCE_ACCESSORY_QUALITY}",
@@ -796,12 +844,18 @@ class _Engine:
                 )
                 span.role = _DIFFERENTIA_QUALITY
                 span.parent = None
+                self.differentia += 1
 
     # -- assembly -----------------------------------------------------------
 
     def build(self, definition_id: str, ill_formed: bool) -> Annotation:
-        self.work.sort(key=_BY_SPAN)
-        return Annotation._make(definition_id, self.tokens, _role_spans(self.work), ill_formed)
+        """The annotation of the spans in order, each span's position first
+        written into its ``index`` slot, where its children read it."""
+        work = self.work
+        work.sort(key=_BY_SPAN)
+        for position, span in enumerate(work):
+            span.index = position
+        return Annotation._make(definition_id, self.tokens, _role_spans(work), ill_formed)
 
     def fill_uncovered(self, annotation: Annotation) -> None:
         """Note each maximal run of tokens that no span and no trace entry

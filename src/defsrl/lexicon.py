@@ -395,21 +395,25 @@ def _gazetteer_match_lowered(gazetteer: Gazetteer, lowered: Sequence[str]) -> bo
     if not lowered:
         raise ValueError("tokens must be non-empty")
     n = len(lowered)
-    if gazetteer.max_words > 0:
-        first_words = gazetteer.first_words
-        for i in range(n):
-            if lowered[i] not in first_words and " " not in lowered[i]:
+    max_words = gazetteer.max_words
+    if max_words > 0:
+        first_words, entries = gazetteer.first_words, gazetteer.entries
+        for i, word in enumerate(lowered):
+            if word not in first_words and " " not in word:
                 continue
-            limit = min(n, i + gazetteer.max_words)
-            for j in range(i + 1, limit + 1):
-                if " ".join(lowered[i:j]) in gazetteer.entries:
+            for j in range(i + 1, min(n, i + max_words) + 1):
+                if " ".join(lowered[i:j]) in entries:
                     return True
     if gazetteer.kind == TIME:
         for i, word in enumerate(lowered):
+            if word in MONTHS:
+                return True
+            # Both patterns open with ``\d``, which in a ``str`` pattern
+            # matches exactly the characters ``str.isdecimal`` accepts.
+            if not word[:1].isdecimal():
+                continue
             if _YEAR.match(word):
                 return True
             if _ORDINAL.match(word) and i + 1 < n and lowered[i + 1] == "century":
-                return True
-            if word in MONTHS:
                 return True
     return False

@@ -747,16 +747,28 @@ def _path(root: SynTree, node: SynTree) -> list[SynTree]:
 
     The descent takes, at each level, the child whose span holds
     ``node.start``, so ``root`` must keep the span contract; callers check
-    it. Raises ValueError when ``node`` itself (by identity) is not reached.
+    it. Children are ordered by start, so that child is found by bisection
+    rather than by reading its siblings: each level costs the logarithm of
+    its width, not its width. Raises ValueError when ``node`` itself (by
+    identity) is not reached.
     """
     path = [root]
     current = root
+    position = node.start
     while current is not node:
-        for child in current.children:
-            if child.start <= node.start < child.end:
-                current = child
-                break
-        else:
+        children = current.children
+        # The last child starting at or before ``position``, ``children[low
+        # - 1]``: the one holding it, when any does. (Bisected by hand:
+        # importing ``bisect`` would add to every command's set-up.)
+        low, high = 0, len(children)
+        while low < high:
+            middle = (low + high) // 2
+            if children[middle].start <= position:
+                low = middle + 1
+            else:
+                high = middle
+        if low == 0 or not position < children[low - 1].end:
             raise ValueError("node is not a descendant of the given tree")
+        current = children[low - 1]
         path.append(current)
     return path

@@ -4,11 +4,13 @@ import copy
 import copyreg
 import dataclasses
 import json
+import os
 import pickle
 import random
 import sys
 from collections import Counter
 
+import defsrl
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -1224,3 +1226,72 @@ def test_accessory_rule_demotes_every_modifier_it_orphans(config, qualities, wit
         assert by_span[p, p + 1] == RoleSpan(Role.DIFFERENTIA_QUALITY, p, p + 1)
     demoted = [(t.start, t.end) for t in outcome.rule_trace if t.rule == "demoted"]
     assert demoted == [(p, p + 1) for p in reversed(orphans)]
+
+
+# --- the engine's per-gloss lowering ----------------------------------------------
+
+# Tokens that lowercase unusually: final sigmas (the rule reads the next
+# character), a dotted capital I (two characters once lowered), tokens that
+# hold a space (only a hand-built tree has one) and empty tokens.
+_LOWERING_TOKENS = st.one_of(
+    st.sampled_from(["ΟΔΟΣ", "ΑΣ", "Σ", "İ", "İSTANBUL", "a b", " ", "ΑΣ Α", "", "The", "MAY"]),
+    st.text(alphabet="aBΣσςİ ", max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LOWERING_TOKENS, min_size=1, max_size=8))
+def test_the_engine_lowers_every_window_as_each_token_lowers(config, tokens):
+    leaves = tuple(SynTree("NN", (), token, i, i + 1) for i, token in enumerate(tokens))
+    engine = _Engine(SynTree("NP", leaves, None, 0, len(tokens)), "noun", config)
+    expected = [t.lower() for t in tokens]
+    for start in range(len(tokens) + 1):
+        for end in range(start, len(tokens) + 1):
+            assert engine._lowered(start, end) == expected[start:end]
+
+
+# --- label() in time linear in the gloss --------------------------------------------
+
+
+def _lines_run_in_the_package(call) -> int:
+    """The Python lines of ``defsrl`` that ``call()`` runs: a count of work
+    that does not depend on the machine's speed."""
+    package = os.path.dirname(defsrl.__file__) + os.sep
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("shape", ["accessory qualities", "conjoined verbs"])
+def test_label_work_grows_linearly_with_the_gloss(config, shape):
+    # Each candidate of the accessory-quality rule once looked for another
+    # differentia among all spans, and each conjoined verb's path scanned
+    # the verbs before it: quadratic work, 16 times as much at 4n as at n.
+    def work(n: int) -> int:
+        if shape == "accessory qualities":
+            text = "(NP (NP (NN coach)) " + " ".join(["(ADJP (JJ large))"] * n) + ")"
+            pos = "noun"
+        else:
+            text = "(VP (VB run) " + " ".join(["(CC or) (VB walk)"] * n) + ")"
+            pos = "verb"
+        tree = parse_bracketed(text)
+        outcome = label(tree, pos, config)
+        assert not outcome.annotation.ill_formed
+        return _lines_run_in_the_package(lambda: label(tree, pos, config))
+
+    small, large = work(100), work(400)
+    assert large < 5 * small, (small, large)

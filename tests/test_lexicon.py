@@ -204,6 +204,37 @@ def test_gazetteer_time_heuristics():
     assert not gazetteer_match(gazetteer, ["19th", "in", "century"])
 
 
+@pytest.mark.parametrize(
+    "tokens, expected",
+    [
+        (["in", "١٩٩٩"], True),  # Arabic-Indic digits are decimal
+        (["the", "٣rd", "century"], True),
+        (["in", "²⁰²⁰"], False),  # superscripts are digits, not decimals
+        (["the", "²nd", "century"], False),
+        (["during", "May"], True),
+        (["in", "MARCH"], True),
+        (["in", "19999"], False),
+        (["", "century"], False),
+        (["3rd"], False),
+    ],
+)
+def test_time_patterns_are_tried_only_on_tokens_led_by_a_decimal(tokens, expected):
+    # The matcher tries the year and ordinal patterns only on a token whose
+    # first character is decimal; the regex-only rule tries every token.
+    gazetteer = Gazetteer.from_entries(TIME, [])
+    assert gazetteer_match(gazetteer, tokens) is expected
+    assert oracle_gazetteer_match(gazetteer, tokens) is expected
+
+
+def test_the_time_patterns_open_with_exactly_the_decimal_characters():
+    # The fact the decimal test relies on, checked against this Python's
+    # Unicode tables: ``\d`` in a ``str`` pattern matches a character when,
+    # and only when, ``str.isdecimal`` accepts it.
+    digit = re.compile(r"\d")
+    for c in map(chr, range(sys.maxunicode + 1)):
+        assert (digit.match(c) is not None) == c.isdecimal(), ascii(c)
+
+
 def test_gazetteer_multiword_subsequence():
     gazetteer = Gazetteer.from_entries(LOCATION, ["north american"])
     assert gazetteer_match(gazetteer, ["of", "North", "American", "fields"])
