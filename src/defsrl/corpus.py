@@ -13,10 +13,11 @@ import json
 from collections import Counter
 from typing import BinaryIO, Iterable, Iterator
 
+from ._records import _seal
 from .lexicon import NOUN, VERB, _lines
 from .patterns import Pattern, _pattern, _pattern_key, render
 from .rolemodel import _RESERVED, Annotation, Role, _inline, parse_gold, serialize_gold
-from .syntree import _seal, parse_bracketed
+from .syntree import parse_bracketed
 
 __all__ = [
     "DefinitionRecord",

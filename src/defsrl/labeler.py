@@ -37,6 +37,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Sequence
 
+from ._records import _seal
 from .lexicon import (
     Gazetteer,
     Lexicon,
@@ -60,7 +61,6 @@ from .syntree import (
     _constituents_after_walk,
     _numbered_leaves,
     _path,
-    _seal,
     innermost_leftmost_np,
 )
 

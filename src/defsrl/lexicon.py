@@ -14,7 +14,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .syntree import _seal
+from ._records import _seal
 
 __all__ = [
     "NOUN",

@@ -12,8 +12,8 @@ import re
 from enum import Enum
 from operator import attrgetter
 
+from ._records import _seal
 from .rolemodel import Annotation, Role
-from .syntree import _seal
 
 __all__ = [
     "Repetition",

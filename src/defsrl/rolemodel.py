@@ -19,7 +19,7 @@ import re
 from enum import Enum
 from typing import Sequence
 
-from .syntree import _seal
+from ._records import _seal
 
 __all__ = [
     "Role",

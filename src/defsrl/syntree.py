@@ -18,9 +18,9 @@ from __future__ import annotations
 import copyreg
 import re
 from itertools import islice
-from operator import attrgetter
-from reprlib import recursive_repr
-from typing import Callable, Iterator, Literal, overload
+from typing import Iterator, Literal, overload
+
+from ._records import _seal, _twin
 
 __all__ = [
     "SynTree",
@@ -49,236 +49,6 @@ class TreeParseError(ValueError):
         # not take: ``pickle`` and ``copy`` rebuild through ``__new__`` and
         # restore ``offset`` from the instance dict.
         return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
-
-
-def _refuse_assignment(self: object, name: str, value: object) -> None:
-    from dataclasses import FrozenInstanceError
-
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self: object, name: str) -> None:
-    from dataclasses import FrozenInstanceError
-
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _written_init(
-    cls: type, names: tuple[str, ...], defaults: dict[str, object]
-) -> Callable[..., None]:
-    """``cls.__init__``, compiled once from its field names as ``dataclasses``
-    compiles one: each argument is stored by its slot's own setter, a field
-    in ``defaults`` takes that plain value when its argument is left out,
-    and ``__post_init__`` runs last when ``cls`` has one."""
-    namespace: dict[str, object] = {}
-    params, body = [], []
-    for name in names:
-        namespace[f"_set_{name}"] = getattr(cls, name).__set__
-        if name in defaults:
-            namespace[f"_default_{name}"] = defaults[name]
-            params.append(f"{name}=_default_{name}")
-        else:
-            params.append(name)
-        body.append(f"    _set_{name}(self, {name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
-class _DataclassView:
-    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, made
-    the first time something reads it (``dataclasses.fields``, ``replace``,
-    ``asdict``, ``is_dataclass``, or ``dataclass`` on a subclass).
-
-    Both come from ``dataclass(slots=True, init=False, repr=False,
-    eq=False)`` applied to a throwaway class with the record's name,
-    module, docstring, annotations and defaults, and are then stored on
-    the record in place of the two views. So ``dataclasses`` sees the
-    record as such a dataclass, and is imported only by a caller that
-    uses it.
-    """
-
-    __slots__ = ("defaults", "record", "name")
-
-    def __init__(self, defaults: dict[str, object]) -> None:
-        self.defaults = defaults
-
-    def __set_name__(self, record: type, name: str) -> None:
-        self.record, self.name = record, name
-
-    def __get__(self, instance: object, owner: type | None = None) -> object:
-        from dataclasses import dataclass
-
-        record = self.record
-        shape = type(record.__name__, (), {
-            "__module__": record.__module__,
-            "__qualname__": record.__qualname__,
-            "__doc__": record.__doc__,
-            "__annotations__": record.__annotations__,
-            **self.defaults,
-        })
-        shape = dataclass(slots=True, init=False, repr=False, eq=False)(shape)
-        record.__dataclass_fields__ = shape.__dataclass_fields__
-        record.__dataclass_params__ = shape.__dataclass_params__
-        return getattr(record, self.name)
-
-
-def _twin(record: type) -> type:
-    """A class of ``record``'s layout, its bases and ``__slots__``, but with
-    ``object``'s own ``__setattr__``: each field of an instance is written by
-    a plain slot store, which CPython specializes (the record's refusing
-    ``__setattr__`` keeps it from doing so). Once its fields are written, the
-    instance becomes a ``record`` by a ``__class__`` store, which CPython
-    allows only between classes of the same layout."""
-    name = f"_Open{record.__name__}"
-    return type(name, record.__bases__, {
-        "__slots__": record.__slots__,
-        "__module__": record.__module__,
-        "__qualname__": name,
-    })
-
-
-class _Maker:
-    """A record's ``_make(*fields)``, compiled the first time it is read, as
-    ``_DataclassView`` builds its view, and then stored on the record.
-
-    ``_make`` takes every field, in order, and makes the record as
-    ``record(*fields)`` does, by plain stores on a ``_twin`` instance: it
-    writes the fields, stores the record as the ``__class__``, and then runs
-    ``__post_init__`` when the record has one. A record made so has the
-    same type, ``==``, ``hash``, ``repr`` and pickles. defsrl makes the
-    records of its hot paths so, since each call of ``record(...)`` writes
-    every field through its slot's setter.
-    """
-
-    __slots__ = ("record",)
-
-    def __set_name__(self, record: type, name: str) -> None:
-        self.record = record
-
-    def __get__(self, instance: object, owner: type | None = None) -> Callable[..., object]:
-        record = self.record
-        names = record.__slots__
-        namespace = {"_Twin": _twin(record), "_Record": record}
-        body = ["    self = _Twin()"]
-        body += [f"    self.{name} = {name}" for name in names]
-        body.append("    self.__class__ = _Record")
-        if hasattr(record, "__post_init__"):
-            body.append("    self.__post_init__()")
-        body.append("    return self")
-        exec(f"def _make({', '.join(names)}):\n" + "\n".join(body), namespace)
-        make = namespace["_make"]
-        make.__qualname__ = f"{record.__qualname__}._make"
-        record._make = staticmethod(make)
-        return make
-
-
-def _seal(cls: type) -> type:
-    """Declare ``cls`` an immutable record: the class decorator of every
-    defsrl record, which then behaves as a frozen dataclass with ``__slots__``.
-
-    Every annotation of ``cls``'s own body is a field, in order, and a class
-    attribute of that name is its default. ``cls`` is made again with those
-    fields as its ``__slots__`` and ``__match_args__``, and without the
-    defaults as class attributes, as ``dataclass(slots=True)`` makes it. Its
-    ``__dataclass_fields__`` and ``__dataclass_params__`` are
-    ``_DataclassView``s, so ``dataclasses.fields``, ``replace``, ``asdict``
-    and ``is_dataclass`` work, and ``__dataclass_params__`` reads
-    ``frozen=False``: a subclass declared ``@dataclass(frozen=True)`` is
-    refused by ``dataclasses`` itself, as a frozen dataclass over a
-    non-frozen one. This writes the methods once, from the field names,
-    read through one ``attrgetter``:
-
-    - ``__init__`` (see ``_written_init``);
-    - ``__repr__``, ``==`` and ``hash`` as a frozen dataclass has them, over
-      the tuple of field values, except where ``cls`` defines its own (as
-      ``SynTree`` does);
-    - ``__replace__``, which ``copy.replace`` calls on Python 3.13 and
-      later: a new record of the same class from the fields, with
-      ``changes`` taking their place, as ``dataclasses.replace`` makes it;
-    - ``__getstate__`` and ``__setstate__``, which ``pickle`` and ``copy``
-      use; ``__setstate__`` runs ``__post_init__`` too, so derived state is
-      built again. A dict state, as pickled by a version whose records had a
-      ``__dict__``, is read by field name and refused unless its keys are
-      the fields, give or take the base classes' slots (derived state, such
-      as a ``Gazetteer``'s ``first_words``);
-    - ``__setattr__`` and ``__delattr__``, which raise
-      ``FrozenInstanceError`` for every name, not only the fields.
-
-    It also gives ``cls`` a private maker, ``cls._make(*fields)``, which
-    makes the record by plain slot stores on a twin class of the same
-    layout (see ``_twin`` and ``_Maker``), for the records that defsrl
-    makes on its hot paths. The maker is compiled the first time it is
-    read, so importing a record compiles nothing more.
-    """
-    namespace = dict(vars(cls))
-    names = tuple(namespace.get("__annotations__", ()))
-    defaults = {name: namespace.pop(name) for name in names if name in namespace}
-    namespace.pop("__dict__", None)
-    namespace.pop("__weakref__", None)
-    namespace["__slots__"] = names
-    namespace.setdefault("__match_args__", names)
-    namespace["__qualname__"] = cls.__qualname__
-    namespace["__dataclass_fields__"] = _DataclassView(defaults)
-    namespace["__dataclass_params__"] = _DataclassView(defaults)
-    namespace["_make"] = _Maker()
-    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    if len(names) == 1:
-        # ``attrgetter`` of one name gives the bare value, not a 1-tuple.
-        only = attrgetter(names[0])
-
-        def values(record: object) -> tuple:
-            return (only(record),)
-
-    else:
-        values = attrgetter(*names)
-    derived = {slot for base in cls.__mro__[1:] for slot in getattr(base, "__slots__", ())}
-    post_init = getattr(cls, "__post_init__", None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return values(self) == values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(values(self))
-
-    @recursive_repr()
-    def __repr__(self) -> str:
-        items = ", ".join(map("{}={!r}".format, names, values(self)))
-        return f"{self.__class__.__qualname__}({items})"
-
-    def __replace__(self, /, **changes: object) -> object:
-        return self.__class__(**dict(zip(names, values(self)), **changes))
-
-    def __getstate__(self) -> list:
-        return list(values(self))
-
-    def __setstate__(self, state: object) -> None:
-        if isinstance(state, dict):
-            if state.keys() - derived != set(names):
-                raise TypeError(f"cannot unpickle {type(self).__name__} from {list(state)}")
-            state = map(state.__getitem__, names)
-        for name, value in zip(names, state):
-            object.__setattr__(self, name, value)
-        if post_init is not None:
-            post_init(self)
-
-    cls.__init__ = _written_init(cls, names, defaults)
-    cls.__setattr__ = _refuse_assignment
-    cls.__delattr__ = _refuse_deletion
-    cls.__replace__ = __replace__
-    cls.__getstate__ = __getstate__
-    cls.__setstate__ = __setstate__
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = __repr__
-    if "__eq__" not in cls.__dict__:
-        cls.__eq__ = __eq__
-        cls.__hash__ = __hash__
-    return cls
 
 
 class _LeafRecord:

@@ -2,7 +2,10 @@
 
 ``import defsrl`` imports no submodule until one of its names is read, and
 no module of the package imports ``dataclasses``: a record builds its
-``dataclasses`` view the first time something reads it. Each check is a
+``dataclasses`` view the first time something reads it. The record
+mechanism lives in ``defsrl._records``, so the modules whose records hold
+no tree (``rolemodel``, ``lexicon`` and ``patterns``) load no
+``defsrl.syntree``. Each check is a
 script for a new interpreter, which inherits this one's environment, so it
 tests whichever ``defsrl`` that environment imports.
 
@@ -43,6 +46,13 @@ loaded = sorted(
     if name in sys.modules and name not in before
 )
 assert not loaded, loaded
+""",
+    # The modules whose records hold no tree take the record mechanism from
+    # ``defsrl._records``, not from the tree module.
+    "records-without-trees": """
+import sys
+import defsrl.rolemodel, defsrl.lexicon, defsrl.patterns
+assert "defsrl.syntree" not in sys.modules, sorted(n for n in sys.modules if n.startswith("defsrl"))
 """,
     "star-import": """
 import defsrl

@@ -58,7 +58,7 @@ from defsrl.rolemodel import (
     validate,
 )
 from defsrl.syntree import SynTree, _recorded_leaves, parse_bracketed, serialize
-from record_pickles import EARLIER_PICKLES
+from record_pickles import EARLIER_PICKLES, PINNED_PICKLES
 
 from dataclasses import replace
 
@@ -938,7 +938,7 @@ def test_slotted_records_behave_as_frozen_dataclasses(record):
     + [record.__class__ for record in _ONCE_FROZEN_RECORDS]
 )
 def test_slotted_records_generate_no_dataclass_methods(cls):
-    # Their methods come from ``syntree._seal``, not from ``dataclasses``.
+    # Their methods come from ``_records._seal``, not from ``dataclasses``.
     params = cls.__dataclass_params__
     assert (params.init, params.repr, params.eq, params.frozen) == (False, False, False, False)
     # So a frozen dataclass cannot extend one.
@@ -1016,6 +1016,17 @@ def test_records_pickled_by_the_earlier_version_still_load(name):
 def test_the_earlier_pickles_cover_every_record_class():
     assert set(EARLIER_PICKLES) == set(_ONE_OF_EACH_RECORD)
     assert len(EARLIER_PICKLES) == 16
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_OF_EACH_RECORD))
+def test_records_pickle_to_the_pinned_bytes(name):
+    # Whether the class or its maker makes it, a record pickles to the bytes
+    # it pickled to before the record mechanism left the tree module.
+    record = _ONE_OF_EACH_RECORD[name]
+    cls = record.__class__
+    made = cls._make(*[getattr(record, field) for field in cls.__slots__])
+    assert pickle.dumps(record, 2) == PINNED_PICKLES[name]
+    assert pickle.dumps(made, 2) == PINNED_PICKLES[name]
 
 
 @pytest.mark.parametrize("name", sorted(_ONE_OF_EACH_RECORD))

@@ -11,7 +11,7 @@ import pytest
 
 import defsrl
 from import_footprint import CHECKS, run_check
-from defsrl.syntree import _refuse_assignment
+from defsrl._records import _refuse_assignment
 
 SRC = Path(defsrl.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
@@ -50,7 +50,7 @@ def test_an_import_loads_only_what_it_uses(check):
 
 
 def test_every_dataclass_in_src_is_a_sealed_record():
-    # One record mechanism: ``syntree._seal``, which gives the class slots
+    # One record mechanism: ``_records._seal``, which gives the class slots
     # and refuses assignment through ``_refuse_assignment``.
     records = {
         obj

@@ -16,6 +16,8 @@ with its own ``src`` on ``PYTHONPATH``. The input sets are:
 - ``label-bundled`` and ``label-long``: the benchmark's corpora at ``--seed``
   (``bench/corpora.py``), the latter with its generated noun lexicon and
   location gazetteer;
+- ``eval-stats``: the benchmark's ``eval-stats`` corpus at ``--seed``, whose
+  records carry gold and seeded predictions;
 - ``random``: ``--random`` trees from ``tests/conftest.py``'s
   ``random_tree``, some tokens recased or swapped for time words and
   non-ASCII words, with lexicons and gazetteers drawn from the trees' own
@@ -23,8 +25,11 @@ with its own ``src`` on ``PYTHONPATH``. The input sets are:
 
 For each set both sides give ``repr(label(...))`` of every record in both
 instance modes, and the bytes (standard output and error, exit status and
-files written) of ``label``, ``label --trace``, ``lint``, ``stats`` and
-``eval``. The script prints one digest per set and side, and for the first
+files written) of ``label``, ``label --trace``, ``lint``, ``stats``,
+``eval`` of the labeled output and ``eval`` of the input. Only sets with
+gold (``bundled`` and ``eval-stats``) have scores to compare; ``eval``
+exits 1 on the others, and the input of ``bundled`` has no predictions.
+The script prints one digest per set and side, and for the first
 difference in a set the record id and both reprs, or the first differing
 line of the output that differs. It exits 1 on any difference and 0 when
 every set is the same.
@@ -154,8 +159,9 @@ def make_inputs(dest: Path, seed: int, random_count: int) -> list[str]:
         dest / "label-long", corpora.long_corpus(vocab, 1_000, seed),
         {"nouns.txt": vocab.nouns_text, "locations.txt": vocab.locations_text},
     )
+    _write_set(dest / "eval-stats", corpora.eval_corpus(templates, 10_000, seed).records)
     _write_set(dest / "random", *_random_records(random_count, seed))
-    return ["bundled", "criterion-6", "label-bundled", "label-long", "random"]
+    return ["bundled", "criterion-6", "label-bundled", "label-long", "eval-stats", "random"]
 
 
 # -- one side (run in its own interpreter) -----------------------------------
@@ -220,6 +226,7 @@ def run_side(inputs: Path, out: Path, names: Sequence[str]) -> None:
             "lint": ["lint", "--input", given, *flags],
             "stats": ["stats", "--input", "out.jsonl"],
             "eval": ["eval", "--input", "out.jsonl", "--output", "report.json"],
+            "eval-input": ["eval", "--input", given, "--output", "input-report.json"],
         }
         for command, args in commands.items():
             done = subprocess.run(
